@@ -12,6 +12,7 @@ Exit codes: 0 ok, 1 runtime failure, 2 usage error, 3 missing file,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -36,13 +37,8 @@ def _out_dir(args) -> Path:
 
 def _load_spec(args) -> experiments.ExperimentSpec:
     spec = experiments.load_spec(args.config)
-    if getattr(args, "seed", None) is not None:
-        spec = experiments.ExperimentSpec(
-            model=spec.model, modulations=spec.modulations, snr_db=spec.snr_db,
-            pipelines=spec.pipelines, num_images=spec.num_images, master_seed=args.seed,
-            dataset=spec.dataset, reference_mode=spec.reference_mode,
-            quant_bits=spec.quant_bits, frames_per_second=spec.frames_per_second,
-        )
+    if args.seed is not None:
+        spec = dataclasses.replace(spec, master_seed=args.seed)
     return spec
 
 
@@ -101,6 +97,13 @@ def _cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="splitseg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -108,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run the SNR sweep and write CSV results")
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--workers", type=positive_int, default=1, help="parallel worker processes")
     p.add_argument("--seed", type=int, default=None, help="override the config master seed")
     p.set_defaults(func=_cmd_sweep)
 
@@ -147,7 +150,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
+        # RuntimeError covers a failed sweep check and a broken worker pool
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -9,14 +9,15 @@ Three pipelines share one trained-once weight set per spec:
 
 Every trial derives its own noise substream from (master seed, modulation
 index, SNR index, image index, pipeline index), so sweep output is a pure
-function of the spec regardless of worker count or scheduling.
+function of the spec regardless of worker count or scheduling. The pipeline
+index is the pipeline's row in `metrics.PIPELINE_TABLE`.
 """
 
 from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,15 +29,23 @@ from .phy import ChannelConfig
 ARTIFACT_VERSION = "0.1.0"
 SNR_AXIS = "es_n0_db"
 
-PIPELINE_INDEX = {"traditional": 0, "full_tx": 1, "split": 2}
-PIPELINE_COLUMN = {"full_tx": "miou_f", "traditional": "miou_n", "split": "miou_s"}
-COLUMN_PIPELINE = {v: k for k, v in PIPELINE_COLUMN.items()}
-CSV_HEADER = "snr,miou_f,miou_n,miou_s"
+COLUMNS = ("miou_f", "miou_n", "miou_s")  # sweep CSV column order
+COLUMN_PIPELINE = {p.column: p.name for p in metrics.PIPELINE_TABLE}
+CSV_HEADER = ",".join(("snr",) + COLUMNS)
 REFERENCE_MODES = ("ground_truth", "noiseless_output")
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+# Scalar JSON keys -> (ExperimentSpec field, coercion). The list-valued
+# keys are read apart from these, so that a string cannot pass as a list.
+_SPEC_SCALARS = {
+    "num_images": ("num_images", int), "master_seed": ("master_seed", int),
+    "dataset": ("dataset", str), "reference_mode": ("reference_mode", str),
+    "quant_bits": ("quant_bits", int), "fps": ("frames_per_second", float),
+}
 
 
 @dataclass(frozen=True)
@@ -46,7 +55,7 @@ class ExperimentSpec:
     model: ModelConfig
     modulations: tuple[str, ...] = (phy.QPSK, phy.QAM16)
     snr_db: tuple[float, ...] = (5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
-    pipelines: tuple[str, ...] = ("traditional", "full_tx", "split")
+    pipelines: tuple[str, ...] = metrics.PIPELINES
     num_images: int = 50
     master_seed: int = 20240917
     dataset: str = "synthetic"
@@ -70,7 +79,7 @@ class ExperimentSpec:
         if not self.pipelines:
             raise ConfigError("pipelines must be nonempty")
         for p in self.pipelines:
-            if p not in PIPELINE_INDEX:
+            if p not in metrics.PIPELINES:
                 raise ConfigError(f"unknown pipeline {p!r}")
         if self.num_images < 1:
             raise ConfigError(f"num_images must be >= 1, got {self.num_images}")
@@ -88,26 +97,33 @@ class ExperimentSpec:
             "model": self.model.to_dict(),
             "channel": {"modulations": list(self.modulations), "snr_db": list(self.snr_db)},
             "pipelines": list(self.pipelines),
-            "num_images": self.num_images,
-            "master_seed": self.master_seed,
-            "dataset": self.dataset,
-            "reference_mode": self.reference_mode,
-            "quant_bits": self.quant_bits,
-            "fps": self.frames_per_second,
+            **{key: getattr(self, name) for key, (name, _) in _SPEC_SCALARS.items()},
         }
 
 
-_SPEC_KEYS = {
-    "model", "channel", "pipelines", "num_images", "master_seed",
-    "dataset", "reference_mode", "quant_bits", "fps",
-}
-_MODEL_KEYS = {
-    "input_size", "input_height", "input_width",
-    "base_channels", "feature_channels", "num_classes", "ppm_bins", "seed",
-}
+_SPEC_KEYS = {"model", "channel", "pipelines", *_SPEC_SCALARS}
+_MODEL_KEYS = {"input_size", *(f.name for f in fields(ModelConfig))}
+
+
+def _section(raw: dict, key: str, allowed) -> dict:
+    section = raw[key]
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key!r} must be a JSON object, got {type(section).__name__}")
+    unknown = set(section) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {key} keys: {sorted(unknown)}")
+    return section
+
+
+def _items(key: str, value) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key!r} must be a list, got {type(value).__name__}")
+    return tuple(value)
 
 
 def spec_from_dict(raw: dict) -> ExperimentSpec:
+    """Build a spec from its JSON form; absent keys take the dataclass
+    defaults, except that master_seed defaults to the model seed."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     unknown = set(raw) - _SPEC_KEYS
@@ -116,45 +132,24 @@ def spec_from_dict(raw: dict) -> ExperimentSpec:
     if "model" not in raw or "channel" not in raw:
         raise ConfigError("config requires 'model' and 'channel' sections")
 
-    m = raw["model"]
-    unknown = set(m) - _MODEL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown model keys: {sorted(unknown)}")
+    m = _section(raw, "model", _MODEL_KEYS)
+    ch = _section(raw, "channel", ("modulations", "snr_db"))
     try:
-        size = int(m.get("input_size", 256))
-        mc = ModelConfig(
-            input_height=int(m.get("input_height", size)),
-            input_width=int(m.get("input_width", size)),
-            base_channels=int(m.get("base_channels", 16)),
-            feature_channels=int(m.get("feature_channels", 64)),
-            num_classes=int(m.get("num_classes", 8)),
-            ppm_bins=tuple(m.get("ppm_bins", (1, 2, 3, 4))),
-            seed=int(m.get("seed", 1234)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid model config: {exc}") from exc
-
-    ch = raw["channel"]
-    unknown = set(ch) - {"modulations", "snr_db"}
-    if unknown:
-        raise ConfigError(f"unknown channel keys: {sorted(unknown)}")
-    try:
-        return ExperimentSpec(
-            model=mc,
-            modulations=tuple(ch.get("modulations", (phy.QPSK, phy.QAM16))),
-            snr_db=tuple(ch.get("snr_db", (5, 10, 15, 20, 25, 30))),
-            pipelines=tuple(raw.get("pipelines", ("traditional", "full_tx", "split"))),
-            num_images=int(raw.get("num_images", 50)),
-            master_seed=int(raw.get("master_seed", mc.seed)),
-            dataset=str(raw.get("dataset", "synthetic")),
-            reference_mode=str(raw.get("reference_mode", "noiseless_output")),
-            quant_bits=int(raw.get("quant_bits", 8)),
-            frames_per_second=float(raw.get("fps", 1.0)),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
+        model_kw = {k: _items(k, v) if k == "ppm_bins" else int(v) for k, v in m.items()}
+        size = model_kw.pop("input_size", None)
+        if size is not None:
+            model_kw = {"input_height": size, "input_width": size, **model_kw}
+        mc = ModelConfig(**model_kw)
+        kw = {k: _items(k, ch[k]) for k in ch}
+        if "pipelines" in raw:
+            kw["pipelines"] = _items("pipelines", raw["pipelines"])
+        kw["master_seed"] = mc.seed
+        for key, (name, cast) in _SPEC_SCALARS.items():
+            if key in raw:
+                kw[name] = cast(raw[key])
+        return ExperimentSpec(model=mc, **kw)
+    except (TypeError, ValueError) as exc:  # ConfigError included, message kept
+        raise ConfigError(str(exc)) from exc
 
 
 def load_spec(path) -> ExperimentSpec:
@@ -175,7 +170,7 @@ def derive_seed(master_seed: int, *key: int) -> int:
 
 
 def trial_seed(master_seed: int, mod_idx: int, snr_idx: int, image_idx: int, pipeline: str) -> int:
-    return derive_seed(master_seed, 1, mod_idx, snr_idx, image_idx, PIPELINE_INDEX[pipeline])
+    return derive_seed(master_seed, 1, mod_idx, snr_idx, image_idx, metrics.PIPELINES.index(pipeline))
 
 
 @dataclass
@@ -201,8 +196,8 @@ def run_traditional(raster, weights: WeightSet, channel: ChannelConfig) -> Pipel
     received = phy.transmit(stream, channel)
     decoded = codec.decode_image(received, cfg.input_height, cfg.input_width)
     _, seg = model.forward_full(dataio.raster_to_tensor(decoded), weights)
-    total, _ = model.mac_count(cfg, model.TOTAL_STAGES - 1)
-    return PipelineResult(seg, stream.n_bits, 0, total, _count_flips(stream, received), stream.n_bits)
+    tx_macs, rx_macs = metrics.pipeline_macs("traditional", cfg)
+    return PipelineResult(seg, stream.n_bits, tx_macs, rx_macs, _count_flips(stream, received), stream.n_bits)
 
 
 def run_full_tx(raster, weights: WeightSet, channel: ChannelConfig) -> PipelineResult:
@@ -212,8 +207,8 @@ def run_full_tx(raster, weights: WeightSet, channel: ChannelConfig) -> PipelineR
     stream = codec.encode_labelmap(seg, cfg.num_classes)
     received = phy.transmit(stream, channel)
     out = codec.decode_labelmap(received, cfg.input_height, cfg.input_width, cfg.num_classes)
-    total, _ = model.mac_count(cfg, model.TOTAL_STAGES - 1)
-    return PipelineResult(out, stream.n_bits, total, 0, _count_flips(stream, received), stream.n_bits)
+    tx_macs, rx_macs = metrics.pipeline_macs("full_tx", cfg)
+    return PipelineResult(out, stream.n_bits, tx_macs, rx_macs, _count_flips(stream, received), stream.n_bits)
 
 
 def run_split(raster, weights: WeightSet, channel: ChannelConfig, quant_bits: int = 8) -> PipelineResult:
@@ -229,7 +224,7 @@ def run_split(raster, weights: WeightSet, channel: ChannelConfig, quant_bits: in
     received_body = phy.transmit(body, channel)
     received = codec.deserialize_payload(header, received_body)
     _, seg = model.forward_receiver(codec.dequantize_features(received), weights)
-    tx_macs, rx_macs = model.mac_count(cfg, model.SPLIT_BOUNDARY)
+    tx_macs, rx_macs = metrics.pipeline_macs("split", cfg)
     bits_sent = header.n_bits + body.n_bits
     return PipelineResult(seg, bits_sent, tx_macs, rx_macs, _count_flips(body, received_body), body.n_bits)
 
@@ -318,7 +313,7 @@ class SweepResult:
     metadata: dict = field(default_factory=dict)
 
     def column(self, name: str) -> list[float]:
-        """Median mIoU series for a CSV column name (miou_f/miou_n/miou_s)."""
+        """Median mIoU series for a CSV column name (one of COLUMNS)."""
         pipeline = COLUMN_PIPELINE[name]
         return self.miou_median.get(pipeline, [float("nan")] * len(self.snr_db))
 
@@ -344,34 +339,30 @@ def sweep(spec: ExperimentSpec, workers: int = 1) -> list[SweepResult]:
         ) as pool:
             outcomes = dict(pool.map(_worker_trial, keys, chunksize=chunk))
 
+    expected_bits = {
+        p: float(metrics.bits_per_image(p, spec.model, spec.quant_bits)) for p in spec.pipelines
+    }
+    for out in outcomes.values():
+        for p, (_, _, _, sent) in out.items():
+            if sent != expected_bits[p]:
+                raise RuntimeError(
+                    f"bit accounting mismatch for {p}: trial sent {sent}, formula {expected_bits[p]}"
+                )
+
     results = []
     for m, modulation in enumerate(spec.modulations):
         medians = {p: [] for p in spec.pipelines}
         means = {p: [] for p in spec.pipelines}
         bers = []
         for s in range(len(spec.snr_db)):
-            flips = bits = 0
+            rows = [outcomes[(m, s, i)] for i in range(spec.num_images)]
             for p in spec.pipelines:
-                vals = [outcomes[(m, s, i)][p][0] for i in range(spec.num_images)]
+                vals = [row[p][0] for row in rows]
                 medians[p].append(float(np.median(vals)))
                 means[p].append(float(np.mean(vals)))
-            for i in range(spec.num_images):
-                for p in spec.pipelines:
-                    _, f, cb, _ = outcomes[(m, s, i)][p]
-                    flips += f
-                    bits += cb
+            flips = sum(row[p][1] for row in rows for p in spec.pipelines)
+            bits = sum(row[p][2] for row in rows for p in spec.pipelines)
             bers.append(flips / bits if bits else float("nan"))
-        expected_bits = {
-            p: float(metrics.bits_per_image(p, spec.model, spec.quant_bits)) for p in spec.pipelines
-        }
-        for (mm, s, i), out in outcomes.items():
-            if mm != m:
-                continue
-            for p, (_, _, _, sent) in out.items():
-                if sent != expected_bits[p]:
-                    raise RuntimeError(
-                        f"bit accounting mismatch for {p}: trial sent {sent}, formula {expected_bits[p]}"
-                    )
         results.append(
             SweepResult(
                 modulation=modulation,
@@ -379,7 +370,7 @@ def sweep(spec: ExperimentSpec, workers: int = 1) -> list[SweepResult]:
                 miou_median=medians,
                 miou_mean=means,
                 ber=bers,
-                bits_per_image=expected_bits,
+                bits_per_image=dict(expected_bits),
                 metadata={
                     "modulation": modulation,
                     "spec": spec.to_dict(),
@@ -404,23 +395,20 @@ def write_csv(result: SweepResult, path) -> None:
     path = Path(path)
     lines = [CSV_HEADER]
     for idx, snr in enumerate(result.snr_db):
-        cols = [_fmt(snr)]
-        for col in ("miou_f", "miou_n", "miou_s"):
-            cols.append(_fmt(result.column(col)[idx]))
-        lines.append(",".join(cols))
+        lines.append(",".join(_fmt(v) for v in [snr] + [result.column(c)[idx] for c in COLUMNS]))
     path.write_text("\n".join(lines) + "\n")
 
     ext = path.with_name(path.stem + "_ext.csv")
-    header = ["snr", "miou_f_mean", "miou_n_mean", "miou_s_mean", "ber", "bits_f", "bits_n", "bits_s"]
+    header = ["snr", *(c + "_mean" for c in COLUMNS), "ber", *(c.replace("miou", "bits") for c in COLUMNS)]
     lines = [",".join(header)]
     nan = float("nan")
     for idx, snr in enumerate(result.snr_db):
         cols = [_fmt(snr)]
-        for col in ("miou_f", "miou_n", "miou_s"):
+        for col in COLUMNS:
             series = result.miou_mean.get(COLUMN_PIPELINE[col])
             cols.append(_fmt(series[idx] if series else nan))
         cols.append(_fmt(result.ber[idx] if result.ber else nan))
-        for col in ("miou_f", "miou_n", "miou_s"):
+        for col in COLUMNS:
             cols.append(_fmt(result.bits_per_image.get(COLUMN_PIPELINE[col], nan)))
         lines.append(",".join(cols))
     ext.write_text("\n".join(lines) + "\n")
@@ -438,21 +426,20 @@ def read_csv(path) -> SweepResult:
     if lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: line 1: header {lines[0]!r} != {CSV_HEADER!r}")
     snrs: list[float] = []
-    cols: dict[str, list[float]] = {"miou_f": [], "miou_n": [], "miou_s": []}
+    cols: dict[str, list[float]] = {c: [] for c in COLUMNS}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             raise ValueError(f"{path}: line {lineno}: blank row")
-        fields = line.split(",")
-        if len(fields) != 4:
-            raise ValueError(f"{path}: line {lineno}: expected 4 fields, got {len(fields)}")
+        cells = line.split(",")
+        if len(cells) != 1 + len(COLUMNS):
+            raise ValueError(f"{path}: line {lineno}: expected {1 + len(COLUMNS)} fields, got {len(cells)}")
         try:
-            values = [float(f) for f in fields]
+            values = [float(f) for f in cells]
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: non-numeric field") from None
         snrs.append(values[0])
-        cols["miou_f"].append(values[1])
-        cols["miou_n"].append(values[2])
-        cols["miou_s"].append(values[3])
+        for col, value in zip(COLUMNS, values[1:]):
+            cols[col].append(value)
     medians = {COLUMN_PIPELINE[c]: v for c, v in cols.items()}
     return SweepResult(modulation="", snr_db=snrs, miou_median=medians)
 

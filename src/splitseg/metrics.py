@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -11,7 +12,21 @@ from . import model as M
 from .codec import label_bits_per_pixel, payload_header_bits
 from .model import ModelConfig, SegmentationMap
 
-PIPELINES = ("traditional", "full_tx", "split")
+
+class Pipeline(NamedTuple):
+    name: str
+    column: str  # sweep CSV column holding its median mIoU
+    tx_last_stage: int  # last network stage run at the transmitter; -1 for none
+
+
+# The only description of the pipelines. Row order is each pipeline's index
+# in its trials' noise substream key, so reordering rows changes every sweep.
+PIPELINE_TABLE = (
+    Pipeline("traditional", "miou_n", -1),
+    Pipeline("full_tx", "miou_f", M.TOTAL_STAGES - 1),
+    Pipeline("split", "miou_s", M.SPLIT_BOUNDARY),
+)
+PIPELINES = tuple(p.name for p in PIPELINE_TABLE)
 
 # External reference operating point shown next to the measured
 # transmitter-compute reduction in ComputeReport.
@@ -78,6 +93,11 @@ def bits_per_image(pipeline: str, config: ModelConfig, quant_bits: int = 8) -> i
     raise ValueError(f"unknown pipeline {pipeline!r}, expected one of {PIPELINES}")
 
 
+def pipeline_macs(pipeline: str, config: ModelConfig) -> tuple[int, int]:
+    """Convolution MACs (transmitter, receiver) of one pipeline."""
+    return M.mac_count(config, PIPELINE_TABLE[PIPELINES.index(pipeline)].tx_last_stage)
+
+
 def bitrate_mbps(bits: int, frames_per_second: float) -> float:
     return bits * frames_per_second / 1e6
 
@@ -95,15 +115,7 @@ class RateReport:
     config: dict
 
     def to_dict(self) -> dict:
-        return {
-            "bits_per_image": dict(self.bits_per_image),
-            "mbps": dict(self.mbps),
-            "reduction_vs_traditional_pct": self.reduction_vs_traditional_pct,
-            "reduction_vs_full_tx_pct": self.reduction_vs_full_tx_pct,
-            "quant_bits": self.quant_bits,
-            "frames_per_second": self.frames_per_second,
-            "config": dict(self.config),
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -134,25 +146,18 @@ class ComputeReport:
     config: dict
 
     def to_dict(self) -> dict:
-        return {
-            "tx_macs": dict(self.tx_macs),
-            "rx_macs": dict(self.rx_macs),
-            "tx_reduction_pct": self.tx_reduction_pct,
-            "reference_tx_reduction_pct": self.reference_tx_reduction_pct,
-            "config": dict(self.config),
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
 
 def compute_report(config: ModelConfig) -> ComputeReport:
-    split_tx, split_rx = M.mac_count(config, M.SPLIT_BOUNDARY)
-    total, _ = M.mac_count(config, M.TOTAL_STAGES - 1)
+    macs = {p: pipeline_macs(p, config) for p in PIPELINES}
     return ComputeReport(
-        tx_macs={"traditional": 0, "full_tx": total, "split": split_tx},
-        rx_macs={"traditional": total, "full_tx": 0, "split": split_rx},
-        tx_reduction_pct=100.0 * (1.0 - split_tx / total),
+        tx_macs={p: tx for p, (tx, _) in macs.items()},
+        rx_macs={p: rx for p, (_, rx) in macs.items()},
+        tx_reduction_pct=100.0 * (1.0 - macs["split"][0] / macs["full_tx"][0]),
         reference_tx_reduction_pct=REFERENCE_TX_REDUCTION_PCT,
         config=config.to_dict(),
     )

@@ -15,16 +15,27 @@ The receiver half applies pyramid pooling over the fused map, upsamples to
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor_ops as T
 
-TOTAL_STAGES = 7  # stages 0..6; the split boundary sits after stage 5
+# Per stage: its operation kind and the plan entry that produces its output.
+_STAGES = (
+    ("conv x2", "s0.conv2"),
+    ("rb", "s1.rb.conv2"),
+    ("rb", "s2.rb.conv2"),
+    ("rb x3", "s3.i.conv2"),
+    ("rb x3", "s4.i.conv2"),
+    ("rbb x3 + fuse", "s5.fuse"),
+    ("ppm + conv x2", "s6.head2"),
+)
+TOTAL_STAGES = len(_STAGES)  # stages 0..6; the split boundary sits after stage 5
 SPLIT_BOUNDARY = 5
 
 
@@ -73,11 +84,6 @@ class ModelConfig:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
     @classmethod
-    def desk_scale(cls, **overrides) -> "ModelConfig":
-        """Small config meant for fast simulation runs (256x256 input)."""
-        return cls(**overrides)
-
-    @classmethod
     def full_scale(cls, **overrides) -> "ModelConfig":
         """1024x1024 config matching the reference stage resolutions."""
         defaults = dict(
@@ -88,23 +94,11 @@ class ModelConfig:
         return cls(**defaults)
 
     def to_dict(self) -> dict:
-        return {
-            "input_height": self.input_height,
-            "input_width": self.input_width,
-            "base_channels": self.base_channels,
-            "feature_channels": self.feature_channels,
-            "num_classes": self.num_classes,
-            "ppm_bins": list(self.ppm_bins),
-            "seed": self.seed,
-        }
+        return {**asdict(self), "ppm_bins": list(self.ppm_bins)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(
-            input_height=d["input_height"], input_width=d["input_width"],
-            base_channels=d["base_channels"], feature_channels=d["feature_channels"],
-            num_classes=d["num_classes"], ppm_bins=tuple(d["ppm_bins"]), seed=d["seed"],
-        )
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 @dataclass
@@ -166,7 +160,8 @@ def layer_plan(config: ModelConfig) -> list[ConvPlan]:
     """Enumerate every convolution in execution order.
 
     This single table drives weight construction, weight-file validation,
-    and MAC accounting.
+    MAC accounting, the stage table of `describe`, and the executor's
+    strides, padding, affine layers and residual projections.
     """
     c0, c5, k = config.base_channels, config.feature_channels, config.num_classes
     h, w = config.input_height, config.input_width
@@ -279,48 +274,44 @@ class StageInfo:
     out_w: int
 
 
+@functools.lru_cache(maxsize=32)
+def _plans(config: ModelConfig) -> dict[str, ConvPlan]:
+    return {p.name: p for p in layer_plan(config)}
+
+
 def describe(config: ModelConfig) -> list[StageInfo]:
     """Per-stage operation kind, output channels, and output resolution."""
-    c0, c5, k = config.base_channels, config.feature_channels, config.num_classes
-    h, w = config.input_height, config.input_width
+    plans = _plans(config)
     return [
-        StageInfo(0, "conv x2", c0, h // 4, w // 4),
-        StageInfo(1, "rb", c0, h // 4, w // 4),
-        StageInfo(2, "rb", 2 * c0, h // 8, w // 8),
-        StageInfo(3, "rb x3", 4 * c0, h // 16, w // 16),
-        StageInfo(4, "rb x3", 8 * c0, h // 32, w // 32),
-        StageInfo(5, "rbb x3 + fuse", c5, h // 64, w // 64),
-        StageInfo(6, "ppm + conv x2", k, h // 8, w // 8),
+        StageInfo(stage, kind, plans[name].cout, plans[name].out_h, plans[name].out_w)
+        for stage, (kind, name) in enumerate(_STAGES)
     ]
 
 
-def _unit(weights: WeightSet, name: str, x, stride: int = 1, act: bool = True) -> np.ndarray:
+def _unit(weights: WeightSet, name: str, x, act: bool = True) -> np.ndarray:
+    plan = _plans(weights.config)[name]
     p = weights.params
-    kernel = p[name + ".kernel"]
-    out = T.conv2d(x, kernel, p[name + ".bias"], stride=stride, padding=kernel.shape[-1] // 2)
-    if name + ".scale" in p:
+    out = T.conv2d(x, p[name + ".kernel"], p[name + ".bias"], stride=plan.stride, padding=plan.k // 2)
+    if plan.affine:
         out = T.affine_norm(out, p[name + ".scale"], p[name + ".shift"])
     if act:
         out = T.relu(out)
     return out
 
 
-def _rb(weights: WeightSet, prefix: str, x, stride: int) -> np.ndarray:
-    y = _unit(weights, prefix + ".conv1", x, stride=stride)
-    y = _unit(weights, prefix + ".conv2", y, act=False)
-    skip = x
-    if prefix + ".proj.kernel" in weights.params:
-        skip = _unit(weights, prefix + ".proj", x, stride=stride, act=False)
-    return T.relu(T.add(y, skip))
+_RB = ("conv1", "conv2")
+_RBB = ("reduce", "conv", "expand")
 
 
-def _rbb(weights: WeightSet, prefix: str, x, stride: int) -> np.ndarray:
-    y = _unit(weights, prefix + ".reduce", x)
-    y = _unit(weights, prefix + ".conv", y, stride=stride)
-    y = _unit(weights, prefix + ".expand", y, act=False)
+def _block(weights: WeightSet, prefix: str, x, units: tuple[str, ...]) -> np.ndarray:
+    """Residual block: `units` in sequence, ReLU after all but the last, plus
+    the input (through the block's projection conv when the plan has one)."""
+    y = x
+    for name in units:
+        y = _unit(weights, f"{prefix}.{name}", y, act=name != units[-1])
     skip = x
-    if prefix + ".proj.kernel" in weights.params:
-        skip = _unit(weights, prefix + ".proj", x, stride=stride, act=False)
+    if prefix + ".proj" in _plans(weights.config):
+        skip = _unit(weights, prefix + ".proj", x, act=False)
     return T.relu(T.add(y, skip))
 
 
@@ -332,26 +323,22 @@ def forward_transmitter(image, weights: WeightSet) -> np.ndarray:
         raise ValueError(
             f"image shape {x.shape} != (3, {cfg.input_height}, {cfg.input_width})"
         )
-    x = _unit(weights, "s0.conv1", x, stride=2)
-    x = _unit(weights, "s0.conv2", x, stride=2)
-    x = _rb(weights, "s1.rb", x, 1)
-    x = _rb(weights, "s2.rb", x, 2)
+    x = _unit(weights, "s0.conv1", x)
+    x = _unit(weights, "s0.conv2", x)
+    x = _block(weights, "s1.rb", x, _RB)
+    x = _block(weights, "s2.rb", x, _RB)
 
-    p = _rb(weights, "s3.p", x, 1)
-    i = _rb(weights, "s3.i", x, 2)
-    d = _rb(weights, "s3.d", x, 1)
-    comp = _unit(weights, "s3.comp", i, act=False)
-    p = T.add(p, T.bilinear_resize(comp, p.shape[1], p.shape[2]))
+    p = i = d = x
+    for s in (3, 4):
+        p = _block(weights, f"s{s}.p", p, _RB)
+        i = _block(weights, f"s{s}.i", i, _RB)
+        d = _block(weights, f"s{s}.d", d, _RB)
+        comp = _unit(weights, f"s{s}.comp", i, act=False)
+        p = T.add(p, T.bilinear_resize(comp, p.shape[1], p.shape[2]))
 
-    p = _rb(weights, "s4.p", p, 1)
-    i = _rb(weights, "s4.i", i, 2)
-    d = _rb(weights, "s4.d", d, 1)
-    comp = _unit(weights, "s4.comp", i, act=False)
-    p = T.add(p, T.bilinear_resize(comp, p.shape[1], p.shape[2]))
-
-    p = _rbb(weights, "s5.p", p, 1)
-    i = _rbb(weights, "s5.i", i, 2)
-    d = _rbb(weights, "s5.d", d, 1)
+    p = _block(weights, "s5.p", p, _RBB)
+    i = _block(weights, "s5.i", i, _RBB)
+    d = _block(weights, "s5.d", d, _RBB)
 
     h64, w64 = i.shape[1], i.shape[2]
     fused = T.concat_channels([T.avg_pool_to(p, h64, w64), T.avg_pool_to(d, h64, w64), i])
@@ -387,22 +374,18 @@ def forward_full(image, weights: WeightSet) -> tuple[np.ndarray, SegmentationMap
     return forward_receiver(forward_transmitter(image, weights), weights)
 
 
-def conv_macs(k: int, cin: int, cout: int, out_h: int, out_w: int) -> int:
-    """Multiply-accumulates of one convolution: k*k*cin*cout*out_h*out_w."""
-    return k * k * cin * cout * out_h * out_w
-
-
 def mac_count(config: ModelConfig, boundary: int) -> tuple[int, int]:
     """Convolution MACs on each side of a stage boundary.
 
     The transmitter side covers all convolutions in stages <= boundary (the
     branch-fusion conv belongs to stage 5); the receiver side covers the
-    rest. Only convolutions are counted.
+    rest, so boundary -1 puts every convolution at the receiver. Only
+    convolutions are counted.
     """
-    if not (0 <= boundary <= TOTAL_STAGES - 1):
-        raise ValueError(f"boundary must be in 0..{TOTAL_STAGES - 1}, got {boundary}")
+    if not (-1 <= boundary <= TOTAL_STAGES - 1):
+        raise ValueError(f"boundary must be in -1..{TOTAL_STAGES - 1}, got {boundary}")
     tx = rx = 0
-    for p in layer_plan(config):
+    for p in _plans(config).values():
         if p.stage <= boundary:
             tx += p.macs
         else:

@@ -5,9 +5,9 @@ from __future__ import annotations
 import math
 from xml.sax.saxutils import escape
 
-_COLORS = ("#c0392b", "#2980b9", "#111111", "#27ae60", "#8e44ad", "#d35400")
+from .experiments import COLUMNS
 
-_COLUMNS = ("miou_f", "miou_n", "miou_s")
+_COLORS = ("#c0392b", "#2980b9", "#111111", "#27ae60", "#8e44ad", "#d35400")
 
 
 def _axis_ticks(lo: float, hi: float, n: int = 6) -> list[float]:
@@ -28,7 +28,7 @@ def render_plot(results, path, width: int = 640, height: int = 440) -> None:
 
     series = []
     for idx, r in enumerate(results):
-        for col in _COLUMNS:
+        for col in COLUMNS:
             values = r.column(col)
             pts = [(s, v) for s, v in zip(r.snr_db, values) if not math.isnan(v)]
             if not pts:

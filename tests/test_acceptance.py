@@ -5,6 +5,7 @@ lines and the ungated context reports (transmitter-compute reduction, SNR
 advantage of the split pipeline).
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -383,16 +384,28 @@ def test_criterion_7_codec_exactness():
 # criterion 8: determinism
 # ---------------------------------------------------------------------------
 
+CRITERION_8_SPEC = E.ExperimentSpec(
+    model=ModelConfig(input_height=128, input_width=128, base_channels=8,
+                      feature_channels=16, num_classes=4, ppm_bins=(1, 2), seed=808),
+    modulations=(QPSK, QAM16),
+    snr_db=(5.0, 20.0),
+    pipelines=("traditional", "full_tx", "split"),
+    num_images=4,
+    master_seed=777,
+)
+
+# sha256 of the criterion-8 CSVs (numpy 2.4.6). A change that alters any
+# output bit must update these on purpose and bump ARTIFACT_VERSION.
+GOLDEN_SHA256 = {
+    "sweep_qpsk.csv": "ab9ffc389da926ed14f7effb126d01e7bf8c4bd25001089064a6fc98915932d2",
+    "sweep_qpsk_ext.csv": "9ec2352ee3e42436116812e99a49efcb55df75afead77b916968a20f879f4da9",
+    "sweep_16qam.csv": "e5320a2727929eec791501c545f7dc1ac6597458ddb26f6b039fde954977bc77",
+    "sweep_16qam_ext.csv": "bb0e1b0ca68a4599be5d9eae011f7b36566ea58fbe66b200eb87cc171079db64",
+}
+
+
 def test_criterion_8_sweep_determinism(tmp_path):
-    spec = E.ExperimentSpec(
-        model=ModelConfig(input_height=128, input_width=128, base_channels=8,
-                          feature_channels=16, num_classes=4, ppm_bins=(1, 2), seed=808),
-        modulations=(QPSK, QAM16),
-        snr_db=(5.0, 20.0),
-        pipelines=("traditional", "full_tx", "split"),
-        num_images=4,
-        master_seed=777,
-    )
+    spec = CRITERION_8_SPEC
     runs = {}
     for tag, workers in [("first", 1), ("second", 1), ("parallel", 4)]:
         d = tmp_path / tag
@@ -408,3 +421,11 @@ def test_criterion_8_sweep_determinism(tmp_path):
         "sweep_qpsk.csv", "sweep_qpsk_ext.csv", "sweep_16qam.csv", "sweep_16qam_ext.csv",
     }
     report(8, "byte-identical CSVs across repeated sweeps and worker counts 1 vs 4")
+
+
+def test_criterion_8_golden_digests(tmp_path):
+    for result in E.sweep(CRITERION_8_SPEC):
+        E.write_csv(result, tmp_path / f"sweep_{result.modulation}.csv")
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")}
+    assert digests == GOLDEN_SHA256
+    report(8, "sweep CSV bytes match the pinned sha256 digests")

@@ -1,10 +1,11 @@
 """Command-line interface behavior and exit codes."""
 
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from splitseg import cli
+from splitseg import cli, experiments
 
 
 def write_config(tmp_path, **overrides):
@@ -116,3 +117,55 @@ def test_out_dir_env_override(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert len(list(target.glob("*.ppm"))) == 1
     assert not (tmp_path / "ignored").exists()
+
+
+@pytest.mark.parametrize("section", ["model", "channel"])
+def test_non_object_section_exit_code(tmp_path, capsys, section):
+    cfg = write_config(tmp_path, **{section: 3})
+    assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_BAD_CONFIG
+    assert repr(section) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("channel", "snr_db", "10"), ("channel", "modulations", "qpsk"),
+    (None, "pipelines", "split"), ("model", "ppm_bins", "12"),
+])
+def test_string_in_place_of_a_list_rejected(tmp_path, capsys, section, key, value):
+    raw = json.loads(write_config(tmp_path).read_text())
+    (raw[section] if section else raw)[key] = value
+    cfg = write_config(tmp_path, **raw)
+    assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_BAD_CONFIG
+    assert f"{key!r} must be a list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [
+    {"num_images": "many"},
+    {"model": {"num_classes": 1}},
+    {"model": {"base_channels": "wide"}},
+])
+def test_invalid_config_message_has_one_prefix(tmp_path, capsys, overrides):
+    cfg = write_config(tmp_path, **overrides)
+    assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: ")
+    assert err.count("invalid config") == 1
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_a_usage_error(tmp_path, capsys, workers):
+    cfg = write_config(tmp_path)
+    argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"), "--workers", workers]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("bit accounting mismatch"), BrokenProcessPool("worker died")])
+def test_sweep_runtime_failure_exit_code(tmp_path, capsys, monkeypatch, exc):
+    def failing_sweep(spec, workers=1):
+        raise exc
+
+    monkeypatch.setattr(experiments, "sweep", failing_sweep)
+    cfg = write_config(tmp_path)
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err == f"error: {exc}\n"

@@ -118,6 +118,24 @@ class TestPipelines:
         assert noisy.bit_flips > 0
 
 
+class TestPipelineTable:
+    def test_row_order_is_the_substream_index(self):
+        assert metrics.PIPELINES == ("traditional", "full_tx", "split")
+        for index, name in enumerate(metrics.PIPELINES):
+            assert E.trial_seed(7, 1, 2, 3, name) == E.derive_seed(7, 1, 1, 2, 3, index)
+
+    def test_columns_match_the_table(self):
+        assert {p.column: p.name for p in metrics.PIPELINE_TABLE} == {
+            "miou_f": "full_tx", "miou_n": "traditional", "miou_s": "split",
+        }
+        assert sorted(p.column for p in metrics.PIPELINE_TABLE) == sorted(E.COLUMNS)
+        assert E.CSV_HEADER == "snr," + ",".join(E.COLUMNS)
+
+    def test_spec_defaults_to_every_pipeline(self):
+        assert E.ExperimentSpec(model=TINY).pipelines == metrics.PIPELINES
+        assert E.spec_from_dict({"model": {}, "channel": {}}).pipelines == metrics.PIPELINES
+
+
 class TestSeedDerivation:
     def test_stable_values(self):
         a = E.trial_seed(1234, 0, 1, 2, "split")
@@ -223,6 +241,11 @@ class TestSpecConfig:
         raw["fiber"] = True
         with pytest.raises(E.ConfigError, match="unknown config keys"):
             E.spec_from_dict(raw)
+
+    def test_master_seed_defaults_to_model_seed(self):
+        spec = E.spec_from_dict({"model": {"seed": 42}, "channel": {}})
+        assert spec.master_seed == 42
+        assert spec == E.ExperimentSpec(model=ModelConfig(seed=42), master_seed=42)
 
     def test_load_spec_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):

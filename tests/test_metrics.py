@@ -196,6 +196,12 @@ class TestComputeReport:
         assert r.tx_macs["split"] + r.rx_macs["split"] == total
         assert r.rx_macs["traditional"] == total
 
+    def test_each_pipeline_matches_pipeline_macs(self):
+        for cfg in (ModelConfig(), FULL):
+            r = metrics.compute_report(cfg)
+            for p in metrics.PIPELINE_TABLE:
+                assert (r.tx_macs[p.name], r.rx_macs[p.name]) == metrics.pipeline_macs(p.name, cfg)
+
     def test_reference_point_present(self):
         r = metrics.compute_report(ModelConfig())
         assert r.reference_tx_reduction_pct == 19.8

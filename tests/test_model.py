@@ -196,13 +196,16 @@ class TestForward:
 
 class TestMacCount:
     def test_single_conv_formula(self):
-        assert M.conv_macs(1, 2, 3, 4, 4) == 96
+        plan = M.ConvPlan("x", stage=0, k=1, cin=2, cout=3, stride=1, out_h=4, out_w=4)
+        assert plan.macs == 96
+        assert M.ConvPlan("y", 0, 3, 2, 3, 2, 5, 4).macs == 9 * 2 * 3 * 5 * 4
 
     def test_boundary_additivity(self):
         cfg = tiny_config()
         total_tx, total_rx = M.mac_count(cfg, 6)
         assert total_rx == 0
-        for boundary in range(7):
+        assert M.mac_count(cfg, -1) == (0, total_tx)
+        for boundary in range(-1, 7):
             tx, rx = M.mac_count(cfg, boundary)
             assert tx + rx == total_tx
 
@@ -222,8 +225,9 @@ class TestMacCount:
         assert rx5 > rx6
 
     def test_boundary_validated(self):
-        with pytest.raises(ValueError, match="boundary"):
-            M.mac_count(ModelConfig(), 7)
+        for boundary in (-2, 7):
+            with pytest.raises(ValueError, match="boundary"):
+                M.mac_count(ModelConfig(), boundary)
 
 
 class TestWeightIO:
