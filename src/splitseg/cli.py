@@ -58,8 +58,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_report(args) -> int:
     spec = _load_spec(args)
-    rate = metrics.rate_report(spec.model, spec.quant_bits, spec.frames_per_second)
-    compute = metrics.compute_report(spec.model)
+    try:
+        rate = metrics.rate_report(spec.model, spec.quant_bits, spec.frames_per_second)
+        compute = metrics.compute_report(spec.model)
+    except OverflowError as exc:  # counts beyond float64, e.g. input_size 64 * 2**1100
+        raise ConfigError(f"model too large to report: {exc}") from exc
     payload = {"rate": rate.to_dict(), "compute": compute.to_dict()}
     text = json.dumps(payload, indent=2)
     print(text)

@@ -16,6 +16,7 @@ index is the pipeline's row in `metrics.PIPELINE_TABLE`.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -74,6 +75,8 @@ class ExperimentSpec:
             raise ConfigError("modulations must be nonempty")
         if not self.snr_db:
             raise ConfigError("snr_db must be nonempty")
+        if not all(math.isfinite(s) for s in self.snr_db):
+            raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
         if any(a >= b for a, b in zip(self.snr_db, self.snr_db[1:])):
             raise ConfigError(f"snr_db must be strictly increasing, got {self.snr_db}")
         if not self.pipelines:
@@ -87,8 +90,8 @@ class ExperimentSpec:
             raise ConfigError(f"reference_mode {self.reference_mode!r} not in {REFERENCE_MODES}")
         if self.quant_bits not in codec.STANDARD_QUANT_BITS:
             raise ConfigError(f"quant_bits {self.quant_bits} not in {codec.STANDARD_QUANT_BITS}")
-        if self.frames_per_second <= 0:
-            raise ConfigError(f"frames_per_second must be positive, got {self.frames_per_second}")
+        if not (0 < self.frames_per_second < math.inf):
+            raise ConfigError(f"frames_per_second must be positive and finite, got {self.frames_per_second}")
         if not (0 <= self.master_seed < 1 << 64):
             raise ConfigError(f"master_seed must be a 64-bit unsigned integer")
 
@@ -115,10 +118,17 @@ def _section(raw: dict, key: str, allowed) -> dict:
     return section
 
 
-def _items(key: str, value) -> tuple:
+def _items(key: str, value, cast=None) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{key!r} must be a list, got {type(value).__name__}")
-    return tuple(value)
+    return tuple(value) if cast is None else tuple(_scalar(key, v, cast) for v in value)
+
+
+def _scalar(key: str, value, cast):
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:  # int(1e999) overflows
+        raise ConfigError(f"{key!r} must be {cast.__name__}, got {value!r}") from exc
 
 
 def spec_from_dict(raw: dict) -> ExperimentSpec:
@@ -135,18 +145,18 @@ def spec_from_dict(raw: dict) -> ExperimentSpec:
     m = _section(raw, "model", _MODEL_KEYS)
     ch = _section(raw, "channel", ("modulations", "snr_db"))
     try:
-        model_kw = {k: _items(k, v) if k == "ppm_bins" else int(v) for k, v in m.items()}
+        model_kw = {k: _items(k, v, int) if k == "ppm_bins" else _scalar(k, v, int) for k, v in m.items()}
         size = model_kw.pop("input_size", None)
         if size is not None:
             model_kw = {"input_height": size, "input_width": size, **model_kw}
         mc = ModelConfig(**model_kw)
-        kw = {k: _items(k, ch[k]) for k in ch}
+        kw = {k: _items(k, ch[k], float if k == "snr_db" else None) for k in ch}
         if "pipelines" in raw:
             kw["pipelines"] = _items("pipelines", raw["pipelines"])
         kw["master_seed"] = mc.seed
         for key, (name, cast) in _SPEC_SCALARS.items():
             if key in raw:
-                kw[name] = cast(raw[key])
+                kw[name] = _scalar(key, raw[key], cast)
         return ExperimentSpec(model=mc, **kw)
     except (TypeError, ValueError) as exc:  # ConfigError included, message kept
         raise ConfigError(str(exc)) from exc

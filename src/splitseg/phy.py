@@ -20,7 +20,11 @@ QPSK = "qpsk"
 QAM16 = "16qam"
 MODULATIONS = (QPSK, QAM16)
 
-_DEMOD_CHUNK = 1 << 18
+# Half-width of the band around each decision threshold, relative to
+# 1 + |y|^2, inside which the slicer defers to the minimum-distance rule.
+# Rounding in the 2-D distance sum stays below 1e-15 * (1 + |y|^2), so
+# outside the band the slicer and the full search agree bit for bit.
+_SLICER_MARGIN = 1e-9
 
 # Gray-coded 4-PAM axis levels indexed by bit pair value: 00 01 10 11
 _GRAY4 = np.array([-3.0, -1.0, 3.0, 1.0])
@@ -74,16 +78,22 @@ class SymbolBlock:
             raise ValueError(f"negative bit count {self.bit_count}")
 
 
+def _byte_symbols(points: np.ndarray, bps: int) -> np.ndarray:
+    """The 8 // bps symbols each byte value carries, MSB-first: shape (256, 8 // bps)."""
+    shifts = np.arange(8 - bps, -1, -bps)
+    return points[(np.arange(256)[:, None] >> shifts) & ((1 << bps) - 1)]
+
+
+_BYTE_SYMBOLS = {m: _byte_symbols(*_TABLES[m]) for m in MODULATIONS}
+
+
 def modulate(stream: BitStream, modulation: str) -> SymbolBlock:
     """Map a bit stream to constellation symbols, zero-padding to a symbol boundary."""
-    points, bps = constellation(modulation)
-    bits = stream.to_bits()
-    pad = (-bits.size) % bps
-    if pad:
-        bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-    weights = 1 << np.arange(bps - 1, -1, -1)
-    codes = bits.reshape(-1, bps) @ weights
-    return SymbolBlock(points[codes], int(stream.n_bits))
+    _, bps = constellation(modulation)
+    # bps divides 8 and a stream's pad bits are zero, so each byte holds
+    # whole symbols and the last one is already padded
+    symbols = _BYTE_SYMBOLS[modulation][stream.data].reshape(-1)
+    return SymbolBlock(symbols[: -(-stream.n_bits // bps)], int(stream.n_bits))
 
 
 def apply_awgn(block: SymbolBlock, snr_db: float, rng: np.random.Generator) -> SymbolBlock:
@@ -91,22 +101,64 @@ def apply_awgn(block: SymbolBlock, snr_db: float, rng: np.random.Generator) -> S
     n0 = 10.0 ** (-snr_db / 10.0)
     sigma = math.sqrt(n0 / 2.0)
     noise = rng.normal(0.0, sigma, size=(block.symbols.size, 2))
-    return SymbolBlock(block.symbols + noise[:, 0] + 1j * noise[:, 1], block.bit_count)
+    noisy = block.symbols.copy()
+    parts = noisy.view(np.float64)  # real, imag interleaved like the noise columns
+    parts += noise.reshape(-1)
+    return SymbolBlock(noisy, block.bit_count)
+
+
+def _min_distance_codes(y: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Index of the nearest point to each symbol; ties keep the smallest index.
+
+    A running minimum over the points, so memory stays linear in the
+    symbol count; NaN distances never compare smaller and leave index 0.
+    """
+    codes = np.zeros(y.size, dtype=np.uint8)
+    best = (y.real - points[0].real) ** 2 + (y.imag - points[0].imag) ** 2
+    for code in range(1, points.size):
+        d = (y.real - points[code].real) ** 2 + (y.imag - points[code].imag) ** 2
+        closer = d < best
+        codes[closer] = code
+        best[closer] = d[closer]
+    return codes
 
 
 def demodulate(block: SymbolBlock, modulation: str) -> BitStream:
-    """Minimum-distance hard decisions; ties pick the smallest bit pattern."""
+    """Minimum-distance hard decisions; ties pick the smallest bit pattern.
+
+    Each axis is sliced on its own: QPSK bits are sign tests, 16QAM bits
+    compare against 0 and +-2/sqrt(10). A symbol within the relative margin
+    of a threshold, or non-finite, is decided by the full minimum-distance
+    search instead, which settles exact and rounding-made ties the same way
+    for every symbol.
+    """
     points, bps = constellation(modulation)
-    n = block.symbols.size
-    codes = np.empty(n, dtype=np.int64)
-    for start in range(0, n, _DEMOD_CHUNK):
-        y = block.symbols[start:start + _DEMOD_CHUNK]
-        d = (y.real[:, None] - points.real[None, :]) ** 2
-        d += (y.imag[:, None] - points.imag[None, :]) ** 2
-        codes[start:start + _DEMOD_CHUNK] = np.argmin(d, axis=1)
-    shifts = np.arange(bps - 1, -1, -1)
-    bits = ((codes[:, None] >> shifts[None, :]) & 1).astype(np.uint8).reshape(-1)
-    return BitStream.from_bits(bits[: block.bit_count])
+    y = np.ascontiguousarray(block.symbols)
+    v = y.view(np.float64)  # real and imaginary parts, interleaved
+    a = np.abs(v)
+    if modulation == QPSK:
+        bits = v < 0.0
+        near = a
+    else:
+        t = 2.0 / math.sqrt(10.0)
+        bits = np.empty((v.size, 2), dtype=bool)
+        np.greater(v, 0.0, out=bits[:, 0])
+        np.less(a, t, out=bits[:, 1])
+        near = np.minimum(a, np.abs(a - t))
+    with np.errstate(over="ignore"):  # |y|^2 = inf puts the symbol in the suspect set
+        energy = v * v
+        margin = energy[0::2] + energy[1::2]
+        margin += 1.0
+        margin *= _SLICER_MARGIN
+        # "not clear of the band" rather than "inside it", so NaN is suspect too
+        clear = np.minimum(near[0::2], near[1::2]) > margin
+        suspect = np.flatnonzero(np.logical_not(clear, out=clear))
+        if suspect.size:
+            codes = _min_distance_codes(y[suspect], points)
+            shifts = np.arange(bps - 1, -1, -1)
+            bits.reshape(-1, bps)[suspect] = (codes[:, None] >> shifts) & 1
+    n_bits = min(block.bit_count, y.size * bps)
+    return BitStream(n_bits, np.packbits(bits.reshape(-1))[: (n_bits + 7) // 8])
 
 
 def qfunc(x) -> np.ndarray:

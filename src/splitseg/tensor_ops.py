@@ -123,19 +123,21 @@ def bilinear_resize(x, out_h: int, out_w: int) -> np.ndarray:
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
     wy = (ys - y0).astype(np.float32)[None, :, None]
-    wx = (xs - x0).astype(np.float32)[None, None, :]
+    wx = (xs - x0).astype(np.float32)
 
-    yy0, yy1 = y0[:, None], y1[:, None]
-    xx0, xx1 = x0[None, :], x1[None, :]
-    tl = x[:, yy0, xx0]
-    tr = x[:, yy0, xx1]
-    bl = x[:, yy1, xx0]
-    br = x[:, yy1, xx1]
-    # lerp form keeps constant inputs exactly constant
-    top = tl + wx * (tr - tl)
-    bot = bl + wx * (br - bl)
-    out = top + wy * (bot - top)
-    return np.ascontiguousarray(out, dtype=np.float32)
+    # separable lerp: along each source row once, then between the two rows;
+    # every output element sees the same float32 operations as the 2-D form
+    rows = np.take(x, x0, axis=2)
+    right = np.take(x, x1, axis=2)
+    right -= rows
+    right *= wx
+    rows += right
+    out = np.take(rows, y0, axis=1)
+    bot = np.take(rows, y1, axis=1)
+    bot -= out
+    bot *= wy
+    out += bot  # lerp form keeps constant inputs exactly constant
+    return out
 
 
 def add(a, b) -> np.ndarray:

@@ -169,3 +169,44 @@ def test_sweep_runtime_failure_exit_code(tmp_path, capsys, monkeypatch, exc):
     cfg = write_config(tmp_path)
     assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_RUNTIME
     assert capsys.readouterr().err == f"error: {exc}\n"
+
+
+def write_raw_config(tmp_path, section, key, literal):
+    """A valid config with one value replaced by a raw JSON literal such as 1e999."""
+    raw = json.loads(write_config(tmp_path).read_text())
+    (raw[section] if section else raw)[key] = "@@"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw).replace('"@@"', literal))
+    return path
+
+
+@pytest.mark.parametrize("section,key,literal", [
+    (None, "num_images", '"many"'), (None, "master_seed", "1e999"), (None, "fps", '"fast"'),
+    ("model", "input_size", "1e999"), ("model", "ppm_bins", "[1e999]"), ("model", "seed", "NaN"),
+    ("channel", "snr_db", '[10, "loud"]'),
+])
+def test_uncoercible_value_names_its_key(tmp_path, capsys, section, key, literal):
+    cfg = write_raw_config(tmp_path, section, key, literal)
+    assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: ")
+    assert repr(key) in err
+
+
+@pytest.mark.parametrize("command", ["report", "sweep"])
+@pytest.mark.parametrize("section,key,literal,field", [
+    ("channel", "snr_db", "[NaN]", "snr_db"),
+    (None, "fps", "1e999", "frames_per_second"),
+])
+def test_non_finite_value_rejected(tmp_path, capsys, command, section, key, literal, field):
+    cfg = write_raw_config(tmp_path, section, key, literal)
+    argv = [command, "--config", str(cfg)] + (["--out", str(tmp_path / "o")] if command == "sweep" else [])
+    assert cli.main(argv) == cli.EXIT_BAD_CONFIG
+    assert f"{field} must be" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_report_too_large_to_count_is_a_config_error(tmp_path, capsys):
+    cfg = write_raw_config(tmp_path, "model", "input_size", str(64 * 2 ** 1100))
+    assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_BAD_CONFIG
+    assert "too large" in capsys.readouterr().err

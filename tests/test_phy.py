@@ -15,6 +15,56 @@ def random_stream(n, seed):
     return BitStream.from_bits(rng.integers(0, 2, n).astype(np.uint8))
 
 
+def argmin_demodulate(block, modulation):
+    """Minimum distance over the full constellation; argmin keeps the smallest pattern.
+
+    `phy.demodulate` must match it bit for bit on every input.
+    """
+    points, bps = phy.constellation(modulation)
+    y = block.symbols
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = (y.real[:, None] - points.real[None, :]) ** 2
+        d += (y.imag[:, None] - points.imag[None, :]) ** 2
+    codes = np.argmin(d, axis=1)
+    shifts = np.arange(bps - 1, -1, -1)
+    bits = ((codes[:, None] >> shifts[None, :]) & 1).astype(np.uint8).reshape(-1)
+    return BitStream.from_bits(bits[: block.bit_count])
+
+
+def matmul_modulate(stream, modulation):
+    """Unpack, zero-pad to a symbol boundary, and weigh bit groups into codes."""
+    points, bps = phy.constellation(modulation)
+    bits = stream.to_bits()
+    bits = np.concatenate([bits, np.zeros((-bits.size) % bps, dtype=np.uint8)])
+    codes = bits.reshape(-1, bps) @ (1 << np.arange(bps - 1, -1, -1))
+    return phy.SymbolBlock(points[codes], int(stream.n_bits))
+
+
+def complex_sum_awgn(block, snr_db, rng):
+    """Noise added as a complex temporary: symbols + n_re + 1j * n_im."""
+    sigma = math.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
+    noise = rng.normal(0.0, sigma, size=(block.symbols.size, 2))
+    return phy.SymbolBlock(block.symbols + noise[:, 0] + 1j * noise[:, 1], block.bit_count)
+
+
+def same_symbols(a, b):
+    return a.bit_count == b.bit_count and np.array_equal(
+        a.symbols.view(np.uint64), b.symbols.view(np.uint64)
+    )
+
+
+def boundary_axis_values():
+    """Per-axis values on, next to and far from every decision threshold."""
+    t = 2.0 / math.sqrt(10.0)
+    base = [0.0, 5e-324, 1e-300, 1e-16, np.nextafter(0.0, 1.0), 0.3, 0.5, 1.0, 3.0,
+            1e8, 1e50, 1e100, 1e150, 1e154, 1e200, np.inf]
+    for edge in (t, 1.0 / math.sqrt(2.0)):
+        base += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 2.0),
+                 edge + 1e-9, edge - 1e-9, edge + 1e-15, edge - 1e-15]
+    values = np.array(base)
+    return np.concatenate([values, -values, [np.nan]])
+
+
 def measured_ber(n_bits, modulation, snr_db, seed):
     stream = random_stream(n_bits, seed)
     out = phy.transmit(stream, ChannelConfig(modulation, snr_db, seed=seed))
@@ -112,6 +162,65 @@ class TestChannel:
         # equidistant from all four inner 16QAM points; smallest pattern is 0101
         out = phy.demodulate(block, QAM16)
         assert out.to_bits().tolist() == [0, 1, 0, 1]
+
+
+class TestKernelsMatchOracles:
+    @pytest.mark.parametrize("mod", [QPSK, QAM16])
+    @pytest.mark.parametrize("n", [0, 1, 3, 7, 8, 9, 1001])
+    def test_modulate_matches_matmul_oracle(self, mod, n):
+        stream = random_stream(n, 40 + n)
+        assert same_symbols(phy.modulate(stream, mod), matmul_modulate(stream, mod))
+
+    @pytest.mark.parametrize("snr", [-30.0, 0.0, 10.0, 40.0])
+    def test_apply_awgn_matches_complex_sum_oracle(self, snr):
+        block = phy.modulate(random_stream(4001, 41), QAM16)
+        fast = phy.apply_awgn(block, snr, np.random.Generator(np.random.Philox(9)))
+        slow = complex_sum_awgn(block, snr, np.random.Generator(np.random.Philox(9)))
+        assert same_symbols(fast, slow)
+
+    @pytest.mark.parametrize("mod", [QPSK, QAM16])
+    @pytest.mark.parametrize("snr", [-20.0, 0.0, 6.0, 12.0, 30.0])
+    def test_demodulate_matches_argmin_on_noisy_symbols(self, mod, snr):
+        stream = random_stream(50_001, 42)
+        rng = np.random.Generator(np.random.Philox(int(snr) + 100))
+        block = phy.apply_awgn(phy.modulate(stream, mod), snr, rng)
+        assert phy.demodulate(block, mod).same_as(argmin_demodulate(block, mod))
+
+    @pytest.mark.parametrize("mod", [QPSK, QAM16])
+    def test_demodulate_matches_argmin_on_boundary_symbols(self, mod):
+        values = boundary_axis_values()
+        re, im = np.meshgrid(values, values)
+        symbols = np.empty(re.size, dtype=np.complex128)
+        symbols.real, symbols.imag = re.ravel(), im.ravel()
+        bps = phy.constellation(mod)[1]
+        block = phy.SymbolBlock(symbols, symbols.size * bps)
+        assert phy.demodulate(block, mod).same_as(argmin_demodulate(block, mod))
+
+    @pytest.mark.parametrize("mod", [QPSK, QAM16])
+    def test_demodulate_matches_argmin_on_tiny_steps_across_thresholds(self, mod):
+        # exact ties and ties made by rounding in the 2-D distance sum
+        t = 2.0 / math.sqrt(10.0)
+        steps = np.concatenate([-np.logspace(-18, -6, 40), [0.0], np.logspace(-18, -6, 40)])
+        axis = np.concatenate([steps, t + steps, -t + steps])
+        other = np.array([0.0, 0.3, -0.9, 1e-12, 5.0, -1e4])
+        re, im = np.meshgrid(axis, other)
+        symbols = np.concatenate([re.ravel() + 1j * im.ravel(), im.ravel() + 1j * re.ravel()])
+        block = phy.SymbolBlock(symbols, symbols.size * phy.constellation(mod)[1])
+        assert phy.demodulate(block, mod).same_as(argmin_demodulate(block, mod))
+
+    @pytest.mark.parametrize("mod", [QPSK, QAM16])
+    def test_demodulate_when_every_symbol_is_near_a_threshold(self, mod):
+        # at -200 dB every symbol is huge, so all of them take the min-distance rule
+        block = phy.apply_awgn(phy.modulate(random_stream(2000, 43), mod), -200.0, np.random.default_rng(3))
+        assert phy.demodulate(block, mod).same_as(argmin_demodulate(block, mod))
+
+    @pytest.mark.parametrize("mod", [QPSK, QAM16])
+    @pytest.mark.parametrize("bit_count", [0, 1, 5, 11, 12, 1000])
+    def test_demodulate_bit_count_and_strided_input(self, mod, bit_count):
+        # bit counts below, at and beyond what the symbols carry; a strided view
+        symbols = np.random.default_rng(bit_count).normal(size=(6, 2)) @ np.array([1.0, 1j])
+        block = phy.SymbolBlock(symbols[::2], bit_count)
+        assert phy.demodulate(block, mod).same_as(argmin_demodulate(block, mod))
 
 
 class TestBerTheory:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from splitseg import model
 from splitseg import tensor_ops as T
 
 
@@ -46,6 +47,48 @@ def resize_oracle(x, out_h, out_w):
                 bot = x[ci, y1, x0] + wx * (x[ci, y1, x1] - x[ci, y1, x0])
                 out[ci, i, j] = top + wy * (bot - top)
     return out
+
+
+def gather4_resize(x, out_h, out_w):
+    """The 2-D bilinear form: four corner gathers, then three float32 lerps.
+
+    `T.bilinear_resize` must match it bit for bit.
+    """
+    c, h, w = x.shape
+    ys = np.clip((np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
+    xs = np.clip((np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.floor(xs).astype(np.int64)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = (ys - y0).astype(np.float32)[None, :, None]
+    wx = (xs - x0).astype(np.float32)[None, None, :]
+    tl = x[:, y0[:, None], x0[None, :]]
+    tr = x[:, y0[:, None], x1[None, :]]
+    bl = x[:, y1[:, None], x0[None, :]]
+    br = x[:, y1[:, None], x1[None, :]]
+    top = tl + wx * (tr - tl)
+    bot = bl + wx * (br - bl)
+    return np.ascontiguousarray(top + wy * (bot - top), dtype=np.float32)
+
+
+def model_resize_shapes(cfg):
+    """((channels, h, w), (out_h, out_w)) of every bilinear_resize in a forward pass."""
+    plans = {p.name: p for p in model.layer_plan(cfg)}
+    h64, w64 = cfg.input_height // 64, cfg.input_width // 64
+
+    def src(name):
+        p = plans[name]
+        return (p.cout, p.out_h, p.out_w)
+
+    def out(name):
+        return (plans[name].out_h, plans[name].out_w)
+
+    shapes = [(src(f"s{s}.comp"), out(f"s{s}.p.conv2")) for s in (3, 4)]
+    shapes += [(src(f"s6.ppm.bin{b}"), (h64, w64)) for b in cfg.ppm_bins]
+    shapes.append((src("s6.ppm.fuse"), out("s6.head1")))
+    shapes.append((src("s6.head2"), (cfg.input_height, cfg.input_width)))
+    return shapes
 
 
 def pool_oracle(x, bins):
@@ -237,6 +280,58 @@ class TestBilinearResize:
             np.testing.assert_allclose(
                 T.bilinear_resize(x, oh, ow), resize_oracle(x, oh, ow), rtol=0, atol=1e-6
             )
+
+
+def assert_bitwise_equal(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype == np.float32
+    assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+class TestBilinearResizeExact:
+    @pytest.mark.parametrize("shape,out_h,out_w", [
+        ((2, 4, 4), 8, 8), ((2, 4, 4), 16, 12), ((3, 16, 16), 4, 4), ((2, 17, 13), 5, 3),
+        ((1, 1, 1), 7, 5), ((3, 1, 1), 1, 1), ((2, 1, 6), 4, 9), ((2, 6, 1), 3, 2),
+        ((2, 5, 7), 13, 11), ((2, 7, 5), 3, 11), ((1, 9, 9), 9, 9), ((2, 3, 8), 10, 3),
+    ])
+    def test_matches_gather_oracle(self, shape, out_h, out_w):
+        x = np.random.default_rng(sum(shape) + out_h * out_w).normal(size=shape).astype(np.float32)
+        assert_bitwise_equal(T.bilinear_resize(x, out_h, out_w), gather4_resize(x, out_h, out_w))
+
+    def test_matches_gather_oracle_on_non_finite_input(self):
+        x = np.random.default_rng(16).normal(size=(2, 6, 5)).astype(np.float32) * 1e30
+        x[0, 2, 3], x[1, 0, 0], x[1, 4, 1] = np.inf, -np.inf, np.nan
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert_bitwise_equal(T.bilinear_resize(x, 11, 9), gather4_resize(x, 11, 9))
+
+    def test_model_shape_list_is_complete(self, monkeypatch):
+        cfg = model.ModelConfig()
+        weights = model.build(cfg)
+        seen = []
+        resize = T.bilinear_resize
+
+        def recording(x, out_h, out_w):
+            seen.append((x.shape, (out_h, out_w)))
+            return resize(x, out_h, out_w)
+
+        monkeypatch.setattr(T, "bilinear_resize", recording)
+        image = np.random.default_rng(17).random((3, cfg.input_height, cfg.input_width), dtype=np.float32)
+        model.forward_full(image, weights)
+        assert sorted(seen) == sorted(model_resize_shapes(cfg))
+
+    @pytest.mark.parametrize("cfg", [model.ModelConfig(), model.ModelConfig.full_scale()],
+                             ids=["desk", "full_scale"])
+    def test_matches_gather_oracle_on_model_shapes(self, cfg):
+        # channels are resized independently, so at most three keep the test small
+        rng = np.random.default_rng(cfg.input_height)
+        for (c, h, w), (out_h, out_w) in model_resize_shapes(cfg):
+            x = rng.normal(size=(min(c, 3), h, w)).astype(np.float32)
+            assert_bitwise_equal(T.bilinear_resize(x, out_h, out_w), gather4_resize(x, out_h, out_w))
+
+    def test_input_not_mutated(self):
+        x = np.random.default_rng(18).normal(size=(2, 4, 6)).astype(np.float32)
+        before = x.copy()
+        T.bilinear_resize(x, 9, 3)
+        assert np.array_equal(x, before)
 
 
 class TestAddConcat:
