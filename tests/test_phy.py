@@ -54,7 +54,8 @@ def same_symbols(a, b):
 
 
 def boundary_axis_values():
-    """Per-axis values on, next to and far from every decision threshold."""
+    """Per-axis values on and next to the thresholds and the constellation
+    levels, down to subnormals, up to overflow of |y|^2, and non-finite."""
     t = 2.0 / math.sqrt(10.0)
     base = [0.0, 5e-324, 1e-300, 1e-16, np.nextafter(0.0, 1.0), 0.3, 0.5, 1.0, 3.0,
             1e8, 1e50, 1e100, 1e150, 1e154, 1e200, np.inf]
