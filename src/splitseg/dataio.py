@@ -2,11 +2,31 @@
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
 
 from .model import SegmentationMap
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Replace `path` with `text` in one step.
+
+    The text goes to a temporary sibling that os.replace then renames over
+    `path`, so a write that fails part-way leaves the old file, or none, and
+    never a truncated one. This guards against the process failing, not
+    against power loss: nothing is fsynced.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def class_palette(num_classes: int) -> np.ndarray:

@@ -77,6 +77,14 @@ class ExperimentSpec:
             raise ConfigError("snr_db must be nonempty")
         if not all(math.isfinite(s) for s in self.snr_db):
             raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
+        for s in self.snr_db:
+            try:
+                phy.noise_power(s)
+            except OverflowError:
+                raise ConfigError(
+                    f"snr_db must be at least about -3082.5 dB, where the noise power "
+                    f"10**(-snr_db/10) overflows float64; got {s}"
+                ) from None
         if any(a >= b for a, b in zip(self.snr_db, self.snr_db[1:])):
             raise ConfigError(f"snr_db must be strictly increasing, got {self.snr_db}")
         if not self.pipelines:
@@ -406,7 +414,7 @@ def write_csv(result: SweepResult, path) -> None:
     lines = [CSV_HEADER]
     for idx, snr in enumerate(result.snr_db):
         lines.append(",".join(_fmt(v) for v in [snr] + [result.column(c)[idx] for c in COLUMNS]))
-    path.write_text("\n".join(lines) + "\n")
+    dataio.write_text_atomic(path, "\n".join(lines) + "\n")
 
     ext = path.with_name(path.stem + "_ext.csv")
     header = ["snr", *(c + "_mean" for c in COLUMNS), "ber", *(c.replace("miou", "bits") for c in COLUMNS)]
@@ -421,7 +429,7 @@ def write_csv(result: SweepResult, path) -> None:
         for col in COLUMNS:
             cols.append(_fmt(result.bits_per_image.get(COLUMN_PIPELINE[col], nan)))
         lines.append(",".join(cols))
-    ext.write_text("\n".join(lines) + "\n")
+    dataio.write_text_atomic(ext, "\n".join(lines) + "\n")
 
 
 def read_csv(path) -> SweepResult:

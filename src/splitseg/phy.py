@@ -96,10 +96,15 @@ def modulate(stream: BitStream, modulation: str) -> SymbolBlock:
     return SymbolBlock(symbols[: -(-stream.n_bits // bps)], int(stream.n_bits))
 
 
+def noise_power(snr_db: float) -> float:
+    """N0 at Es = 1; raises OverflowError below about -3082.5 dB, where
+    10^(-snr_db/10) exceeds float64."""
+    return 10.0 ** (-snr_db / 10.0)
+
+
 def apply_awgn(block: SymbolBlock, snr_db: float, rng: np.random.Generator) -> SymbolBlock:
     """Add complex Gaussian noise at the given Es/N0 (dB), Es = 1."""
-    n0 = 10.0 ** (-snr_db / 10.0)
-    sigma = math.sqrt(n0 / 2.0)
+    sigma = math.sqrt(noise_power(snr_db) / 2.0)
     noise = rng.normal(0.0, sigma, size=(block.symbols.size, 2))
     noisy = block.symbols.copy()
     parts = noisy.view(np.float64)  # real, imag interleaved like the noise columns

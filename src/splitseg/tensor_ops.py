@@ -53,16 +53,89 @@ def conv2d(x, kernels, bias, stride: int = 1, padding: int = 0) -> np.ndarray:
             f"empty output: input {h}x{wd}, kernel {k}, stride {stride}, padding {padding}"
         )
 
-    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding))) if padding else x
+    # Arithmetic contract: acc starts at zero, each tap (dy, dx) in order adds
+    # one product (out_ch x in_ch) @ (in_ch x pixels), the bias is added last.
+    # The two regimes below differ only in the bytes they move.
     acc = np.zeros((out_ch, out_h, out_w), dtype=np.float32)
-    for dy in range(k):
-        y_stop = dy + (out_h - 1) * stride + 1
-        for dx in range(k):
-            x_stop = dx + (out_w - 1) * stride + 1
-            patch = xp[:, dy:y_stop:stride, dx:x_stop:stride]
-            acc += np.tensordot(w[:, :, dy, dx], patch, axes=([1], [0]))
+    reach = (k - 1) // stride  # how far, in output pixels, a tap reaches
+    pitch = out_w + reach
+    chunks = min(out_h, -(-4 * out_ch * out_h * pitch // _CONV_BLOCK_BYTES))
+    if chunks == 1 or k == 1 or min(out_ch, in_ch) == 1:
+        # Small layer, single tap, or a unit dimension: the np.dot call of a
+        # plain tap-by-tap tensordot, on the same operands, because small
+        # sgemm calls may round a column differently when their width
+        # changes, and at a unit dimension np.dot takes gemv, whose bits
+        # depend on operand strides. Only the window copy and the product
+        # reuse buffers; with one tap there is no repeated traffic to block.
+        xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding))) if padding else x
+        window = np.empty((in_ch, out_h, out_w), dtype=np.float32)
+        prod = np.empty((out_ch, out_h * out_w), dtype=np.float32)
+        for dy in range(k):
+            y_stop = dy + (out_h - 1) * stride + 1
+            for dx in range(k):
+                x_stop = dx + (out_w - 1) * stride + 1
+                patch = xp[:, dy:y_stop:stride, dx:x_stop:stride]
+                if not patch.flags.c_contiguous:
+                    np.copyto(window, patch)
+                    patch = window
+                np.dot(w[:, :, dy, dx], patch.reshape(in_ch, -1), out=prod)
+                acc += prod.reshape(acc.shape)
+    else:
+        # Larger layer: balanced row chunks; each tap's operand is a flat view
+        # of a stride-phase image, whose row stride np.matmul hands to sgemm
+        # (np.dot would copy it). The `reach` extra columns of each row are
+        # computed and dropped.
+        wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))  # (k, k, out_ch, in_ch)
+        phases = _phase_images(x, k, stride, padding, out_h + reach, pitch)
+        flat = phases.reshape(*phases.shape[:3], -1)
+        bounds = [out_h * i // chunks for i in range(chunks + 1)]
+        buf = np.empty(out_ch * -(-out_h // chunks) * pitch, dtype=np.float32)
+        for r0, r1 in zip(bounds, bounds[1:]):
+            n = (r1 - r0) * pitch
+            prod = buf[:out_ch * n].reshape(out_ch, n)
+            dst = acc[:, r0:r1]
+            for dy in range(k):
+                for dx in range(k):
+                    start = (r0 + dy // stride) * pitch + dx // stride
+                    np.matmul(wt[dy, dx], flat[dy % stride, dx % stride, :, start:start + n], out=prod)
+                    dst += prod.reshape(out_ch, r1 - r0, pitch)[:, :, :out_w]
     acc += b[:, None, None]
-    return np.ascontiguousarray(acc, dtype=np.float32)
+    return acc
+
+
+# Bytes of one tap's product that conv2d keeps live: about half a 2-4 MiB L2.
+# A layer within it runs as one chunk; a larger one is cut into balanced row
+# chunks of more than half of it. OpenBLAS's small-matrix sgemm kernel
+# (M*N*K <= 1e6 on SkylakeX) rounds some columns by call width once K >= 32;
+# there a 1 MiB product is past that size, in the packed kernel, where a
+# column's value does not depend on the call width.
+_CONV_BLOCK_BYTES = 2 << 20
+
+
+def _phase_images(x: np.ndarray, k: int, stride: int, padding: int, rows: int, cols: int) -> np.ndarray:
+    """The stride-phase images of zero-padded `x` that a k x k kernel reads.
+
+    Phase (py, px), for py, px < min(k, stride), holds padded pixel
+    (i*stride + py, j*stride + px) at (i, j) for i < rows, j < cols, plus
+    one zero row so that a flat window may run past its last row.
+    """
+    c, h, w = x.shape
+    m = min(k, stride)
+    out = np.zeros((m, m, c, rows + 1, cols), dtype=np.float32)
+
+    def span(phase, size, n):
+        # phase indices inside the unpadded input, and the source slice
+        lo = max(0, -(-(padding - phase) // stride))
+        count = max(0, min(n, (size - 1 + padding - phase) // stride + 1) - lo)
+        start = lo * stride + phase - padding
+        return slice(lo, lo + count), slice(start, start + count * stride, stride)
+
+    for py in range(m):
+        dst_r, src_r = span(py, h, rows)
+        for px in range(m):
+            dst_c, src_c = span(px, w, cols)
+            out[py, px, :, dst_r, dst_c] = x[:, src_r, src_c]
+    return out
 
 
 def affine_norm(x, scale, shift) -> np.ndarray:
@@ -74,7 +147,9 @@ def affine_norm(x, scale, shift) -> np.ndarray:
         raise ValueError(
             f"scale/shift length ({s.size}/{t.size}) must equal channel count {x.shape[0]}"
         )
-    return x * s[:, None, None] + t[:, None, None]
+    out = x * s[:, None, None]
+    out += t[:, None, None]  # same two float32 roundings as x * s + t
+    return out
 
 
 def relu(x) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Command-line interface behavior and exit codes."""
 
+import errno
 import json
+import os
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from splitseg import cli, experiments
+from splitseg import cli, dataio, experiments
 
 
 def write_config(tmp_path, **overrides):
@@ -210,3 +212,82 @@ def test_report_too_large_to_count_is_a_config_error(tmp_path, capsys):
     cfg = write_raw_config(tmp_path, "model", "input_size", str(64 * 2 ** 1100))
     assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_BAD_CONFIG
     assert "too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["report", "sweep"])
+@pytest.mark.parametrize("snr_db", [[-4000.0], [-3083.0, 10.0]])
+def test_snr_below_float64_noise_power_rejected(tmp_path, capsys, command, snr_db):
+    # 10**(-snr_db/10) overflows float64 below about -3082.5 dB
+    cfg = write_config(tmp_path, channel={"modulations": ["qpsk"], "snr_db": snr_db})
+    argv = [command, "--config", str(cfg)] + (["--out", str(tmp_path / "o")] if command == "sweep" else [])
+    assert cli.main(argv) == cli.EXIT_BAD_CONFIG
+    assert "snr_db must be at least" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_snr_at_the_float64_noise_power_limit_runs(tmp_path, capsys):
+    cfg = write_config(tmp_path, channel={"modulations": ["qpsk", "16qam"], "snr_db": [-3082.0, 10.0]})
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_OK
+
+
+class _HalfWrittenFile:
+    """A text file that writes half of what it is given, then fails like a full disk."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+    def write(self, text):
+        self._f.write(text[: len(text) // 2])
+        self._f.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def fail_write_number(monkeypatch, n):
+    """Make the n-th (from 0) artifact file written from now on fail half-way."""
+    count = []
+
+    def opener(file, *args, **kwargs):
+        f = open(file, *args, **kwargs)
+        count.append(file)
+        return _HalfWrittenFile(f) if len(count) == n + 1 else f
+
+    monkeypatch.setattr(dataio, "open", opener, raising=False)
+
+
+@pytest.mark.parametrize("command,files", [
+    ("sweep", ["sweep_qpsk.csv", "sweep_qpsk_ext.csv", "sweep_qpsk.meta.json"]),
+    ("report", ["rate_report.json", "compute_report.json", "bits_per_image.svg", "tx_macs.svg"]),
+])
+def test_failed_write_leaves_old_file_or_none(tmp_path, capsys, monkeypatch, command, files):
+    cfg = write_config(tmp_path)
+
+    def run(out, fail_at=None):
+        with monkeypatch.context() as m:
+            if fail_at is not None:
+                fail_write_number(m, fail_at)
+            return cli.main([command, "--config", str(cfg), "--out", str(out)])
+
+    assert run(tmp_path / "good") == cli.EXIT_OK
+    good = {name: (tmp_path / "good" / name).read_bytes() for name in files}
+    assert sorted(os.listdir(tmp_path / "good")) == sorted(files)
+    for n, failing in enumerate(files):
+        old = tmp_path / f"old{n}"
+        old.mkdir()
+        for name in files:
+            (old / name).write_bytes(b"old\n")
+        fresh = tmp_path / f"fresh{n}"
+        assert run(old, fail_at=n) == cli.EXIT_RUNTIME
+        assert run(fresh, fail_at=n) == cli.EXIT_RUNTIME
+        assert "No space left" in capsys.readouterr().err
+        # every file is whole: the old one, the new one, or (fresh) absent
+        assert sorted(os.listdir(old)) == sorted(files)
+        assert (old / failing).read_bytes() == b"old\n"
+        assert all((old / name).read_bytes() in (b"old\n", good[name]) for name in files)
+        assert sorted(os.listdir(fresh)) == sorted(files[:n])
+        assert all((fresh / name).read_bytes() == good[name] for name in files[:n])

@@ -28,6 +28,31 @@ def conv_oracle(x, kernels, bias, stride, padding):
     return out
 
 
+def tensordot_conv2d(x, kernels, bias, stride, padding):
+    """Tap-by-tap conv: pad, then per (dy, dx) one tensordot over in_ch added
+    to a zero accumulator, bias last. `T.conv2d` must match it bit for bit."""
+    out_ch, _, k, _ = kernels.shape
+    _, h, w = x.shape
+    out_h = (h + 2 * padding - k) // stride + 1
+    out_w = (w + 2 * padding - k) // stride + 1
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding))) if padding else x
+    acc = np.zeros((out_ch, out_h, out_w), dtype=np.float32)
+    for dy in range(k):
+        y_stop = dy + (out_h - 1) * stride + 1
+        for dx in range(k):
+            x_stop = dx + (out_w - 1) * stride + 1
+            patch = xp[:, dy:y_stop:stride, dx:x_stop:stride]
+            acc += np.tensordot(kernels[:, :, dy, dx], patch, axes=([1], [0]))
+    acc += bias[:, None, None]
+    return acc
+
+
+def model_conv_shapes(cfg):
+    """((in_ch, h, w), (out_ch, in_ch, k, k), stride, padding) of every conv2d in a forward pass."""
+    return [((p.cin, p.out_h * p.stride, p.out_w * p.stride), (p.cout, p.cin, p.k, p.k), p.stride, p.k // 2)
+            for p in model.layer_plan(cfg)]
+
+
 def resize_oracle(x, out_h, out_w):
     """Scalar bilinear resampling with the same half-pixel/clamp rule."""
     c, h, w = x.shape
@@ -182,6 +207,125 @@ class TestConv2d:
         assert np.array_equal(a, T.conv2d(x, k, b, stride=2, padding=1))
 
 
+def random_conv(rng, in_shape, kernel_shape):
+    x = rng.standard_normal(in_shape, dtype=np.float32)
+    fan = kernel_shape[1] * kernel_shape[2] * kernel_shape[3]
+    kernels = (rng.standard_normal(kernel_shape, dtype=np.float32) / np.float32(np.sqrt(fan)))
+    bias = rng.standard_normal(kernel_shape[0], dtype=np.float32)
+    return x, kernels, bias
+
+
+def assert_conv_matches_tensordot(x, kernels, bias, stride, padding):
+    out = T.conv2d(x, kernels, bias, stride=stride, padding=padding)
+    assert_bitwise_equal(out, tensordot_conv2d(x, kernels, bias, stride, padding))
+
+
+def is_chunked(in_shape, out_ch, k, stride, padding):
+    """Whether conv2d cuts this layer into row chunks (the larger-layer regime)."""
+    _, h, w = in_shape
+    out_h = (h + 2 * padding - k) // stride + 1
+    out_w = (w + 2 * padding - k) // stride + 1
+    product = 4 * out_ch * out_h * (out_w + (k - 1) // stride)
+    return k > 1 and min(out_ch, in_shape[0]) > 1 and out_h > 1 and product > T._CONV_BLOCK_BYTES
+
+
+# in_shape, (out_ch, k), stride, padding; every entry names what it covers
+CONV_EDGE_CASES = [
+    ((16, 131, 130), (32, 3), 1, 1),   # chunked, 131 rows do not split evenly into 2
+    ((8, 301, 263), (32, 3), 2, 1),    # chunked, stride 2, odd input
+    ((8, 403, 389), (64, 5), 3, 2),    # chunked, stride 3, odd input
+    ((8, 200, 211), (64, 3), 1, 0),    # chunked, padding 0
+    ((8, 250, 231), (48, 3), 2, 2),    # chunked, padding above k // 2
+    ((4, 170, 181), (64, 5), 1, 4),    # chunked, padding above k // 2, k = 5
+    ((3, 512, 301), (48, 3), 2, 1),    # chunked, in_ch = 3 like the first layer
+    ((2, 257, 255), (64, 3), 1, 1),    # chunked, in_ch = 2
+    ((64, 200, 200), (1, 3), 1, 1),    # a single output channel, large
+    ((1, 400, 400), (32, 3), 1, 1),    # a single input channel, large
+    ((32, 260, 250), (64, 1), 2, 0),   # k = 1 with stride 2, large
+    ((8, 33, 29), (16, 3), 2, 1),      # stride 2, odd input
+    ((8, 35, 31), (16, 5), 3, 2),      # stride 3, odd input
+    ((6, 23, 19), (8, 3), 3, 1),       # stride 3 with k = 3
+    ((5, 14, 17), (7, 3), 1, 0),       # padding 0
+    ((5, 11, 13), (7, 3), 2, 3),       # padding above k // 2
+    ((8, 9, 7), (16, 1), 2, 0),        # k = 1 with stride 2
+    ((4, 3, 3), (6, 3), 1, 0),         # 1 x 1 output
+    ((4, 1, 1), (6, 3), 1, 1),         # 1 x 1 output from a padded 1 x 1 input
+    ((40, 1, 1), (6, 1), 1, 0),        # 1 x 1 output, k = 1
+    ((100, 12, 10), (1, 3), 3, 1),     # a single output channel
+    ((1, 12, 10), (5, 3), 1, 1),       # a single input channel
+    ((1, 5, 5), (1, 3), 2, 1),         # a single channel on both sides
+]
+
+
+class TestConv2dExact:
+    @pytest.mark.parametrize("cfg", [model.ModelConfig(), model.ModelConfig.full_scale()],
+                             ids=["desk", "full_scale"])
+    def test_matches_tensordot_on_model_shapes(self, cfg):
+        # full channel counts: in_ch is the sgemm depth, which selects the BLAS kernel
+        rng = np.random.default_rng(cfg.input_height + 1)
+        for in_shape, kernel_shape, stride, padding in model_conv_shapes(cfg):
+            x, kernels, bias = random_conv(rng, in_shape, kernel_shape)
+            assert_conv_matches_tensordot(x, kernels, bias, stride, padding)
+
+    def test_full_scale_model_exercises_both_regimes(self):
+        flags = {is_chunked(in_shape, ks[0], ks[2], stride, padding)
+                 for in_shape, ks, stride, padding in model_conv_shapes(model.ModelConfig.full_scale())}
+        assert flags == {True, False}
+
+    def test_model_shape_list_is_complete(self, monkeypatch):
+        cfg = model.ModelConfig()
+        weights = model.build(cfg)
+        seen = []
+        conv = T.conv2d
+
+        def recording(x, kernels, bias, stride=1, padding=0):
+            seen.append((x.shape, kernels.shape, stride, padding))
+            return conv(x, kernels, bias, stride=stride, padding=padding)
+
+        monkeypatch.setattr(T, "conv2d", recording)
+        image = np.random.default_rng(19).random((3, cfg.input_height, cfg.input_width), dtype=np.float32)
+        model.forward_full(image, weights)
+        assert sorted(seen) == sorted(model_conv_shapes(cfg))
+
+    @pytest.mark.parametrize("in_shape,out,stride,padding", CONV_EDGE_CASES)
+    def test_matches_tensordot_on_edge_shapes(self, in_shape, out, stride, padding):
+        out_ch, k = out
+        rng = np.random.default_rng(sum(in_shape) + out_ch * k + stride + padding)
+        x, kernels, bias = random_conv(rng, in_shape, (out_ch, in_shape[0], k, k))
+        assert_conv_matches_tensordot(x, kernels, bias, stride, padding)
+
+    def test_edge_cases_cover_the_chunked_regime(self):
+        chunked = [is_chunked(in_shape, out_ch, k, stride, padding)
+                   for in_shape, (out_ch, k), stride, padding in CONV_EDGE_CASES]
+        assert chunked[:7] == [True] * 7
+        shape, (out_ch, k), stride, padding = CONV_EDGE_CASES[0]
+        assert ((shape[1] + 2 * padding - k) // stride + 1) % 2 == 1
+
+    @pytest.mark.parametrize("in_shape,out,stride,padding", [
+        ((16, 131, 130), (32, 3), 1, 1), ((5, 14, 17), (7, 3), 2, 1),
+    ], ids=["chunked", "small"])
+    def test_matches_tensordot_on_non_finite_input(self, in_shape, out, stride, padding):
+        out_ch, k = out
+        rng = np.random.default_rng(29)
+        x, kernels, bias = random_conv(rng, in_shape, (out_ch, in_shape[0], k, k))
+        x[0, 2, 3], x[1, 7, 0], x[-1, -1, -1] = np.inf, -np.inf, np.nan
+        kernels[1, 0, 1, 1] = np.nan
+        with np.errstate(invalid="ignore", over="ignore"):
+            x[2] *= np.float32(1e38)  # some overflow to inf, sums of the rest may too
+            assert_conv_matches_tensordot(x, kernels, bias, stride, padding)
+
+    @pytest.mark.parametrize("in_shape,out,stride,padding", [
+        ((16, 131, 130), (32, 3), 1, 1), ((8, 33, 29), (16, 3), 2, 1), ((8, 9, 7), (16, 1), 1, 0),
+    ], ids=["chunked", "small", "k1"])
+    def test_inputs_not_mutated(self, in_shape, out, stride, padding):
+        out_ch, k = out
+        x, kernels, bias = random_conv(np.random.default_rng(31), in_shape, (out_ch, in_shape[0], k, k))
+        before = [a.copy() for a in (x, kernels, bias)]
+        T.conv2d(x, kernels, bias, stride=stride, padding=padding)
+        for a, b in zip((x, kernels, bias), before):
+            assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
 class TestAffineRelu:
     def test_affine_identity(self):
         rng = np.random.default_rng(1)
@@ -203,6 +347,16 @@ class TestAffineRelu:
             for i in range(3):
                 for j in range(5):
                     assert out[c, i, j] == np.float32(s[c] * x[c, i, j] + t[c])
+
+    def test_affine_matches_two_rounding_expression_bitwise(self):
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -3.25, 1e38, -1e-45], dtype=np.float32)
+        n = special.size
+        x = np.broadcast_to(special[None, :, None], (n * n, n, n)).copy()
+        s = np.repeat(special, n)  # every (scale, shift) pair across channels
+        t = np.tile(special, n)
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = x * s[:, None, None] + t[:, None, None]
+            assert_bitwise_equal(T.affine_norm(x, s, t), expected)
 
     def test_affine_length_mismatch(self):
         x = np.ones((3, 2, 2), dtype=np.float32)
