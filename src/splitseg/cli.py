@@ -18,7 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import dataio, experiments, metrics, plotting
+from . import atomic, dataio, experiments, metrics, plotting
 from .experiments import ConfigError
 
 EXIT_OK = 0
@@ -50,7 +50,7 @@ def _cmd_sweep(args) -> int:
         csv_path = out / f"sweep_{result.modulation}.csv"
         experiments.write_csv(result, csv_path)
         meta_path = out / f"sweep_{result.modulation}.meta.json"
-        dataio.write_text_atomic(meta_path, json.dumps(result.metadata, indent=2) + "\n")
+        atomic.write_text_atomic(meta_path, json.dumps(result.metadata, indent=2) + "\n")
         print(csv_path)
         print(meta_path)
     return EXIT_OK
@@ -68,8 +68,8 @@ def _cmd_report(args) -> int:
     print(text)
     if args.out is not None:
         out = _out_dir(args)
-        dataio.write_text_atomic(out / "rate_report.json", rate.to_json() + "\n")
-        dataio.write_text_atomic(out / "compute_report.json", compute.to_json() + "\n")
+        atomic.write_text_atomic(out / "rate_report.json", rate.to_json() + "\n")
+        atomic.write_text_atomic(out / "compute_report.json", compute.to_json() + "\n")
         plotting.render_bars(
             [(p, rate.bits_per_image[p]) for p in metrics.PIPELINES],
             out / "bits_per_image.svg", ylabel="bits per image",

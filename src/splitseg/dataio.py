@@ -2,31 +2,12 @@
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_bytes_atomic
 from .model import SegmentationMap
-
-
-def write_text_atomic(path, text: str) -> None:
-    """Replace `path` with `text` in one step.
-
-    The text goes to a temporary sibling that os.replace then renames over
-    `path`, so a write that fails part-way leaves the old file, or none, and
-    never a truncated one. This guards against the process failing, not
-    against power loss: nothing is fsynced.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def class_palette(num_classes: int) -> np.ndarray:
@@ -93,9 +74,7 @@ def save_ppm(path, raster: np.ndarray) -> None:
     if r.dtype != np.uint8 or r.ndim != 3 or r.shape[2] != 3:
         raise ValueError(f"raster must be uint8 (H, W, 3), got {r.dtype} {r.shape}")
     h, w = r.shape[:2]
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(np.ascontiguousarray(r).tobytes())
+    write_bytes_atomic(path, f"P6\n{w} {h}\n255\n".encode("ascii") + np.ascontiguousarray(r).tobytes())
 
 
 def save_pgm(path, labels: np.ndarray) -> None:
@@ -103,9 +82,7 @@ def save_pgm(path, labels: np.ndarray) -> None:
     if a.ndim != 2 or a.min() < 0 or a.max() > 255:
         raise ValueError("labels must be a 2-D array of values in [0, 255]")
     h, w = a.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(a.astype(np.uint8).tobytes())
+    write_bytes_atomic(path, f"P5\n{w} {h}\n255\n".encode("ascii") + a.astype(np.uint8).tobytes())
 
 
 def _read_pnm_header(f, magic: bytes) -> tuple[int, int]:

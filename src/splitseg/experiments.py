@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import codec, dataio, metrics, model, phy
+from . import atomic, codec, dataio, metrics, model, phy
 from .model import ModelConfig, SegmentationMap, WeightSet
 from .phy import ChannelConfig
 
@@ -414,7 +414,7 @@ def write_csv(result: SweepResult, path) -> None:
     lines = [CSV_HEADER]
     for idx, snr in enumerate(result.snr_db):
         lines.append(",".join(_fmt(v) for v in [snr] + [result.column(c)[idx] for c in COLUMNS]))
-    dataio.write_text_atomic(path, "\n".join(lines) + "\n")
+    atomic.write_text_atomic(path, "\n".join(lines) + "\n")
 
     ext = path.with_name(path.stem + "_ext.csv")
     header = ["snr", *(c + "_mean" for c in COLUMNS), "ber", *(c.replace("miou", "bits") for c in COLUMNS)]
@@ -429,7 +429,7 @@ def write_csv(result: SweepResult, path) -> None:
         for col in COLUMNS:
             cols.append(_fmt(result.bits_per_image.get(COLUMN_PIPELINE[col], nan)))
         lines.append(",".join(cols))
-    dataio.write_text_atomic(ext, "\n".join(lines) + "\n")
+    atomic.write_text_atomic(ext, "\n".join(lines) + "\n")
 
 
 def read_csv(path) -> SweepResult:

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor_ops as T
+from .atomic import write_bytes_atomic, write_text_atomic
 
 # Per stage: its operation kind and the plan entry that produces its output.
 _STAGES = (
@@ -365,8 +366,7 @@ def forward_receiver(features, weights: WeightSet) -> tuple[np.ndarray, Segmenta
     y = _unit(weights, "s6.head1", y)
     y = _unit(weights, "s6.head2", y, act=False)
     logits = T.bilinear_resize(y, cfg.input_height, cfg.input_width)
-    labels = np.argmax(logits, axis=0).astype(np.int32)
-    return logits, SegmentationMap(labels)
+    return logits, SegmentationMap(T.argmax_channels(logits))
 
 
 def forward_full(image, weights: WeightSet) -> tuple[np.ndarray, SegmentationMap]:
@@ -418,8 +418,10 @@ def save_weights(weights: WeightSet, path) -> None:
         "params": entries,
         "total_bytes": len(blob),
     }
-    _manifest_path(path).write_text(json.dumps(manifest, indent=1) + "\n")
-    _blob_path(path).write_bytes(bytes(blob))
+    # blob first: if the manifest write fails, the old manifest stays and
+    # load_weights rejects the new blob unless its layout is the same
+    write_bytes_atomic(_blob_path(path), bytes(blob))
+    write_text_atomic(_manifest_path(path), json.dumps(manifest, indent=1) + "\n")
 
 
 def load_weights(path) -> WeightSet:

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .codec import BitStream
 
@@ -61,6 +60,13 @@ class ChannelConfig:
         constellation(self.modulation)
         if not math.isfinite(self.snr_db):
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")
+        try:
+            noise_power(self.snr_db)
+        except OverflowError:
+            raise ValueError(
+                f"snr_db must be at least about -3082.5 dB, where the noise power overflows float64; "
+                f"got {self.snr_db}"
+            ) from None
         if not (0 <= self.seed < 1 << 64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
@@ -168,6 +174,8 @@ def demodulate(block: SymbolBlock, modulation: str) -> BitStream:
 
 def qfunc(x) -> np.ndarray:
     """Gaussian tail probability Q(x)."""
+    from scipy import special  # imported here so that `import splitseg` does not load SciPy
+
     return 0.5 * special.erfc(np.asarray(x, dtype=np.float64) / math.sqrt(2.0))
 
 
@@ -175,14 +183,17 @@ def ber_theoretical(modulation: str, snr_db: float) -> float:
     """Closed-form bit error rate over AWGN at Es/N0 = snr_db.
 
     QPSK: Q(sqrt(2 Eb/N0)) with Eb/N0 = (Es/N0)/2. 16QAM: Gray-mapped
-    nearest-neighbor approximation (3/4) Q(sqrt(0.2 Es/N0)).
+    nearest-neighbor approximation (3/4) Q(sqrt(0.2 Es/N0)). Above about
+    3082.5 dB, where Es/N0 overflows float64, the rate is Q(inf) = 0.
     """
-    g = 10.0 ** (snr_db / 10.0)
+    constellation(modulation)  # rejects an unknown modulation
+    try:
+        g = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        return 0.0
     if modulation == QPSK:
         return float(qfunc(math.sqrt(g)))
-    if modulation == QAM16:
-        return float(0.75 * qfunc(math.sqrt(0.2 * g)))
-    raise ValueError(f"unknown modulation {modulation!r}, expected one of {MODULATIONS}")
+    return float(0.75 * qfunc(math.sqrt(0.2 * g)))
 
 
 def transmit(stream: BitStream, channel: ChannelConfig) -> BitStream:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from xml.sax.saxutils import escape
 
-from . import dataio
+from . import atomic
 from .experiments import COLUMNS
 
 _COLORS = ("#c0392b", "#2980b9", "#111111", "#27ae60", "#8e44ad", "#d35400")
@@ -95,7 +95,7 @@ def render_plot(results, path, width: int = 640, height: int = 440) -> None:
             f'<text x="{ml + pw + 42}" y="{ly}" font-size="12">{escape(label)}</text>'
         )
     parts.append("</svg>")
-    dataio.write_text_atomic(path, "\n".join(parts) + "\n")
+    atomic.write_text_atomic(path, "\n".join(parts) + "\n")
 
 
 def render_bars(groups, path, ylabel: str, width: int = 520, height: int = 360) -> None:
@@ -140,4 +140,4 @@ def render_bars(groups, path, ylabel: str, width: int = 520, height: int = 360) 
             f'text-anchor="middle">{escape(str(label))}</text>'
         )
     parts.append("</svg>")
-    dataio.write_text_atomic(path, "\n".join(parts) + "\n")
+    atomic.write_text_atomic(path, "\n".join(parts) + "\n")

@@ -59,7 +59,7 @@ def conv2d(x, kernels, bias, stride: int = 1, padding: int = 0) -> np.ndarray:
     acc = np.zeros((out_ch, out_h, out_w), dtype=np.float32)
     reach = (k - 1) // stride  # how far, in output pixels, a tap reaches
     pitch = out_w + reach
-    chunks = min(out_h, -(-4 * out_ch * out_h * pitch // _CONV_BLOCK_BYTES))
+    chunks = min(out_h, -(-4 * out_ch * out_h * pitch // _BLOCK_BYTES))
     if chunks == 1 or k == 1 or min(out_ch, in_ch) == 1:
         # Small layer, single tap, or a unit dimension: the np.dot call of a
         # plain tap-by-tap tensordot, on the same operands, because small
@@ -108,8 +108,10 @@ def conv2d(x, kernels, bias, stride: int = 1, padding: int = 0) -> np.ndarray:
 # chunks of more than half of it. OpenBLAS's small-matrix sgemm kernel
 # (M*N*K <= 1e6 on SkylakeX) rounds some columns by call width once K >= 32;
 # there a 1 MiB product is past that size, in the packed kernel, where a
-# column's value does not depend on the call width.
-_CONV_BLOCK_BYTES = 2 << 20
+# column's value does not depend on the call width. bilinear_resize's second
+# pass and argmax_channels work on blocks of at most this many bytes across
+# all channels.
+_BLOCK_BYTES = 2 << 20
 
 
 def _phase_images(x: np.ndarray, k: int, stride: int, padding: int, rows: int, cols: int) -> np.ndarray:
@@ -207,12 +209,50 @@ def bilinear_resize(x, out_h: int, out_w: int) -> np.ndarray:
     right -= rows
     right *= wx
     rows += right
-    out = np.take(rows, y0, axis=1)
-    bot = np.take(rows, y1, axis=1)
-    bot -= out
-    bot *= wy
-    out += bot  # lerp form keeps constant inputs exactly constant
+    del right
+    # the second pass runs over blocks of output rows, so its `bot`
+    # temporary is one block rather than a second output-sized array
+    out = np.empty((c, out_h, out_w), dtype=np.float32)
+    step = max(1, _BLOCK_BYTES // (4 * c * out_w))
+    for r0 in range(0, out_h, step):
+        r = slice(r0, r0 + step)
+        top = out[:, r]
+        np.take(rows, y0[r], axis=1, out=top)
+        bot = np.take(rows, y1[r], axis=1)
+        bot -= top
+        bot *= wy[:, r]
+        top += bot  # lerp form keeps constant inputs exactly constant
+        del bot  # before the next block's gather allocates its own
     return out
+
+
+def argmax_channels(x) -> np.ndarray:
+    """Index of the largest channel at each pixel, as int32 (height, width).
+
+    Bit-identical to np.argmax(x, axis=0).astype(np.int32): ties keep the
+    first maximum, and NaN counts as the largest value, so the first NaN
+    wins. A running maximum over blocks of pixels takes the place of
+    numpy's transposed copy of `x` and its int64 labels.
+    """
+    x = as_tensor(x)
+    c = x.shape[0]
+    flat = x.reshape(c, -1)
+    labels = np.zeros(flat.shape[1], dtype=np.int32)
+    step = max(1, _BLOCK_BYTES // (4 * c))
+    for p0 in range(0, flat.shape[1], step):
+        p = slice(p0, p0 + step)
+        lab = labels[p]
+        best = flat[0, p].copy()
+        greater = np.empty(best.shape, dtype=bool)
+        for ch in range(1, c):
+            v = flat[ch, p]
+            np.greater(v, best, out=greater)  # strict: a tie keeps the first maximum
+            np.copyto(lab, ch, where=greater)
+            np.maximum(best, v, out=best)  # propagates NaN, which flags the pixel
+        nan = np.flatnonzero(np.isnan(best, out=greater))
+        if nan.size:
+            lab[nan] = np.argmax(flat[:, p][:, nan], axis=0)
+    return labels.reshape(x.shape[1:])
 
 
 def add(a, b) -> np.ndarray:

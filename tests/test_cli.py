@@ -7,7 +7,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from splitseg import cli, dataio, experiments
+from splitseg import atomic, cli, experiments
 
 
 def write_config(tmp_path, **overrides):
@@ -257,7 +257,7 @@ def fail_write_number(monkeypatch, n):
         count.append(file)
         return _HalfWrittenFile(f) if len(count) == n + 1 else f
 
-    monkeypatch.setattr(dataio, "open", opener, raising=False)
+    monkeypatch.setattr(atomic, "open", opener, raising=False)
 
 
 @pytest.mark.parametrize("command,files", [

@@ -1,11 +1,13 @@
 """Network construction, split execution, MAC accounting, and weight i/o."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from splitseg import model as M
+from splitseg import tensor_ops as T
 from splitseg.model import ModelConfig
 
 
@@ -163,6 +165,33 @@ class TestForward:
         logits, seg = M.forward_receiver(feats, weights)
         assert np.ptp(logits) == 0.0
         assert np.all(seg.labels == 0)
+
+    def test_receiver_labels_are_numpy_argmax_of_logits(self):
+        cfg = ModelConfig()
+        weights = M.build(cfg)
+        rng = np.random.default_rng(10)
+        for _ in range(3):
+            feats = rng.normal(size=(cfg.feature_channels, 4, 4)).astype(np.float32)
+            logits, seg = M.forward_receiver(feats, weights)
+            assert seg.labels.dtype == np.int32
+            assert np.array_equal(seg.labels, np.argmax(logits, axis=0).astype(np.int32))
+
+    def test_full_scale_receiver_peak_memory(self):
+        # the returned logits and labels, the last resize's row lerp and two
+        # blocks: no second logits-sized array, no transposed copy for argmax
+        cfg = ModelConfig.full_scale()
+        weights = M.build(cfg)
+        feats = np.random.default_rng(11).normal(size=(cfg.feature_channels, 16, 16)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            logits, seg = M.forward_receiver(feats, weights)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        row_lerp = 4 * cfg.num_classes * (cfg.input_height // 8) * cfg.input_width
+        assert peak <= logits.nbytes + seg.labels.nbytes + row_lerp + 2 * T._BLOCK_BYTES
 
     def test_full_equals_composition(self):
         cfg = tiny_config()

@@ -1,6 +1,8 @@
 """Link-layer tests: constellations, noise calibration, BER against theory."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -258,6 +260,17 @@ class TestBerTheory:
             p = phy.ber_theoretical(QAM16, snr)
             assert q <= h + 3 * math.sqrt(p * (1 - p) / n)
 
+    @pytest.mark.parametrize("snr", [3000.0, 3082.0, 3083.0, 4000.0, 1e300])
+    def test_zero_past_float64_es_n0(self, snr):
+        # 10**(snr/10) overflows from about 3082.5 dB; Q(inf) = 0
+        for mod in (QPSK, QAM16):
+            assert phy.ber_theoretical(mod, snr) == 0.0
+
+    def test_unknown_modulation_rejected_at_any_snr(self):
+        for snr in (10.0, 4000.0):
+            with pytest.raises(ValueError, match="unknown modulation"):
+                phy.ber_theoretical("fm", snr)
+
 
 def test_channel_config_validation():
     with pytest.raises(ValueError, match="unknown modulation"):
@@ -266,3 +279,18 @@ def test_channel_config_validation():
         ChannelConfig(QPSK, float("inf"), seed=1)
     with pytest.raises(ValueError, match="64-bit"):
         ChannelConfig(QPSK, 10.0, seed=-3)
+    with pytest.raises(ValueError, match="snr_db"):
+        ChannelConfig(QPSK, -4000.0, seed=1)
+    with pytest.raises(ValueError, match="snr_db"):
+        ChannelConfig(QAM16, -3083.0)
+    ChannelConfig(QPSK, -3082.0)  # noise power still fits float64
+
+
+def test_package_import_leaves_scipy_unloaded():
+    code = (
+        "import sys; import splitseg; from splitseg import phy\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+        "assert abs(float(phy.qfunc(0.0)) - 0.5) < 1e-15\n"
+        "assert 'scipy' in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120)

@@ -1,5 +1,7 @@
 """Tensor primitive tests against brute-force scalar oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -226,7 +228,7 @@ def is_chunked(in_shape, out_ch, k, stride, padding):
     out_h = (h + 2 * padding - k) // stride + 1
     out_w = (w + 2 * padding - k) // stride + 1
     product = 4 * out_ch * out_h * (out_w + (k - 1) // stride)
-    return k > 1 and min(out_ch, in_shape[0]) > 1 and out_h > 1 and product > T._CONV_BLOCK_BYTES
+    return k > 1 and min(out_ch, in_shape[0]) > 1 and out_h > 1 and product > T._BLOCK_BYTES
 
 
 # in_shape, (out_ch, k), stride, padding; every entry names what it covers
@@ -481,11 +483,146 @@ class TestBilinearResizeExact:
             x = rng.normal(size=(min(c, 3), h, w)).astype(np.float32)
             assert_bitwise_equal(T.bilinear_resize(x, out_h, out_w), gather4_resize(x, out_h, out_w))
 
+    def test_matches_gather_oracle_at_full_scale_channel_counts(self):
+        # the row-block step depends on the channel count, so these run at the
+        # real one; the oracle runs a few channels at a time to stay small
+        rng = np.random.default_rng(19)
+        steps = []
+        for (c, h, w), (out_h, out_w) in model_resize_shapes(model.ModelConfig.full_scale()):
+            x = rng.normal(size=(c, h, w)).astype(np.float32)
+            out = T.bilinear_resize(x, out_h, out_w)
+            for c0 in range(0, c, 8):
+                assert_bitwise_equal(out[c0:c0 + 8], gather4_resize(x[c0:c0 + 8], out_h, out_w))
+            steps.append((out_h, max(1, T._BLOCK_BYTES // (4 * c * out_w))))
+        assert any(step < out_h and out_h % step for out_h, step in steps)  # a partial last block
+        assert (1024, 26) in steps  # the 19-class logits: 39 blocks of 26 rows, then 10
+
+    @pytest.mark.parametrize("shape,out_h,out_w,block_bytes", [
+        ((3, 5, 7), 13, 11, 4 * 3 * 11 * 4),  # blocks of 4 rows, partial last block
+        ((2, 6, 5), 9, 9, 1),  # blocks of one row
+        ((1, 3, 4), 8, 6, 4 * 1 * 6 * 8),  # one exact block
+    ])
+    def test_matches_gather_oracle_for_any_block_size(self, monkeypatch, shape, out_h, out_w, block_bytes):
+        x = np.random.default_rng(20).normal(size=shape).astype(np.float32)
+        monkeypatch.setattr(T, "_BLOCK_BYTES", block_bytes)
+        assert_bitwise_equal(T.bilinear_resize(x, out_h, out_w), gather4_resize(x, out_h, out_w))
+
+    def test_peak_memory_is_output_row_lerp_and_one_block(self):
+        # plus 64 bytes per output row and column for the index and weight vectors
+        c, h, w, out_h, out_w = 19, 64, 64, 512, 512
+        x = np.random.default_rng(21).normal(size=(c, h, w)).astype(np.float32)
+        out_bytes, row_lerp_bytes = 4 * c * out_h * out_w, 4 * c * h * out_w
+        peak = traced_peak(lambda: T.bilinear_resize(x, out_h, out_w))
+        assert peak <= out_bytes + row_lerp_bytes + T._BLOCK_BYTES + 64 * (out_h + out_w)
+
     def test_input_not_mutated(self):
         x = np.random.default_rng(18).normal(size=(2, 4, 6)).astype(np.float32)
         before = x.copy()
         T.bilinear_resize(x, 9, 3)
         assert np.array_equal(x, before)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees allocated while fn runs, its result included.
+
+    numpy reports every array buffer to tracemalloc, so the figure is
+    deterministic for a fixed sequence of array allocations.
+    """
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def argmax_oracle(x):
+    return np.argmax(x, axis=0).astype(np.int32)
+
+
+def assert_argmax_matches(x):
+    got = T.argmax_channels(x)
+    assert got.dtype == np.int32 and got.shape == x.shape[1:]
+    assert np.array_equal(got, argmax_oracle(x))
+
+
+class TestArgmaxChannels:
+    @pytest.mark.parametrize("shape", [(1, 4, 5), (2, 3, 3), (5, 7, 9), (19, 33, 47), (4, 1, 1)])
+    def test_matches_numpy_on_random_input(self, shape):
+        assert_argmax_matches(np.random.default_rng(sum(shape)).normal(size=shape).astype(np.float32))
+
+    def test_ties_keep_the_first_maximum(self):
+        x = np.zeros((4, 2, 3), dtype=np.float32)
+        x[:, 0, 0] = [1, 3, 3, 2]
+        x[:, 0, 1] = [2, 2, 2, 2]
+        x[:, 0, 2] = [0, 0, 5, 5]
+        x[:, 1, 0] = [-0.0, 0.0, -0.0, 0.0]
+        x[:, 1, 1] = [0.0, -0.0, 0.0, -0.0]
+        x[:, 1, 2] = [-1.0, -0.0, 0.0, -0.0]
+        assert_argmax_matches(x)
+        assert T.argmax_channels(x).tolist() == [[1, 0, 2], [0, 0, 1]]
+
+    def test_infinities(self):
+        inf = np.float32(np.inf)
+        x = np.array([[-inf, 1.0, inf, -inf, inf, 3e38],
+                      [-inf, inf, inf, -inf, 2.0, inf],
+                      [-inf, 2.0, -inf, 0.0, inf, -inf]], dtype=np.float32).reshape(3, 2, 3)
+        assert_argmax_matches(x)
+
+    @pytest.mark.parametrize("nan_channels", [
+        (0,), (3,), (6,), (2, 5), (0, 6), (1, 2, 3, 4, 5, 6), tuple(range(7)),
+    ])
+    def test_nan_counts_as_the_maximum(self, nan_channels):
+        x = np.random.default_rng(22).normal(size=(7, 6, 5)).astype(np.float32)
+        x[0, 0, 0] = np.inf
+        x[:, 1::2, 1:] = np.float32(np.inf)  # NaN must beat inf too
+        for ch in nan_channels:
+            x[ch, ::2, ::2] = np.nan
+            x[ch, 1, :] = np.nan
+        assert_argmax_matches(x)
+
+    def test_one_channel(self):
+        x = np.array([[[np.nan, -np.inf, 1.0], [0.0, -0.0, np.inf]]], dtype=np.float32)
+        assert T.argmax_channels(x).tolist() == [[0, 0, 0], [0, 0, 0]]
+        assert_argmax_matches(x)
+
+    @pytest.mark.parametrize("c,h,w,block_bytes", [
+        (3, 5, 7, 4 * 3 * 4),  # blocks of 4 pixels: 35 = 8 x 4 + 3
+        (19, 9, 11, 4 * 19 * 10),  # 99 = 9 x 10 + 9
+        (5, 3, 3, 1),  # blocks of one pixel
+        (2, 4, 4, 4 * 2 * 16),  # one exact block
+    ])
+    def test_blocks_that_do_not_divide_the_pixels(self, monkeypatch, c, h, w, block_bytes):
+        rng = np.random.default_rng(23)
+        values = np.array([-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf, np.nan], dtype=np.float32)
+        x = values[rng.integers(values.size, size=(c, h, w))]
+        monkeypatch.setattr(T, "_BLOCK_BYTES", block_bytes)
+        assert_argmax_matches(x)
+        monkeypatch.undo()
+        assert_argmax_matches(x)
+
+    def test_many_blocks_at_the_default_size(self):
+        # 19 channels: blocks of 27594 pixels; 300 x 200 = 2 x 27594 + 4812
+        x = np.random.default_rng(24).normal(size=(19, 300, 200)).astype(np.float32)
+        x[:, 7, :] = 0.5  # a row of ties
+        x[4, 150:153, 50] = np.nan  # NaN in the second block (pixels from 27594)
+        x[18, 299, 199] = np.nan  # and in the last, partial one
+        assert_argmax_matches(x)
+
+    def test_peak_memory_is_labels_and_one_block(self):
+        c, h, w = 19, 512, 512
+        x = np.random.default_rng(25).normal(size=(c, h, w)).astype(np.float32)
+        peak = traced_peak(lambda: T.argmax_channels(x))
+        assert peak <= 4 * h * w + T._BLOCK_BYTES
+
+    def test_input_not_mutated(self):
+        x = np.random.default_rng(26).normal(size=(3, 4, 6)).astype(np.float32)
+        x[1, 0, 0] = np.nan
+        before = x.copy()
+        T.argmax_channels(x)
+        assert np.array_equal(x, before, equal_nan=True)
 
 
 class TestAddConcat:
@@ -529,6 +666,7 @@ def test_all_ops_bitwise_repeatable():
         lambda: T.bilinear_resize(x, 5, 11),
         lambda: T.add(x, x),
         lambda: T.concat_channels([x, x[:1]]),
+        lambda: T.argmax_channels(x),
     ]
     for call in calls:
         assert np.array_equal(call(), call())
