@@ -73,6 +73,7 @@ class ExperimentSpec:
                 raise ConfigError(f"unknown modulation {m!r}")
         if not self.modulations:
             raise ConfigError("modulations must be nonempty")
+        _reject_duplicates("modulations", self.modulations)
         if not self.snr_db:
             raise ConfigError("snr_db must be nonempty")
         if not all(math.isfinite(s) for s in self.snr_db):
@@ -92,6 +93,7 @@ class ExperimentSpec:
         for p in self.pipelines:
             if p not in metrics.PIPELINES:
                 raise ConfigError(f"unknown pipeline {p!r}")
+        _reject_duplicates("pipelines", self.pipelines)
         if self.num_images < 1:
             raise ConfigError(f"num_images must be >= 1, got {self.num_images}")
         if self.reference_mode not in REFERENCE_MODES:
@@ -110,6 +112,14 @@ class ExperimentSpec:
             "pipelines": list(self.pipelines),
             **{key: getattr(self, name) for key, (name, _) in _SPEC_SCALARS.items()},
         }
+
+
+def _reject_duplicates(key: str, values: tuple) -> None:
+    # a repeated modulation would overwrite its own sweep CSV; a repeated
+    # pipeline would run twice per trial
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"{key} must not repeat entries, got {repeated} more than once")
 
 
 _SPEC_KEYS = {"model", "channel", "pipelines", *_SPEC_SCALARS}
@@ -203,8 +213,14 @@ class PipelineResult:
     channel_bits: int
 
 
+# Set bits in each byte value, for counting flips without unpacking.
+_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
+
+
 def _count_flips(sent: codec.BitStream, received: codec.BitStream) -> int:
-    return int(np.count_nonzero(sent.to_bits() != received.to_bits()))
+    """Bits that differ; exact because both streams have the same length and
+    BitStream zeroes their pad bits."""
+    return int(_POPCOUNT[np.bitwise_xor(sent.data, received.data)].sum(dtype=np.int64))
 
 
 def run_traditional(raster, weights: WeightSet, channel: ChannelConfig) -> PipelineResult:

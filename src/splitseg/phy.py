@@ -25,6 +25,11 @@ MODULATIONS = (QPSK, QAM16)
 # outside the band the slicer and the full search agree bit for bit.
 _SLICER_MARGIN = 1e-9
 
+# Stream bytes per block in `transmit`: 32,768 QPSK symbols, a 512 KiB
+# complex128 temporary. Of 4, 8, 16 and 32 KiB, 8 KiB timed fastest, or
+# within noise of it, on a 1.57 Mbit stream.
+_LINK_BLOCK_BYTES = 8192
+
 # Gray-coded 4-PAM axis levels indexed by bit pair value: 00 01 10 11
 _GRAY4 = np.array([-3.0, -1.0, 3.0, 1.0])
 
@@ -197,8 +202,20 @@ def ber_theoretical(modulation: str, snr_db: float) -> float:
 
 
 def transmit(stream: BitStream, channel: ChannelConfig) -> BitStream:
-    """modulate -> AWGN -> demodulate; output length equals input length."""
+    """modulate -> AWGN -> demodulate; output length equals input length.
+
+    The stream goes through the link in blocks of _LINK_BLOCK_BYTES bytes,
+    so the symbol, noise and slicer temporaries stay block-sized. The bits
+    equal those of one pass over the whole stream: bits per symbol divide 8,
+    so a block holds whole symbols; only the last block has pad bits, which
+    its BitStream zeroes; and one generator is drawn block after block, which
+    yields the same normals as one draw of the full size.
+    """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(channel.seed)))
-    block = modulate(stream, channel.modulation)
-    noisy = apply_awgn(block, channel.snr_db, rng)
-    return demodulate(noisy, channel.modulation)
+    out = np.empty_like(stream.data)
+    for start in range(0, out.size, _LINK_BLOCK_BYTES):
+        stop = start + _LINK_BLOCK_BYTES
+        part = BitStream(min(8 * stop, stream.n_bits) - 8 * start, stream.data[start:stop])
+        noisy = apply_awgn(modulate(part, channel.modulation), channel.snr_db, rng)
+        out[start:stop] = demodulate(noisy, channel.modulation).data
+    return BitStream(stream.n_bits, out)

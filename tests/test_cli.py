@@ -225,6 +225,24 @@ def test_snr_below_float64_noise_power_rejected(tmp_path, capsys, command, snr_d
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["report", "sweep"])
+@pytest.mark.parametrize("section,key,value", [
+    ("channel", "modulations", ["qpsk", "16qam", "qpsk"]),
+    (None, "pipelines", ["split", "split"]),
+])
+def test_repeated_list_entry_rejected(tmp_path, capsys, command, section, key, value):
+    # a repeated modulation would write its sweep CSV twice; a repeated pipeline would run twice
+    raw = json.loads(write_config(tmp_path).read_text())
+    (raw[section] if section else raw)[key] = value
+    cfg = write_config(tmp_path, **raw)
+    argv = [command, "--config", str(cfg)] + (["--out", str(tmp_path / "o")] if command == "sweep" else [])
+    assert cli.main(argv) == cli.EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: ")
+    assert f"{key} must not repeat entries" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_snr_at_the_float64_noise_power_limit_runs(tmp_path, capsys):
     cfg = write_config(tmp_path, channel={"modulations": ["qpsk", "16qam"], "snr_db": [-3082.0, 10.0]})
     assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_OK

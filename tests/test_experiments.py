@@ -118,6 +118,35 @@ class TestPipelines:
         assert noisy.bit_flips > 0
 
 
+def unpacked_flip_count(sent, received):
+    """Unpack both streams and compare bit by bit; `_count_flips` must match it."""
+    return int(np.count_nonzero(sent.to_bits() != received.to_bits()))
+
+
+class TestFlipCount:
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 1001, 65_536])
+    def test_matches_unpacked_oracle(self, n):
+        rng = np.random.default_rng(n)
+        sent = codec.BitStream.from_bits(rng.integers(0, 2, n).astype(np.uint8))
+        for p_flip in (0.0, 0.01, 0.5, 1.0):
+            flips = (rng.random(n) < p_flip).astype(np.uint8)
+            received = codec.BitStream.from_bits(sent.to_bits() ^ flips)
+            assert E._count_flips(sent, received) == unpacked_flip_count(sent, received) == flips.sum()
+
+    def test_pad_bits_never_count(self):
+        # BitStream zeroes the pad bits of a partial last byte
+        sent = codec.BitStream(5, np.array([0b10101111], dtype=np.uint8))
+        received = codec.BitStream(5, np.array([0b10100000], dtype=np.uint8))
+        assert E._count_flips(sent, received) == unpacked_flip_count(sent, received) == 1
+
+    def test_every_bit_flipped_over_a_large_stream(self):
+        # one image's raw stream; a sum kept in the table's uint8 would wrap
+        n = 24 * 256 * 256
+        sent = codec.BitStream(n, np.zeros(n // 8, dtype=np.uint8))
+        received = codec.BitStream(n, np.full(n // 8, 0xFF, dtype=np.uint8))
+        assert E._count_flips(sent, received) == unpacked_flip_count(sent, received) == n
+
+
 class TestPipelineTable:
     def test_row_order_is_the_substream_index(self):
         assert metrics.PIPELINES == ("traditional", "full_tx", "split")

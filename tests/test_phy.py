@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,16 @@ def complex_sum_awgn(block, snr_db, rng):
     sigma = math.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
     noise = rng.normal(0.0, sigma, size=(block.symbols.size, 2))
     return phy.SymbolBlock(block.symbols + noise[:, 0] + 1j * noise[:, 1], block.bit_count)
+
+
+def one_shot_transmit(stream, channel):
+    """The whole stream through modulate -> AWGN -> demodulate in one pass.
+
+    `phy.transmit` must match it bit for bit.
+    """
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(channel.seed)))
+    block = phy.apply_awgn(phy.modulate(stream, channel.modulation), channel.snr_db, rng)
+    return phy.demodulate(block, channel.modulation)
 
 
 def same_symbols(a, b):
@@ -224,6 +235,78 @@ class TestKernelsMatchOracles:
         symbols = np.random.default_rng(bit_count).normal(size=(6, 2)) @ np.array([1.0, 1j])
         block = phy.SymbolBlock(symbols[::2], bit_count)
         assert phy.demodulate(block, mod).same_as(argmin_demodulate(block, mod))
+
+
+# -3082 dB pushes every symbol into the minimum-distance search
+LINK_SNRS = [-3082.0, -20.0, 0.0, 10.0, 30.0, 3000.0]
+
+
+def edge_bit_counts(block_bytes):
+    """Bit counts on and next to the block boundaries of `transmit`, whole and
+    with a partial last byte, up to several blocks."""
+    counts = [0, 1, 7, 8, 9]
+    for n_bytes in (block_bytes - 1, block_bytes, block_bytes + 1, 3 * block_bytes + 5):
+        counts += [8 * n_bytes, 8 * n_bytes - 3]
+    return sorted(c for c in set(counts) if c >= 0)
+
+
+class TestBlockStreamedLink:
+    @pytest.mark.parametrize("mod", [QPSK, QAM16])
+    @pytest.mark.parametrize("snr", LINK_SNRS)
+    def test_matches_one_shot_oracle(self, mod, snr):
+        for n in edge_bit_counts(phy._LINK_BLOCK_BYTES):
+            stream = random_stream(n, n)
+            for seed in (0, 2**64 - 1, n):
+                channel = ChannelConfig(mod, snr, seed=seed)
+                out = phy.transmit(stream, channel)
+                assert out.same_as(one_shot_transmit(stream, channel)), (n, seed)
+
+    @pytest.mark.parametrize("block_bytes", [1, 2, 3])
+    @pytest.mark.parametrize("mod", [QPSK, QAM16])
+    @pytest.mark.parametrize("snr", [-20.0, 0.0, 10.0])
+    def test_matches_one_shot_oracle_over_many_small_blocks(self, monkeypatch, block_bytes, mod, snr):
+        monkeypatch.setattr(phy, "_LINK_BLOCK_BYTES", block_bytes)
+        for n in edge_bit_counts(block_bytes) + [1001]:
+            stream = random_stream(n, 50 + n)
+            channel = ChannelConfig(mod, snr, seed=n)
+            assert phy.transmit(stream, channel).same_as(one_shot_transmit(stream, channel)), n
+
+    @pytest.mark.parametrize("mod", [QPSK, QAM16])
+    @pytest.mark.parametrize("n", [1, 8 * 3 - 3, 8 * 3, 8 * 7 + 1])
+    def test_blocks_partition_the_stream(self, monkeypatch, mod, n):
+        # every block but the last is full and only the last carries pad bits,
+        # so the generator is drawn for exactly the symbols of the one-shot form
+        monkeypatch.setattr(phy, "_LINK_BLOCK_BYTES", 3)
+        parts = []
+        modulate = phy.modulate
+
+        def recording_modulate(part, modulation):
+            parts.append(part.copy())
+            return modulate(part, modulation)
+
+        monkeypatch.setattr(phy, "modulate", recording_modulate)
+        stream = random_stream(n, n)
+        phy.transmit(stream, ChannelConfig(mod, 10.0, seed=1))
+        assert [p.n_bits for p in parts[:-1]] == [24] * (len(parts) - 1)
+        assert 0 < parts[-1].n_bits <= 24
+        assert sum(p.n_bits for p in parts) == n
+        assert np.array_equal(np.concatenate([p.data for p in parts]), stream.data)
+
+    @pytest.mark.parametrize("mod", [QPSK, QAM16])
+    def test_peak_memory_is_output_plus_a_few_blocks(self, mod):
+        # one pass over the whole stream peaks at 38-62 MiB here
+        stream = random_stream(1_572_864, 44)
+        channel = ChannelConfig(mod, 10.0, seed=3)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            phy.transmit(stream, channel)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        block_symbol_bytes = 16 * (8 * phy._LINK_BLOCK_BYTES // phy.constellation(mod)[1])
+        assert peak <= stream.data.nbytes + 7 * block_symbol_bytes <= 4 * 2**20
 
 
 class TestBerTheory:
