@@ -100,11 +100,20 @@ def _cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_in(lo: int, hi: int | None = None):
+    """argparse type: an integer in [lo, hi] (no upper bound when hi is None)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo or (hi is not None and value > hi):
+            bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+positive_int = _int_in(1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,10 +140,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="write a synthetic PPM/PGM dataset")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--num", type=int, default=50, help="number of images")
-    p.add_argument("--classes", type=int, default=8, help="number of classes")
-    p.add_argument("--size", type=int, default=256, help="square image size")
-    p.add_argument("--seed", type=int, default=20240917, help="generator seed")
+    p.add_argument("--num", type=positive_int, default=50, help="number of images")
+    # labels are written as 8-bit PGM values
+    p.add_argument("--classes", type=_int_in(2, 256), default=8, help="number of classes")
+    # smaller scenes leave no radius for their regions: size // 3 must exceed 2
+    p.add_argument("--size", type=_int_in(9), default=256, help="square image size")
+    p.add_argument("--seed", type=_int_in(0), default=20240917, help="generator seed")
     p.set_defaults(func=_cmd_gen_data)
     return parser
 

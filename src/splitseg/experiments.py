@@ -142,10 +142,17 @@ def _items(key: str, value, cast=None) -> tuple:
     return tuple(value) if cast is None else tuple(_scalar(key, v, cast) for v in value)
 
 
+# The JSON values each cast accepts: a float key takes an integer too, but no
+# key takes a bool (a Python int) and none is truncated or parsed from a string.
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
+
+
 def _scalar(key: str, value, cast):
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[cast]):
+        raise ConfigError(f"{key!r} must be {cast.__name__}, got {value!r}")
     try:
         return cast(value)
-    except (TypeError, ValueError, OverflowError) as exc:  # int(1e999) overflows
+    except OverflowError as exc:  # float(10**400)
         raise ConfigError(f"{key!r} must be {cast.__name__}, got {value!r}") from exc
 
 
@@ -207,8 +214,6 @@ class PipelineResult:
 
     label_map: SegmentationMap
     bits_sent: int
-    tx_macs: int
-    rx_macs: int
     bit_flips: int
     channel_bits: int
 
@@ -230,8 +235,7 @@ def run_traditional(raster, weights: WeightSet, channel: ChannelConfig) -> Pipel
     received = phy.transmit(stream, channel)
     decoded = codec.decode_image(received, cfg.input_height, cfg.input_width)
     _, seg = model.forward_full(dataio.raster_to_tensor(decoded), weights)
-    tx_macs, rx_macs = metrics.pipeline_macs("traditional", cfg)
-    return PipelineResult(seg, stream.n_bits, tx_macs, rx_macs, _count_flips(stream, received), stream.n_bits)
+    return PipelineResult(seg, stream.n_bits, _count_flips(stream, received), stream.n_bits)
 
 
 def run_full_tx(raster, weights: WeightSet, channel: ChannelConfig) -> PipelineResult:
@@ -241,26 +245,23 @@ def run_full_tx(raster, weights: WeightSet, channel: ChannelConfig) -> PipelineR
     stream = codec.encode_labelmap(seg, cfg.num_classes)
     received = phy.transmit(stream, channel)
     out = codec.decode_labelmap(received, cfg.input_height, cfg.input_width, cfg.num_classes)
-    tx_macs, rx_macs = metrics.pipeline_macs("full_tx", cfg)
-    return PipelineResult(out, stream.n_bits, tx_macs, rx_macs, _count_flips(stream, received), stream.n_bits)
+    return PipelineResult(out, stream.n_bits, _count_flips(stream, received), stream.n_bits)
 
 
 def run_split(raster, weights: WeightSet, channel: ChannelConfig, quant_bits: int = 8) -> PipelineResult:
-    """Split inference: quantized stage-5 features over the channel.
+    """Split inference: the quantized split-boundary tensor over the channel.
 
     The per-channel range header traverses the channel error-free; only the
     packed code body is exposed to noise.
     """
-    cfg = weights.config
     features = model.forward_transmitter(dataio.raster_to_tensor(raster), weights)
     payload = codec.quantize_features(features, quant_bits)
     header, body = codec.serialize_payload(payload)
     received_body = phy.transmit(body, channel)
     received = codec.deserialize_payload(header, received_body)
     _, seg = model.forward_receiver(codec.dequantize_features(received), weights)
-    tx_macs, rx_macs = metrics.pipeline_macs("split", cfg)
     bits_sent = header.n_bits + body.n_bits
-    return PipelineResult(seg, bits_sent, tx_macs, rx_macs, _count_flips(body, received_body), body.n_bits)
+    return PipelineResult(seg, bits_sent, _count_flips(body, received_body), body.n_bits)
 
 
 @dataclass

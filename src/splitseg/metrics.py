@@ -79,7 +79,8 @@ def bits_per_image(pipeline: str, config: ModelConfig, quant_bits: int = 8) -> i
     """Bits transmitted per image for one pipeline.
 
     traditional: 24 bpp raw RGB. full_tx: ceil(log2 K) bpp packed labels.
-    split: quantized feature body plus its range header.
+    split: the quantized body of the tensor at the model's split boundary plus
+    its range header.
     """
     h, w = config.input_height, config.input_width
     if pipeline == "traditional":
@@ -87,9 +88,8 @@ def bits_per_image(pipeline: str, config: ModelConfig, quant_bits: int = 8) -> i
     if pipeline == "full_tx":
         return label_bits_per_pixel(config.num_classes) * h * w
     if pipeline == "split":
-        c5 = config.feature_channels
-        body = c5 * (h // 64) * (w // 64) * quant_bits
-        return body + payload_header_bits(c5)
+        cut = M.describe(config)[M.SPLIT_BOUNDARY]
+        return cut.out_channels * cut.out_h * cut.out_w * quant_bits + payload_header_bits(cut.out_channels)
     raise ValueError(f"unknown pipeline {pipeline!r}, expected one of {PIPELINES}")
 
 

@@ -26,20 +26,6 @@ import numpy as np
 from . import tensor_ops as T
 from .atomic import write_bytes_atomic, write_text_atomic
 
-# Per stage: its operation kind and the plan entry that produces its output.
-_STAGES = (
-    ("conv x2", "s0.conv2"),
-    ("rb", "s1.rb.conv2"),
-    ("rb", "s2.rb.conv2"),
-    ("rb x3", "s3.i.conv2"),
-    ("rb x3", "s4.i.conv2"),
-    ("rbb x3 + fuse", "s5.fuse"),
-    ("ppm + conv x2", "s6.head2"),
-)
-TOTAL_STAGES = len(_STAGES)  # stages 0..6; the split boundary sits after stage 5
-SPLIT_BOUNDARY = 5
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture hyperparameters.
@@ -280,15 +266,6 @@ def _plans(config: ModelConfig) -> dict[str, ConvPlan]:
     return {p.name: p for p in layer_plan(config)}
 
 
-def describe(config: ModelConfig) -> list[StageInfo]:
-    """Per-stage operation kind, output channels, and output resolution."""
-    plans = _plans(config)
-    return [
-        StageInfo(stage, kind, plans[name].cout, plans[name].out_h, plans[name].out_w)
-        for stage, (kind, name) in enumerate(_STAGES)
-    ]
-
-
 def _unit(weights: WeightSet, name: str, x, act: bool = True) -> np.ndarray:
     plan = _plans(weights.config)[name]
     p = weights.params
@@ -316,55 +293,85 @@ def _block(weights: WeightSet, prefix: str, x, units: tuple[str, ...]) -> np.nda
     return T.relu(T.add(y, skip))
 
 
+def _branches(weights: WeightSet, s: int, pid) -> tuple:
+    """Stages 3-4: a residual block per branch, then the context branch's
+    compensation features resized and added onto the detail branch."""
+    p, i, d = (_block(weights, f"s{s}.{b}", t, _RB) for b, t in zip("pid", pid))
+    comp = _unit(weights, f"s{s}.comp", i, act=False)
+    return T.add(p, T.bilinear_resize(comp, p.shape[1], p.shape[2])), i, d
+
+
+def _fuse(weights: WeightSet, pid) -> np.ndarray:
+    """Stage 5: a bottleneck block per branch, then all three on the context
+    branch's 1/64 grid fused into one map."""
+    p, i, d = (_block(weights, f"s5.{b}", t, _RBB) for b, t in zip("pid", pid))
+    pooled = [T.avg_pool_to(t, i.shape[1], i.shape[2]) for t in (p, d)]
+    return _unit(weights, "s5.fuse", T.concat_channels([*pooled, i]), act=False)
+
+
+def _head(weights: WeightSet, x) -> np.ndarray:
+    """Stage 6: pyramid pooling over the fused map, then the two-conv head at 1/8 scale."""
+    cfg = weights.config
+    branches = [x]
+    for b in cfg.ppm_bins:
+        ppm = _unit(weights, f"s6.ppm.bin{b}", T.avg_pool_to(x, b, b))
+        branches.append(T.bilinear_resize(ppm, x.shape[1], x.shape[2]))
+    y = _unit(weights, "s6.ppm.fuse", T.concat_channels(branches))
+    head1 = _plans(cfg)["s6.head1"]
+    y = _unit(weights, "s6.head1", T.bilinear_resize(y, head1.out_h, head1.out_w))
+    return _unit(weights, "s6.head2", y, act=False)
+
+
+# The stage schedule. Per stage: its function (weights, input) -> output, its
+# kind, and the plan entry of its output. Stage 3 feeds x to all of (p, i, d).
+_STAGES = (
+    (lambda w, x: _unit(w, "s0.conv2", _unit(w, "s0.conv1", x)), "conv x2", "s0.conv2"),
+    (lambda w, x: _block(w, "s1.rb", x, _RB), "rb", "s1.rb.conv2"),
+    (lambda w, x: _block(w, "s2.rb", x, _RB), "rb", "s2.rb.conv2"),
+    (lambda w, x: _branches(w, 3, (x, x, x)), "rb x3", "s3.i.conv2"),
+    (lambda w, pid: _branches(w, 4, pid), "rb x3", "s4.i.conv2"),
+    (_fuse, "rbb x3 + fuse", "s5.fuse"),
+    (_head, "ppm + conv x2", "s6.head2"),
+)
+TOTAL_STAGES = len(_STAGES)
+# The transmitter runs stages 0..SPLIT_BOUNDARY and sends that stage's output.
+SPLIT_BOUNDARY = 5
+
+
+def describe(config: ModelConfig) -> list[StageInfo]:
+    """Per-stage operation kind, output channels, and output resolution."""
+    plans = _plans(config)
+    return [
+        StageInfo(stage, kind, plans[name].cout, plans[name].out_h, plans[name].out_w)
+        for stage, (_, kind, name) in enumerate(_STAGES)
+    ]
+
+
+def _forward(x, weights: WeightSet, start: int, stop: int):
+    """Run stages start..stop-1 on the input of stage `start`."""
+    for run, _, _ in _STAGES[start:stop]:
+        x = run(weights, x)
+    return x
+
+
 def forward_transmitter(image, weights: WeightSet) -> np.ndarray:
-    """Run stages 0-5 plus branch fusion; returns the 1/64-scale feature map."""
+    """Run stages 0..SPLIT_BOUNDARY; returns the tensor to send."""
     cfg = weights.config
     x = np.asarray(image, dtype=np.float32)
     if x.shape != (3, cfg.input_height, cfg.input_width):
-        raise ValueError(
-            f"image shape {x.shape} != (3, {cfg.input_height}, {cfg.input_width})"
-        )
-    x = _unit(weights, "s0.conv1", x)
-    x = _unit(weights, "s0.conv2", x)
-    x = _block(weights, "s1.rb", x, _RB)
-    x = _block(weights, "s2.rb", x, _RB)
-
-    p = i = d = x
-    for s in (3, 4):
-        p = _block(weights, f"s{s}.p", p, _RB)
-        i = _block(weights, f"s{s}.i", i, _RB)
-        d = _block(weights, f"s{s}.d", d, _RB)
-        comp = _unit(weights, f"s{s}.comp", i, act=False)
-        p = T.add(p, T.bilinear_resize(comp, p.shape[1], p.shape[2]))
-
-    p = _block(weights, "s5.p", p, _RBB)
-    i = _block(weights, "s5.i", i, _RBB)
-    d = _block(weights, "s5.d", d, _RBB)
-
-    h64, w64 = i.shape[1], i.shape[2]
-    fused = T.concat_channels([T.avg_pool_to(p, h64, w64), T.avg_pool_to(d, h64, w64), i])
-    return _unit(weights, "s5.fuse", fused, act=False)
+        raise ValueError(f"image shape {x.shape} != (3, {cfg.input_height}, {cfg.input_width})")
+    return _forward(x, weights, 0, SPLIT_BOUNDARY + 1)
 
 
 def forward_receiver(features, weights: WeightSet) -> tuple[np.ndarray, SegmentationMap]:
-    """Run pyramid pooling and the head; returns full-resolution logits and labels.
-
-    Argmax ties resolve toward the lowest class index.
-    """
+    """Run the stages after SPLIT_BOUNDARY and resize to the input; returns the
+    full-resolution logits and labels (argmax ties go to the lowest class)."""
     cfg = weights.config
-    h64, w64 = cfg.input_height // 64, cfg.input_width // 64
+    cut = describe(cfg)[SPLIT_BOUNDARY]
     x = np.asarray(features, dtype=np.float32)
-    if x.shape != (cfg.feature_channels, h64, w64):
-        raise ValueError(f"feature shape {x.shape} != ({cfg.feature_channels}, {h64}, {w64})")
-
-    branches = [x]
-    for b in cfg.ppm_bins:
-        pooled = T.adaptive_avg_pool(x, b)
-        branches.append(T.bilinear_resize(_unit(weights, f"s6.ppm.bin{b}", pooled), h64, w64))
-    y = _unit(weights, "s6.ppm.fuse", T.concat_channels(branches))
-    y = T.bilinear_resize(y, cfg.input_height // 8, cfg.input_width // 8)
-    y = _unit(weights, "s6.head1", y)
-    y = _unit(weights, "s6.head2", y, act=False)
+    if x.shape != (cut.out_channels, cut.out_h, cut.out_w):
+        raise ValueError(f"feature shape {x.shape} != ({cut.out_channels}, {cut.out_h}, {cut.out_w})")
+    y = _forward(x, weights, SPLIT_BOUNDARY + 1, TOTAL_STAGES)
     logits = T.bilinear_resize(y, cfg.input_height, cfg.input_width)
     return logits, SegmentationMap(T.argmax_channels(logits))
 

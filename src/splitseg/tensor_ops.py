@@ -178,11 +178,6 @@ def avg_pool_to(x, out_h: int, out_w: int) -> np.ndarray:
     return out
 
 
-def adaptive_avg_pool(x, bins: int) -> np.ndarray:
-    """Square adaptive average pooling to a bins x bins grid."""
-    return avg_pool_to(x, bins, bins)
-
-
 def bilinear_resize(x, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resampling with half-pixel centers and edge clamping.
 

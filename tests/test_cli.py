@@ -7,7 +7,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from splitseg import atomic, cli, experiments
+from splitseg import atomic, cli, dataio, experiments
 
 
 def write_config(tmp_path, **overrides):
@@ -112,6 +112,26 @@ def test_gen_data_writes_pairs(tmp_path, capsys):
     assert len(list(out.glob("*.pgm"))) == 3
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--num", "0"), ("--num", "-1"), ("--size", "1"), ("--size", "8"),
+    ("--classes", "1"), ("--classes", "300"), ("--seed", "-1"), ("--num", "two"),
+])
+def test_gen_data_bad_argument_is_a_usage_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "data"
+    argv = ["gen-data", "--out", str(out), "--num", "2", "--size", "16", flag, value]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_data_accepts_the_smallest_and_largest_values(tmp_path, capsys):
+    out = tmp_path / "data"
+    argv = ["gen-data", "--out", str(out), "--num", "1", "--size", "9", "--classes", "256", "--seed", "0"]
+    assert cli.main(argv) == 0
+    [(raster, seg)] = dataio.load_dataset_dir(out)
+    assert raster.shape == (9, 9, 3) and seg.labels.max() < 256
+
+
 def test_out_dir_env_override(tmp_path, capsys, monkeypatch):
     target = tmp_path / "env_target"
     monkeypatch.setenv("SPLITSEG_OUT_DIR", str(target))
@@ -186,6 +206,11 @@ def write_raw_config(tmp_path, section, key, literal):
     (None, "num_images", '"many"'), (None, "master_seed", "1e999"), (None, "fps", '"fast"'),
     ("model", "input_size", "1e999"), ("model", "ppm_bins", "[1e999]"), ("model", "seed", "NaN"),
     ("channel", "snr_db", '[10, "loud"]'),
+    # a float is not truncated to an int, and no bool or string passes as a number
+    ("model", "input_size", "256.9"), (None, "num_images", "1.5"), ("model", "seed", "1.5"),
+    (None, "num_images", "true"), (None, "num_images", '"7"'), ("model", "ppm_bins", "[1.7, 2.2]"),
+    ("channel", "snr_db", '[true, "20"]'), (None, "master_seed", "555.0"), (None, "quant_bits", "8.0"),
+    (None, "fps", "true"), (None, "dataset", "5"), (None, "reference_mode", "5"),
 ])
 def test_uncoercible_value_names_its_key(tmp_path, capsys, section, key, literal):
     cfg = write_raw_config(tmp_path, section, key, literal)

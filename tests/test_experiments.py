@@ -80,8 +80,6 @@ class TestPipelines:
         _, clean = M.forward_full(dataio.raster_to_tensor(raster), tiny_weights)
         assert res.label_map.same_as(clean)
         assert res.bits_sent == 24 * 128 * 128
-        assert res.tx_macs == 0
-        assert res.rx_macs == M.mac_count(TINY, 6)[0]
         assert res.bit_flips == 0
 
     def test_full_tx_noiseless_matches_transmitted_map(self, tiny_weights, tiny_pair):
@@ -90,19 +88,14 @@ class TestPipelines:
         _, clean = M.forward_full(dataio.raster_to_tensor(raster), tiny_weights)
         assert res.label_map.same_as(clean)
         assert res.bits_sent == codec.label_bits_per_pixel(TINY.num_classes) * 128 * 128
-        assert res.rx_macs == 0
-        assert res.tx_macs == M.mac_count(TINY, 6)[0]
 
-    def test_split_bits_formula_and_macs(self, tiny_weights, tiny_pair):
+    def test_split_bits_formula(self, tiny_weights, tiny_pair):
         raster, _ = tiny_pair
         res = E.run_split(raster, tiny_weights, noiseless(), quant_bits=8)
         c5 = TINY.feature_channels
         assert res.bits_sent == c5 * 2 * 2 * 8 + 96 + 64 * c5
         assert res.bits_sent == metrics.bits_per_image("split", TINY, 8)
         assert res.channel_bits == c5 * 2 * 2 * 8
-        tx, rx = M.mac_count(TINY, M.SPLIT_BOUNDARY)
-        assert (res.tx_macs, res.rx_macs) == (tx, rx)
-        assert res.tx_macs + res.rx_macs == M.mac_count(TINY, 6)[0]
 
     def test_split_noiseless_high_precision_agreement(self, tiny_weights, tiny_pair):
         raster, _ = tiny_pair

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from splitseg import metrics
+from splitseg import model as M
 from splitseg.model import ModelConfig, SegmentationMap
 
 
@@ -201,6 +202,10 @@ class TestComputeReport:
             r = metrics.compute_report(cfg)
             for p in metrics.PIPELINE_TABLE:
                 assert (r.tx_macs[p.name], r.rx_macs[p.name]) == metrics.pipeline_macs(p.name, cfg)
+
+    def test_split_macs_cut_at_the_model_boundary(self):
+        for cfg in (ModelConfig(), FULL):
+            assert metrics.pipeline_macs("split", cfg) == M.mac_count(cfg, M.SPLIT_BOUNDARY)
 
     def test_reference_point_present(self):
         r = metrics.compute_report(ModelConfig())

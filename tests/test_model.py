@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from splitseg import codec, metrics
 from splitseg import model as M
 from splitseg import tensor_ops as T
 from splitseg.model import ModelConfig
@@ -221,6 +222,91 @@ class TestForward:
             assert (plans["s4.i.conv2"].out_h) == stages[4].out_h
             assert (plans["s5.fuse"].out_h) == stages[5].out_h
             assert (plans["s6.head2"].out_h) == stages[6].out_h
+
+
+def oracle_stage_outputs(image, weights):
+    """Every stage's output, from the network written out layer by layer
+    (stages 3-4 give the (p, i, d) branch triple, stage 6 the 1/8-scale head
+    logits); the stage table must reproduce these bitwise."""
+    cfg = weights.config
+    x = M._unit(weights, "s0.conv1", image)
+    outs = [M._unit(weights, "s0.conv2", x)]
+    outs.append(M._block(weights, "s1.rb", outs[-1], M._RB))
+    outs.append(M._block(weights, "s2.rb", outs[-1], M._RB))
+    p = i = d = outs[-1]
+    for s in (3, 4):
+        p = M._block(weights, f"s{s}.p", p, M._RB)
+        i = M._block(weights, f"s{s}.i", i, M._RB)
+        d = M._block(weights, f"s{s}.d", d, M._RB)
+        comp = M._unit(weights, f"s{s}.comp", i, act=False)
+        p = T.add(p, T.bilinear_resize(comp, p.shape[1], p.shape[2]))
+        outs.append((p, i, d))
+    p = M._block(weights, "s5.p", p, M._RBB)
+    i = M._block(weights, "s5.i", i, M._RBB)
+    d = M._block(weights, "s5.d", d, M._RBB)
+    h64, w64 = cfg.input_height // 64, cfg.input_width // 64
+    pooled = [T.avg_pool_to(p, h64, w64), T.avg_pool_to(d, h64, w64), i]
+    fused = M._unit(weights, "s5.fuse", T.concat_channels(pooled), act=False)
+    outs.append(fused)
+    branches = [fused]
+    for b in cfg.ppm_bins:
+        ppm = M._unit(weights, f"s6.ppm.bin{b}", T.avg_pool_to(fused, b, b))
+        branches.append(T.bilinear_resize(ppm, h64, w64))
+    y = M._unit(weights, "s6.ppm.fuse", T.concat_channels(branches))
+    y = M._unit(weights, "s6.head1", T.bilinear_resize(y, cfg.input_height // 8, cfg.input_width // 8))
+    outs.append(M._unit(weights, "s6.head2", y, act=False))
+    return outs
+
+
+def same_tensors(a, b) -> bool:
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return (isinstance(a, tuple) and isinstance(b, tuple) and len(a) == len(b)
+                and all(np.array_equal(u, v) for u, v in zip(a, b)))
+    return np.array_equal(a, b)
+
+
+class TestStageTable:
+    def test_every_stage_matches_the_layer_by_layer_oracle(self):
+        for cfg in (tiny_config(), tiny_config(input_height=192, input_width=128, ppm_bins=(1, 2))):
+            weights = M.build(cfg)
+            img = random_image(cfg, 2)
+            expected = oracle_stage_outputs(img, weights)
+            stages = M.describe(cfg)
+            assert len(expected) == len(stages) == M.TOTAL_STAGES
+            for k, want in enumerate(expected):
+                got = M._forward(img, weights, 0, k + 1)
+                assert same_tensors(got, want), f"stage {k}"
+                # describe names the i branch of a triple
+                tensor = got[1] if isinstance(got, tuple) else got
+                assert tensor.shape == (stages[k].out_channels, stages[k].out_h, stages[k].out_w)
+
+    @pytest.mark.parametrize("k", range(M.TOTAL_STAGES + 1))
+    def test_any_cut_composes_bitwise(self, k):
+        cfg = tiny_config()
+        weights = M.build(cfg)
+        img = random_image(cfg, 3)
+        whole = M._forward(img, weights, 0, M.TOTAL_STAGES)
+        halves = M._forward(M._forward(img, weights, 0, k), weights, k, M.TOTAL_STAGES)
+        assert np.array_equal(halves, whole)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 5, 6])
+    def test_halves_follow_split_boundary(self, monkeypatch, k):
+        # every single-tensor boundary: the halves, the receiver's input check
+        # and the payload size all move with the one constant
+        cfg = tiny_config()
+        weights = M.build(cfg)
+        img = random_image(cfg, 4)
+        logits, seg = M.forward_full(img, weights)
+        monkeypatch.setattr(M, "SPLIT_BOUNDARY", k)
+        cut = M.describe(cfg)[k]
+        features = M.forward_transmitter(img, weights)
+        assert features.shape == (cut.out_channels, cut.out_h, cut.out_w)
+        logits_k, seg_k = M.forward_receiver(features, weights)
+        assert np.array_equal(logits_k, logits) and seg_k.same_as(seg)
+        assert np.array_equal(M.forward_full(img, weights)[0], logits)
+        c, h, w = features.shape
+        for q in (4, 8):
+            assert metrics.bits_per_image("split", cfg, q) == c * h * w * q + codec.payload_header_bits(c)
 
 
 class TestMacCount:

@@ -376,31 +376,31 @@ class TestPooling:
     def test_single_bin_is_global_mean(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(3, 6, 6)).astype(np.float32)
-        out = T.adaptive_avg_pool(x, 1)
+        out = T.avg_pool_to(x, 1, 1)
         np.testing.assert_allclose(out[:, 0, 0], x.mean(axis=(1, 2)), rtol=1e-6)
 
     def test_quadrant_means(self):
         a, b, c, d = 1.0, 2.0, -3.0, 4.5
         x = np.zeros((1, 4, 4), dtype=np.float32)
         x[0, :2, :2], x[0, :2, 2:], x[0, 2:, :2], x[0, 2:, 2:] = a, b, c, d
-        out = T.adaptive_avg_pool(x, 2)
+        out = T.avg_pool_to(x, 2, 2)
         assert out[0].tolist() == [[a, b], [c, d]]
 
     def test_matches_windowed_mean_oracle(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(1, 16, 16)).astype(np.float32)
-        out = T.adaptive_avg_pool(x, 3)
+        out = T.avg_pool_to(x, 3, 3)
         np.testing.assert_allclose(out, pool_oracle(x, 3), rtol=0, atol=1e-6)
 
     def test_identity_when_bins_equal_size(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(2, 5, 5)).astype(np.float32)
-        assert np.array_equal(T.adaptive_avg_pool(x, 5), x)
+        assert np.array_equal(T.avg_pool_to(x, 5, 5), x)
 
     def test_oversized_bins_rejected(self):
         x = np.ones((1, 4, 4), dtype=np.float32)
         with pytest.raises(ValueError, match="exceeds"):
-            T.adaptive_avg_pool(x, 5)
+            T.avg_pool_to(x, 5, 5)
 
     def test_rectangular_grid(self):
         rng = np.random.default_rng(9)
@@ -681,7 +681,7 @@ def test_all_ops_finite_on_random_inputs():
             T.conv2d(x, k, rng.normal(size=4), stride=1, padding=1),
             T.affine_norm(x, rng.normal(size=3), rng.normal(size=3)),
             T.relu(x),
-            T.adaptive_avg_pool(x, 4),
+            T.avg_pool_to(x, 4, 4),
             T.bilinear_resize(x, 5, 13),
             T.add(x, x),
             T.concat_channels([x, x]),
