@@ -19,6 +19,10 @@ def class_palette(num_classes: int) -> np.ndarray:
     return np.stack([r, g, b], axis=1).astype(np.uint8)
 
 
+# Bytes of one block of float64 noise in generate_synthetic.
+_NOISE_BLOCK_BYTES = 1 << 20
+
+
 def _paint_region(labels: np.ndarray, rng: np.random.Generator, num_classes: int) -> None:
     h, w = labels.shape
     cls = int(rng.integers(num_classes))
@@ -31,9 +35,12 @@ def _paint_region(labels: np.ndarray, rng: np.random.Generator, num_classes: int
         x0, x1 = max(cx - rx, 0), min(cx + rx, w)
         labels[y0:y1, x0:x1] = cls
     else:
-        yy, xx = np.ogrid[:h, :w]
+        # only the inclusive bounding box: a pixel ry away on the axis is inside
+        y0, y1 = max(cy - ry, 0), min(cy + ry + 1, h)
+        x0, x1 = max(cx - rx, 0), min(cx + rx + 1, w)
+        yy, xx = np.ogrid[y0:y1, x0:x1]
         mask = ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2 <= 1.0
-        labels[mask] = cls
+        labels[y0:y1, x0:x1][mask] = cls
 
 
 def generate_synthetic(
@@ -58,8 +65,18 @@ def generate_synthetic(
             _paint_region(labels, rng, num_classes)
         if np.unique(labels).size < 2:
             labels[: height // 4, : width // 4] = (background + 1) % num_classes
-        img = palette[labels].astype(np.float64) + rng.normal(0.0, noise_sigma, (height, width, 3))
-        raster = np.clip(np.rint(img), 0, 255).astype(np.uint8)
+        # the noisy image in blocks of rows, drawn in order from the one
+        # generator: the same normals as one draw of the full size, and the
+        # same values as clip(rint(palette[labels] + noise)) (a + b == b + a)
+        raster = np.empty((height, width, 3), dtype=np.uint8)
+        step = max(1, _NOISE_BLOCK_BYTES // (24 * width))
+        for r0 in range(0, height, step):
+            rows = slice(r0, r0 + step)
+            img = rng.normal(0.0, noise_sigma, raster[rows].shape)
+            img += palette[labels[rows]]
+            np.rint(img, out=img)
+            np.clip(img, 0, 255, out=img)
+            raster[rows] = img
         out.append((raster, SegmentationMap(labels)))
     return out
 

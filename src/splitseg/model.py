@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -25,6 +26,13 @@ import numpy as np
 
 from . import tensor_ops as T
 from .atomic import write_bytes_atomic, write_text_atomic
+
+
+def _integer(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -43,7 +51,15 @@ class ModelConfig:
     seed: int = 1234
 
     def __post_init__(self):
-        object.__setattr__(self, "ppm_bins", tuple(int(b) for b in self.ppm_bins))
+        # only real integers: a float, bool or string would be truncated,
+        # taken as 0/1, or fail far from here in the executor
+        for f in fields(self):
+            if f.name != "ppm_bins":
+                object.__setattr__(self, f.name, _integer(f.name, getattr(self, f.name)))
+        bins = self.ppm_bins
+        if isinstance(bins, (str, bytes)) or not hasattr(bins, "__iter__"):
+            raise ValueError(f"ppm_bins must be a sequence of integers, got {bins!r}")
+        object.__setattr__(self, "ppm_bins", tuple(_integer("ppm_bins entry", b) for b in bins))
         if self.input_height % 64 or self.input_width % 64:
             raise ValueError(
                 f"input dims must be divisible by 64, got {self.input_height}x{self.input_width}"
@@ -270,10 +286,11 @@ def _unit(weights: WeightSet, name: str, x, act: bool = True) -> np.ndarray:
     plan = _plans(weights.config)[name]
     p = weights.params
     out = T.conv2d(x, p[name + ".kernel"], p[name + ".bias"], stride=plan.stride, padding=plan.k // 2)
+    # the conv output is fresh and ours: the epilogue runs on it in place
     if plan.affine:
-        out = T.affine_norm(out, p[name + ".scale"], p[name + ".shift"])
+        T.affine_norm(out, p[name + ".scale"], p[name + ".shift"], out=out)
     if act:
-        out = T.relu(out)
+        T.relu(out, out=out)
     return out
 
 
@@ -290,7 +307,7 @@ def _block(weights: WeightSet, prefix: str, x, units: tuple[str, ...]) -> np.nda
     skip = x
     if prefix + ".proj" in _plans(weights.config):
         skip = _unit(weights, prefix + ".proj", x, act=False)
-    return T.relu(T.add(y, skip))
+    return T.relu(T.add(y, skip, out=y), out=y)  # y is the fresh output of a unit
 
 
 def _branches(weights: WeightSet, s: int, pid) -> tuple:
@@ -298,7 +315,7 @@ def _branches(weights: WeightSet, s: int, pid) -> tuple:
     compensation features resized and added onto the detail branch."""
     p, i, d = (_block(weights, f"s{s}.{b}", t, _RB) for b, t in zip("pid", pid))
     comp = _unit(weights, f"s{s}.comp", i, act=False)
-    return T.add(p, T.bilinear_resize(comp, p.shape[1], p.shape[2])), i, d
+    return T.add(p, T.bilinear_resize(comp, p.shape[1], p.shape[2]), out=p), i, d
 
 
 def _fuse(weights: WeightSet, pid) -> np.ndarray:
@@ -364,16 +381,16 @@ def forward_transmitter(image, weights: WeightSet) -> np.ndarray:
 
 
 def forward_receiver(features, weights: WeightSet) -> tuple[np.ndarray, SegmentationMap]:
-    """Run the stages after SPLIT_BOUNDARY and resize to the input; returns the
-    full-resolution logits and labels (argmax ties go to the lowest class)."""
+    """Run the stages after SPLIT_BOUNDARY; returns the head's 1/8-scale
+    logits and the labels of their bilinear resize to the input size (argmax
+    ties go to the lowest class). The full-resolution logits are never built."""
     cfg = weights.config
     cut = describe(cfg)[SPLIT_BOUNDARY]
     x = np.asarray(features, dtype=np.float32)
     if x.shape != (cut.out_channels, cut.out_h, cut.out_w):
         raise ValueError(f"feature shape {x.shape} != ({cut.out_channels}, {cut.out_h}, {cut.out_w})")
     y = _forward(x, weights, SPLIT_BOUNDARY + 1, TOTAL_STAGES)
-    logits = T.bilinear_resize(y, cfg.input_height, cfg.input_width)
-    return logits, SegmentationMap(T.argmax_channels(logits))
+    return y, SegmentationMap(T.resize_argmax(y, cfg.input_height, cfg.input_width))
 
 
 def forward_full(image, weights: WeightSet) -> tuple[np.ndarray, SegmentationMap]:

@@ -2,8 +2,8 @@
 
 A tensor is a (channels, height, width) float32 ndarray in channel-major,
 row-major layout. Every operation here is a pure function: no argument is
-mutated and repeated calls on identical inputs give bitwise-identical
-outputs.
+mutated except an explicit `out`, and repeated calls on identical inputs
+give bitwise-identical outputs.
 """
 
 from __future__ import annotations
@@ -81,22 +81,26 @@ def conv2d(x, kernels, bias, stride: int = 1, padding: int = 0) -> np.ndarray:
                 np.dot(w[:, :, dy, dx], patch.reshape(in_ch, -1), out=prod)
                 acc += prod.reshape(acc.shape)
     else:
-        # Larger layer: balanced row chunks; each tap's operand is a flat view
-        # of a stride-phase image, whose row stride np.matmul hands to sgemm
-        # (np.dot would copy it). The `reach` extra columns of each row are
-        # computed and dropped.
+        # Larger layer: balanced row chunks. Per chunk, one reused slab holds
+        # the rows of the stride-phase images that the chunk's taps read; each
+        # tap's operand is a flat view of it, whose row stride np.matmul hands
+        # to sgemm (np.dot would copy it). The `reach` extra columns of each
+        # row are computed and dropped.
         wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))  # (k, k, out_ch, in_ch)
-        phases = _phase_images(x, k, stride, padding, out_h + reach, pitch)
-        flat = phases.reshape(*phases.shape[:3], -1)
         bounds = [out_h * i // chunks for i in range(chunks + 1)]
-        buf = np.empty(out_ch * -(-out_h // chunks) * pitch, dtype=np.float32)
+        most = -(-out_h // chunks)
+        m = min(k, stride)
+        slab = np.zeros((m, m, in_ch, most + reach + 1, pitch), dtype=np.float32)
+        flat = slab.reshape(m, m, in_ch, -1)
+        buf = np.empty(out_ch * most * pitch, dtype=np.float32)
         for r0, r1 in zip(bounds, bounds[1:]):
+            _fill_phase_slab(slab, x, stride, padding, r0, r1 - r0 + reach)
             n = (r1 - r0) * pitch
             prod = buf[:out_ch * n].reshape(out_ch, n)
             dst = acc[:, r0:r1]
             for dy in range(k):
                 for dx in range(k):
-                    start = (r0 + dy // stride) * pitch + dx // stride
+                    start = (dy // stride) * pitch + dx // stride
                     np.matmul(wt[dy, dx], flat[dy % stride, dx % stride, :, start:start + n], out=prod)
                     dst += prod.reshape(out_ch, r1 - r0, pitch)[:, :, :out_w]
     acc += b[:, None, None]
@@ -109,39 +113,51 @@ def conv2d(x, kernels, bias, stride: int = 1, padding: int = 0) -> np.ndarray:
 # (M*N*K <= 1e6 on SkylakeX) rounds some columns by call width once K >= 32;
 # there a 1 MiB product is past that size, in the packed kernel, where a
 # column's value does not depend on the call width. bilinear_resize's second
-# pass and argmax_channels work on blocks of at most this many bytes across
-# all channels.
+# pass, resize_argmax and argmax_channels work on blocks of at most this many
+# bytes across all channels.
 _BLOCK_BYTES = 2 << 20
 
 
-def _phase_images(x: np.ndarray, k: int, stride: int, padding: int, rows: int, cols: int) -> np.ndarray:
-    """The stride-phase images of zero-padded `x` that a k x k kernel reads.
+def _fill_phase_slab(slab: np.ndarray, x: np.ndarray, stride: int, padding: int, row0: int, rows: int) -> None:
+    """Write rows row0..row0+rows-1 of the stride-phase images of zero-padded
+    `x` into `slab`, of shape (m, m, c, more than rows, cols).
 
-    Phase (py, px), for py, px < min(k, stride), holds padded pixel
-    (i*stride + py, j*stride + px) at (i, j) for i < rows, j < cols, plus
-    one zero row so that a flat window may run past its last row.
+    Phase (py, px) holds padded pixel (i*stride + py, j*stride + px) at slab
+    row i - row0, column j. Slab rows that hold no input pixel, from row
+    `rows` on included, are zeroed here, so a flat window may run past the
+    last row; columns that hold none are never written and must be zero.
     """
-    c, h, w = x.shape
-    m = min(k, stride)
-    out = np.zeros((m, m, c, rows + 1, cols), dtype=np.float32)
+    _, h, w = x.shape
+    m, cols = slab.shape[0], slab.shape[4]
 
-    def span(phase, size, n):
-        # phase indices inside the unpadded input, and the source slice
-        lo = max(0, -(-(padding - phase) // stride))
-        count = max(0, min(n, (size - 1 + padding - phase) // stride + 1) - lo)
-        start = lo * stride + phase - padding
-        return slice(lo, lo + count), slice(start, start + count * stride, stride)
+    def span(phase, size, first, n):
+        # slab indices [lo, hi) inside the unpadded input, and the source slice
+        lo = max(first, -(-(padding - phase) // stride))
+        hi = max(lo, min(first + n, (size - 1 + padding - phase) // stride + 1))
+        src = lo * stride + phase - padding
+        return lo - first, hi - first, slice(src, src + (hi - lo) * stride, stride)
 
     for py in range(m):
-        dst_r, src_r = span(py, h, rows)
+        lo, hi, src_r = span(py, h, row0, rows)
         for px in range(m):
-            dst_c, src_c = span(px, w, cols)
-            out[py, px, :, dst_r, dst_c] = x[:, src_r, src_c]
-    return out
+            c_lo, c_hi, src_c = span(px, w, 0, cols)
+            phase = slab[py, px]
+            phase[:, :lo] = 0.0
+            phase[:, lo:hi, c_lo:c_hi] = x[:, src_r, src_c]
+            phase[:, hi:] = 0.0
 
 
-def affine_norm(x, scale, shift) -> np.ndarray:
-    """Per-channel affine map out[c] = scale[c] * x[c] + shift[c]."""
+def _check_out(out, shape) -> None:
+    """`out`, when given, must be a float32 array of the result's shape; it
+    may be an input itself, as every op that takes it is elementwise."""
+    if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.float32
+                                and out.shape == shape):
+        raise ValueError(f"out must be a float32 array of shape {shape}")
+
+
+def affine_norm(x, scale, shift, out=None) -> np.ndarray:
+    """Per-channel affine map out[c] = scale[c] * x[c] + shift[c], written
+    into `out` when given (which may be `x`)."""
     x = as_tensor(x)
     s = np.asarray(scale, dtype=np.float32).reshape(-1)
     t = np.asarray(shift, dtype=np.float32).reshape(-1)
@@ -149,14 +165,17 @@ def affine_norm(x, scale, shift) -> np.ndarray:
         raise ValueError(
             f"scale/shift length ({s.size}/{t.size}) must equal channel count {x.shape[0]}"
         )
-    out = x * s[:, None, None]
+    _check_out(out, x.shape)
+    out = np.multiply(x, s[:, None, None], out=out)
     out += t[:, None, None]  # same two float32 roundings as x * s + t
     return out
 
 
-def relu(x) -> np.ndarray:
+def relu(x, out=None) -> np.ndarray:
+    """max(x, 0), written into `out` when given (which may be `x`)."""
     x = as_tensor(x)
-    return np.maximum(x, np.float32(0.0))
+    _check_out(out, x.shape)
+    return np.maximum(x, np.float32(0.0), out=out)
 
 
 def avg_pool_to(x, out_h: int, out_w: int) -> np.ndarray:
@@ -185,6 +204,39 @@ def bilinear_resize(x, out_h: int, out_w: int) -> np.ndarray:
     clamped to [0, in - 1].
     """
     x = as_tensor(x)
+    lerp_rows, step = _row_lerp(x, out_h, out_w)
+    out = np.empty((x.shape[0], out_h, out_w), dtype=np.float32)
+    for r0 in range(0, out_h, step):
+        r = slice(r0, r0 + step)
+        lerp_rows(r, out[:, r])
+    return out
+
+
+def resize_argmax(x, out_h: int, out_w: int) -> np.ndarray:
+    """argmax_channels(bilinear_resize(x, out_h, out_w)), bit for bit, as
+    int32 (out_h, out_w) labels. Each block of output rows is resized into
+    one reused buffer and reduced to labels, so the resized array never
+    exists whole."""
+    x = as_tensor(x)
+    c = x.shape[0]
+    lerp_rows, step = _row_lerp(x, out_h, out_w)
+    labels = np.zeros((out_h, out_w), dtype=np.int32)
+    buf = np.empty((c, min(step, out_h), out_w), dtype=np.float32)
+    for r0 in range(0, out_h, step):
+        r = slice(r0, min(r0 + step, out_h))
+        block = buf[:, :r.stop - r0]
+        lerp_rows(r, block)
+        _argmax_into(block.reshape(c, -1), labels[r].reshape(-1))
+    return labels
+
+
+def _row_lerp(x: np.ndarray, out_h: int, out_w: int):
+    """First pass of bilinear resizing, then a function for the second.
+
+    Returns (lerp_rows, step): lerp_rows(r, top) writes output rows `r`
+    (a slice) of every channel into `top`, and `step` is the number of
+    output rows per block, at most _BLOCK_BYTES across all channels.
+    """
     if out_h < 1 or out_w < 1:
         raise ValueError(f"output size must be positive, got {out_h}x{out_w}")
     c, h, w = x.shape
@@ -205,20 +257,17 @@ def bilinear_resize(x, out_h: int, out_w: int) -> np.ndarray:
     right *= wx
     rows += right
     del right
+
     # the second pass runs over blocks of output rows, so its `bot`
     # temporary is one block rather than a second output-sized array
-    out = np.empty((c, out_h, out_w), dtype=np.float32)
-    step = max(1, _BLOCK_BYTES // (4 * c * out_w))
-    for r0 in range(0, out_h, step):
-        r = slice(r0, r0 + step)
-        top = out[:, r]
+    def lerp_rows(r: slice, top: np.ndarray) -> None:
         np.take(rows, y0[r], axis=1, out=top)
         bot = np.take(rows, y1[r], axis=1)
         bot -= top
         bot *= wy[:, r]
         top += bot  # lerp form keeps constant inputs exactly constant
-        del bot  # before the next block's gather allocates its own
-    return out
+
+    return lerp_rows, max(1, _BLOCK_BYTES // (4 * c * out_w))
 
 
 def argmax_channels(x) -> np.ndarray:
@@ -236,26 +285,33 @@ def argmax_channels(x) -> np.ndarray:
     step = max(1, _BLOCK_BYTES // (4 * c))
     for p0 in range(0, flat.shape[1], step):
         p = slice(p0, p0 + step)
-        lab = labels[p]
-        best = flat[0, p].copy()
-        greater = np.empty(best.shape, dtype=bool)
-        for ch in range(1, c):
-            v = flat[ch, p]
-            np.greater(v, best, out=greater)  # strict: a tie keeps the first maximum
-            np.copyto(lab, ch, where=greater)
-            np.maximum(best, v, out=best)  # propagates NaN, which flags the pixel
-        nan = np.flatnonzero(np.isnan(best, out=greater))
-        if nan.size:
-            lab[nan] = np.argmax(flat[:, p][:, nan], axis=0)
+        _argmax_into(flat[:, p], labels[p])
     return labels.reshape(x.shape[1:])
 
 
-def add(a, b) -> np.ndarray:
+def _argmax_into(flat: np.ndarray, lab: np.ndarray) -> None:
+    """Set zeroed int32 `lab` (pixels,) to the first-maximum row of `flat`
+    (channels, pixels), NaN counting as the largest value."""
+    best = flat[0].copy()
+    greater = np.empty(best.shape, dtype=bool)
+    for ch in range(1, flat.shape[0]):
+        v = flat[ch]
+        np.greater(v, best, out=greater)  # strict: a tie keeps the first maximum
+        np.copyto(lab, ch, where=greater)
+        np.maximum(best, v, out=best)  # propagates NaN, which flags the pixel
+    nan = np.flatnonzero(np.isnan(best, out=greater))
+    if nan.size:
+        lab[nan] = np.argmax(flat[:, nan], axis=0)
+
+
+def add(a, b, out=None) -> np.ndarray:
+    """a + b, written into `out` when given (which may be `a` or `b`)."""
     a = as_tensor(a)
     b = as_tensor(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch in add: {a.shape} vs {b.shape}")
-    return a + b
+    _check_out(out, a.shape)
+    return np.add(a, b, out=out)
 
 
 def concat_channels(parts) -> np.ndarray:

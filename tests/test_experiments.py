@@ -1,6 +1,7 @@
 """Pipeline, sweep, dataset, CSV, and plot tests on small fast configs."""
 
 import json
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -28,7 +29,81 @@ def noiseless(mod=phy.QPSK, seed=1):
     return ChannelConfig(mod, 100.0, seed=seed)
 
 
+def full_grid_paint_region(labels, rng, num_classes):
+    """dataio._paint_region with the ellipse test over the whole (H, W) grid."""
+    h, w = labels.shape
+    cls = int(rng.integers(num_classes))
+    cy = int(rng.integers(h))
+    cx = int(rng.integers(w))
+    ry = int(rng.integers(max(h // 8, 2), max(h // 3, h // 8 + 1)))
+    rx = int(rng.integers(max(w // 8, 2), max(w // 3, w // 8 + 1)))
+    if rng.integers(2) == 0:
+        y0, y1 = max(cy - ry, 0), min(cy + ry, h)
+        x0, x1 = max(cx - rx, 0), min(cx + rx, w)
+        labels[y0:y1, x0:x1] = cls
+    else:
+        yy, xx = np.ogrid[:h, :w]
+        mask = ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2 <= 1.0
+        labels[mask] = cls
+
+
+def one_shot_synthetic(n, num_classes, height, width, seed, noise_sigma=8.0):
+    """generate_synthetic with full-grid ellipses and the noise of each image
+    drawn, added, rounded and clipped in one piece: the bitwise oracle."""
+    palette = dataio.class_palette(num_classes)
+    out = []
+    for i in range(n):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0, i))))
+        background = int(rng.integers(num_classes))
+        labels = np.full((height, width), background, dtype=np.int32)
+        for _ in range(int(rng.integers(3, 9))):
+            full_grid_paint_region(labels, rng, num_classes)
+        if np.unique(labels).size < 2:
+            labels[: height // 4, : width // 4] = (background + 1) % num_classes
+        img = palette[labels].astype(np.float64) + rng.normal(0.0, noise_sigma, (height, width, 3))
+        out.append((np.clip(np.rint(img), 0, 255).astype(np.uint8), labels))
+    return out
+
+
 class TestSyntheticData:
+    @pytest.mark.parametrize("shape", [(9, 9), (9, 40), (31, 12), (64, 64), (128, 96)])
+    def test_regions_match_the_full_grid_oracle(self, shape):
+        for seed in range(60):
+            a = np.zeros(shape, dtype=np.int32)
+            b = a.copy()
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(6):
+                dataio._paint_region(a, rng_a, 7)
+                full_grid_paint_region(b, rng_b, 7)
+            assert np.array_equal(a, b), (shape, seed)
+
+    @pytest.mark.parametrize("n,k,h,w,seed,block_bytes", [
+        (3, 5, 64, 64, 3, None),
+        (2, 19, 100, 1024, 8, None),  # blocks of 42 rows, partial last block
+        (4, 6, 37, 29, 12, 24 * 29 * 5),  # blocks of 5 rows, partial last block
+        (2, 4, 9, 9, 1, 1),  # blocks of one row
+    ])
+    def test_matches_one_shot_oracle(self, monkeypatch, n, k, h, w, seed, block_bytes):
+        if block_bytes is not None:
+            monkeypatch.setattr(dataio, "_NOISE_BLOCK_BYTES", block_bytes)
+        pairs = dataio.generate_synthetic(n, k, h, w, seed)
+        for (raster, seg), (want_raster, want_labels) in zip(pairs, one_shot_synthetic(n, k, h, w, seed)):
+            assert raster.dtype == np.uint8 and np.array_equal(raster, want_raster)
+            assert np.array_equal(seg.labels, want_labels)
+
+    def test_full_scale_peak_memory(self):
+        # labels, raster, np.unique's sorted copy and one noise block; the
+        # one-shot form held several 24 MiB float64 images
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            dataio.generate_synthetic(1, 19, 1024, 1024, seed=4)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 << 20
+
     def test_labels_in_range_and_two_classes(self):
         pairs = dataio.generate_synthetic(8, 5, 64, 64, seed=3)
         for raster, seg in pairs:

@@ -24,6 +24,23 @@ def random_image(cfg, seed=0):
     return rng.random((3, cfg.input_height, cfg.input_width), dtype=np.float32)
 
 
+@pytest.fixture(scope="module")
+def full_scale_weights():
+    return M.build(ModelConfig.full_scale())
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees allocated while fn runs, its result included."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 class TestConfig:
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError, match="divisible by 64"):
@@ -48,6 +65,32 @@ class TestConfig:
     def test_dict_round_trip(self):
         cfg = ModelConfig.full_scale(seed=99)
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("field,value", [
+        ("input_height", 256.0), ("input_width", "256"), ("base_channels", 16.0),
+        ("feature_channels", True), ("num_classes", 8.5), ("num_classes", None),
+        ("seed", True), ("seed", 1234.0), ("seed", np.float64(7.0)), ("seed", np.bool_(True)),
+    ])
+    def test_integer_fields_reject_other_types(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ModelConfig(**{field: value})
+
+    @pytest.mark.parametrize("bins", [(1.7, 2.2), (1, 2.0), (True, 2), ("1", "2")])
+    def test_ppm_bins_entries_must_be_integers(self, bins):
+        with pytest.raises(ValueError, match="ppm_bins entry must be an integer"):
+            ModelConfig(ppm_bins=bins)
+
+    @pytest.mark.parametrize("bins", ["12", 3, None])
+    def test_ppm_bins_must_be_a_sequence(self, bins):
+        with pytest.raises(ValueError, match="ppm_bins must be a sequence of integers"):
+            ModelConfig(ppm_bins=bins)
+
+    def test_numpy_integers_are_stored_as_int(self):
+        cfg = ModelConfig(input_height=np.int64(128), input_width=np.uint16(128),
+                          ppm_bins=[np.int32(1), np.int64(2)], seed=np.uint64(2 ** 64 - 1))
+        values = [getattr(cfg, f) for f in ("input_height", "input_width", "seed")] + list(cfg.ppm_bins)
+        assert all(type(v) is int for v in values)
+        assert ModelConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 class TestBuild:
@@ -168,31 +211,35 @@ class TestForward:
         assert np.all(seg.labels == 0)
 
     def test_receiver_labels_are_numpy_argmax_of_logits(self):
+        # the labels are numpy's argmax of the 1/8-scale head logits resized
+        # to the input size
         cfg = ModelConfig()
         weights = M.build(cfg)
         rng = np.random.default_rng(10)
         for _ in range(3):
             feats = rng.normal(size=(cfg.feature_channels, 4, 4)).astype(np.float32)
-            logits, seg = M.forward_receiver(feats, weights)
+            head, seg = M.forward_receiver(feats, weights)
+            assert head.shape == (cfg.num_classes, cfg.input_height // 8, cfg.input_width // 8)
             assert seg.labels.dtype == np.int32
+            logits = T.bilinear_resize(head, cfg.input_height, cfg.input_width)
             assert np.array_equal(seg.labels, np.argmax(logits, axis=0).astype(np.int32))
 
-    def test_full_scale_receiver_peak_memory(self):
-        # the returned logits and labels, the last resize's row lerp and two
-        # blocks: no second logits-sized array, no transposed copy for argmax
-        cfg = ModelConfig.full_scale()
-        weights = M.build(cfg)
+    def test_full_scale_transmitter_peak_memory(self, full_scale_weights):
+        # s0.conv2 sets it: its 32 MiB input, 8 MiB output, one phase slab
+        # and one product buffer; the epilogues run in place
+        cfg = full_scale_weights.config
+        image = random_image(cfg, 12)
+        peak = traced_peak(lambda: M.forward_transmitter(image, full_scale_weights))
+        assert peak <= 56 << 20
+
+    def test_full_scale_receiver_peak_memory(self, full_scale_weights):
+        # s6.head1 sets it: its 32 MiB resized input, 8 MiB output, one phase
+        # slab and one product buffer; the final resize is reduced to labels
+        # block by block, so no full-resolution logits exist
+        cfg = full_scale_weights.config
         feats = np.random.default_rng(11).normal(size=(cfg.feature_channels, 16, 16)).astype(np.float32)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            logits, seg = M.forward_receiver(feats, weights)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        row_lerp = 4 * cfg.num_classes * (cfg.input_height // 8) * cfg.input_width
-        assert peak <= logits.nbytes + seg.labels.nbytes + row_lerp + 2 * T._BLOCK_BYTES
+        peak = traced_peak(lambda: M.forward_receiver(feats, full_scale_weights))
+        assert peak <= 60 << 20
 
     def test_full_equals_composition(self):
         cfg = tiny_config()
@@ -206,8 +253,8 @@ class TestForward:
 
     def test_full_output_dims_match_input(self):
         cfg = tiny_config()
-        logits, seg = M.forward_full(random_image(cfg), M.build(cfg))
-        assert logits.shape == (cfg.num_classes, cfg.input_height, cfg.input_width)
+        head, seg = M.forward_full(random_image(cfg), M.build(cfg))
+        assert head.shape == (cfg.num_classes, cfg.input_height // 8, cfg.input_width // 8)
         assert (seg.height, seg.width) == (cfg.input_height, cfg.input_width)
 
     def test_intermediate_resolutions_match_describe(self):
@@ -408,6 +455,18 @@ class TestWeightIO:
         manifest["params"].append({"name": "s9.bogus.kernel", "shape": [1], "offset": 0})
         mpath.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="unexpected entry"):
+            M.load_weights(tmp_path / "w")
+
+    @pytest.mark.parametrize("key,value", [
+        ("input_height", 128.0), ("seed", True), ("num_classes", "4"), ("ppm_bins", [1.0, 2.0]),
+    ])
+    def test_non_integer_config_is_corrupt(self, tmp_path, key, value):
+        M.save_weights(M.build(tiny_config()), tmp_path / "w")
+        mpath = tmp_path / "w.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["config"][key] = value
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=f"corrupt file: .*{key}"):
             M.load_weights(tmp_path / "w")
 
     def test_missing_files_reported(self, tmp_path):

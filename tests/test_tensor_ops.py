@@ -100,7 +100,8 @@ def gather4_resize(x, out_h, out_w):
 
 
 def model_resize_shapes(cfg):
-    """((channels, h, w), (out_h, out_w)) of every bilinear_resize in a forward pass."""
+    """((channels, h, w), (out_h, out_w)) of every bilinear resize in a forward
+    pass; the last, of the head logits to the input size, is `resize_argmax`'s."""
     plans = {p.name: p for p in model.layer_plan(cfg)}
     h64, w64 = cfg.input_height // 64, cfg.input_width // 64
 
@@ -231,6 +232,27 @@ def is_chunked(in_shape, out_ch, k, stride, padding):
     return k > 1 and min(out_ch, in_shape[0]) > 1 and out_h > 1 and product > T._BLOCK_BYTES
 
 
+def chunk_rows(in_shape, out_ch, k, stride, padding):
+    """The output row chunks [r0, r1) of a chunked conv2d, and its row pitch."""
+    _, h, w = in_shape
+    out_h = (h + 2 * padding - k) // stride + 1
+    pitch = (w + 2 * padding - k) // stride + 1 + (k - 1) // stride
+    chunks = min(out_h, -(-4 * out_ch * out_h * pitch // T._BLOCK_BYTES))
+    bounds = [out_h * i // chunks for i in range(chunks + 1)]
+    return list(zip(bounds, bounds[1:])), pitch
+
+
+def slab_pad_rows(in_shape, out_ch, k, stride, padding):
+    """Per chunk of a chunked conv2d: whether its phase slab holds padding
+    rows above the input and below it (the trailing zero row not counted)."""
+    reach = (k - 1) // stride
+    flags = []
+    for r0, r1 in chunk_rows(in_shape, out_ch, k, stride, padding)[0]:
+        padded = [i * stride + py for i in range(r0, r1 + reach) for py in range(min(k, stride))]
+        flags.append((min(padded) < padding, max(padded) >= padding + in_shape[1]))
+    return flags
+
+
 # in_shape, (out_ch, k), stride, padding; every entry names what it covers
 CONV_EDGE_CASES = [
     ((16, 131, 130), (32, 3), 1, 1),   # chunked, 131 rows do not split evenly into 2
@@ -256,6 +278,16 @@ CONV_EDGE_CASES = [
     ((100, 12, 10), (1, 3), 3, 1),     # a single output channel
     ((1, 12, 10), (5, 3), 1, 1),       # a single input channel
     ((1, 5, 5), (1, 3), 2, 1),         # a single channel on both sides
+]
+
+
+# chunked layers with few input rows and padding above k // 2, so that one
+# chunk's slab has padding rows above and below the input, one only above
+# and one only below; strides 1, 2 and 3
+SLAB_PAD_CASES = [
+    ((2, 3, 4000), (64, 5), 1, 4),
+    ((2, 3, 4000), (128, 5), 2, 6),
+    ((2, 3, 6000), (128, 7), 3, 9),
 ]
 
 
@@ -302,6 +334,50 @@ class TestConv2dExact:
         assert chunked[:7] == [True] * 7
         shape, (out_ch, k), stride, padding = CONV_EDGE_CASES[0]
         assert ((shape[1] + 2 * padding - k) // stride + 1) % 2 == 1
+
+    @pytest.mark.parametrize("in_shape,out,stride,padding", SLAB_PAD_CASES, ids=["s1", "s2", "s3"])
+    def test_matches_tensordot_where_a_slab_is_padded_above_and_below(self, in_shape, out, stride, padding):
+        out_ch, k = out
+        pads = slab_pad_rows(in_shape, out_ch, k, stride, padding)
+        assert is_chunked(in_shape, out_ch, k, stride, padding) and len(pads) > 1
+        assert (True, True) in pads and (True, False) in pads and (False, True) in pads
+        rng = np.random.default_rng(stride + 40)
+        x, kernels, bias = random_conv(rng, in_shape, (out_ch, in_shape[0], k, k))
+        assert_conv_matches_tensordot(x, kernels, bias, stride, padding)
+
+    @pytest.mark.parametrize("k,stride,padding", [(3, 1, 1), (5, 2, 4), (7, 3, 5)])
+    def test_phase_slab_does_not_depend_on_earlier_fills(self, k, stride, padding):
+        # conv2d fills one slab chunk after chunk; a fill must not keep any
+        # row of an earlier one, whatever rows that earlier fill wrote
+        x = np.random.default_rng(k).normal(size=(3, 7, 9)).astype(np.float32)
+        m, rows, cols = min(k, stride), 4, 6
+        total = (7 + 2 * padding - k) // stride + 1 + (k - 1) // stride  # phase rows conv2d reads
+
+        def filled(*row0s):
+            slab = np.zeros((m, m, 3, rows + 2, cols), dtype=np.float32)
+            for row0 in row0s:
+                T._fill_phase_slab(slab, x, stride, padding, row0, min(rows, total - row0))
+            return slab
+
+        for row0 in range(total):
+            for earlier in range(total):
+                assert_bitwise_equal(filled(earlier, row0), filled(row0))
+
+    def test_full_scale_peak_memory_is_output_one_slab_and_one_product(self):
+        # s0.conv2, the transmitter's largest conv: a whole-input set of phase
+        # images would be 34 MiB; one chunk's slab is under 7 MiB
+        p = {q.name: q for q in model.layer_plan(model.ModelConfig.full_scale())}["s0.conv2"]
+        in_shape = (p.cin, p.out_h * p.stride, p.out_w * p.stride)
+        x, kernels, bias = random_conv(np.random.default_rng(41), in_shape, (p.cout, p.cin, p.k, p.k))
+        assert is_chunked(in_shape, p.cout, p.k, p.stride, p.k // 2)
+        chunks, pitch = chunk_rows(in_shape, p.cout, p.k, p.stride, p.k // 2)
+        most = max(r1 - r0 for r0, r1 in chunks)
+        m, reach = min(p.k, p.stride), (p.k - 1) // p.stride
+        out_bytes = 4 * p.cout * p.out_h * p.out_w
+        slab_bytes = 4 * m * m * p.cin * (most + reach + 1) * pitch
+        product_bytes = 4 * p.cout * most * pitch
+        peak = traced_peak(lambda: T.conv2d(x, kernels, bias, stride=p.stride, padding=p.k // 2))
+        assert peak <= out_bytes + slab_bytes + product_bytes + kernels.nbytes + (64 << 10)
 
     @pytest.mark.parametrize("in_shape,out,stride,padding", [
         ((16, 131, 130), (32, 3), 1, 1), ((5, 14, 17), (7, 3), 2, 1),
@@ -359,6 +435,34 @@ class TestAffineRelu:
         with np.errstate(invalid="ignore", over="ignore"):
             expected = x * s[:, None, None] + t[:, None, None]
             assert_bitwise_equal(T.affine_norm(x, s, t), expected)
+
+    @pytest.mark.parametrize("op", ["affine_norm", "relu", "add"])
+    def test_out_in_place_matches_pure(self, op):
+        rng = np.random.default_rng(47)
+        x = rng.normal(size=(3, 6, 5)).astype(np.float32) * np.float32(1e3)
+        x[0, 0, :3] = [np.nan, -0.0, np.inf]
+        other = rng.normal(size=x.shape).astype(np.float32)
+        call = {
+            "affine_norm": lambda a, **kw: T.affine_norm(a, [1.5, -2.0, 0.3], [0.1, -0.0, 7.0], **kw),
+            "relu": lambda a, **kw: T.relu(a, **kw),
+            "add": lambda a, **kw: T.add(a, other, **kw),
+        }[op]
+        pure = call(x)
+        y = x.copy()
+        assert call(y, out=y) is y
+        assert_bitwise_equal(y, pure)
+        z = np.empty_like(x)
+        assert call(x, out=z) is z
+        assert_bitwise_equal(z, pure)
+
+    @pytest.mark.parametrize("out", [np.zeros((3, 6, 5)), np.zeros((3, 5, 6), np.float32), [0.0]],
+                             ids=["float64", "shape", "list"])
+    def test_out_must_be_a_float32_array_of_the_result_shape(self, out):
+        x = np.ones((3, 6, 5), np.float32)
+        for call in (lambda: T.affine_norm(x, [1, 1, 1], [0, 0, 0], out=out),
+                     lambda: T.relu(x, out=out), lambda: T.add(x, x, out=out)):
+            with pytest.raises(ValueError, match="out must be a float32 array"):
+                call()
 
     def test_affine_length_mismatch(self):
         x = np.ones((3, 2, 2), dtype=np.float32)
@@ -462,17 +566,23 @@ class TestBilinearResizeExact:
     def test_model_shape_list_is_complete(self, monkeypatch):
         cfg = model.ModelConfig()
         weights = model.build(cfg)
-        seen = []
-        resize = T.bilinear_resize
+        seen = {"bilinear_resize": [], "resize_argmax": []}
 
-        def recording(x, out_h, out_w):
-            seen.append((x.shape, (out_h, out_w)))
-            return resize(x, out_h, out_w)
+        def recorder(name):
+            fn = getattr(T, name)
 
-        monkeypatch.setattr(T, "bilinear_resize", recording)
+            def recording(x, out_h, out_w):
+                seen[name].append((x.shape, (out_h, out_w)))
+                return fn(x, out_h, out_w)
+            return recording
+
+        for name in seen:
+            monkeypatch.setattr(T, name, recorder(name))
         image = np.random.default_rng(17).random((3, cfg.input_height, cfg.input_width), dtype=np.float32)
         model.forward_full(image, weights)
-        assert sorted(seen) == sorted(model_resize_shapes(cfg))
+        shapes = model_resize_shapes(cfg)
+        assert sorted(seen["bilinear_resize"]) == sorted(shapes[:-1])
+        assert seen["resize_argmax"] == shapes[-1:]
 
     @pytest.mark.parametrize("cfg", [model.ModelConfig(), model.ModelConfig.full_scale()],
                              ids=["desk", "full_scale"])
@@ -623,6 +733,80 @@ class TestArgmaxChannels:
         before = x.copy()
         T.argmax_channels(x)
         assert np.array_equal(x, before, equal_nan=True)
+
+
+def assert_labels_match_resize_then_argmax(x, out_h, out_w, oracle_resize=T.bilinear_resize):
+    got = T.resize_argmax(x, out_h, out_w)
+    assert got.dtype == np.int32 and got.shape == (out_h, out_w)
+    assert np.array_equal(got, T.argmax_channels(oracle_resize(x, out_h, out_w)))
+
+
+class TestResizeArgmax:
+    @pytest.mark.parametrize("cfg", [model.ModelConfig(), model.ModelConfig.full_scale()],
+                             ids=["desk", "full_scale"])
+    def test_matches_oracle_on_model_shapes(self, cfg):
+        # at the real channel counts, which set the block step
+        rng = np.random.default_rng(cfg.input_height + 2)
+        for (c, h, w), (out_h, out_w) in model_resize_shapes(cfg):
+            x = rng.normal(size=(c, h, w)).astype(np.float32)
+            assert_labels_match_resize_then_argmax(x, out_h, out_w)
+
+    @pytest.mark.parametrize("shape,out_h,out_w", [
+        ((3, 4, 4), 8, 8), ((5, 17, 13), 5, 3), ((4, 1, 1), 7, 5), ((2, 6, 1), 3, 2),
+        ((19, 16, 16), 128, 128), ((1, 5, 7), 13, 11),
+    ])
+    def test_matches_gather_and_numpy_argmax(self, shape, out_h, out_w):
+        x = np.random.default_rng(sum(shape) + out_h).normal(size=shape).astype(np.float32)
+        got = T.resize_argmax(x, out_h, out_w)
+        assert np.array_equal(got, argmax_oracle(gather4_resize(x, out_h, out_w)))
+
+    def test_ties(self):
+        # few distinct values, so that whole regions of the resize tie
+        rng = np.random.default_rng(42)
+        x = rng.integers(-1, 2, size=(6, 7, 9)).astype(np.float32)
+        x[2:4, 3] = np.float32(-0.0)
+        x[:, 0] = 1.0
+        assert_labels_match_resize_then_argmax(x, 20, 31, gather4_resize)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_infinities_and_nan(self, seed):
+        rng = np.random.default_rng(43 + seed)
+        values = np.array([-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf, np.nan], dtype=np.float32)
+        x = values[rng.integers(values.size, size=(5, 6, 7))]
+        with np.errstate(invalid="ignore"):
+            assert_labels_match_resize_then_argmax(x, 17, 15, gather4_resize)
+
+    @pytest.mark.parametrize("shape,out_h,out_w,block_bytes", [
+        ((3, 5, 7), 13, 11, 1),  # blocks of one row
+        ((4, 6, 5), 9, 10, 4 * 4 * 10 * 4),  # blocks of 4 rows, partial last block
+        ((2, 3, 4), 8, 6, 4 * 2 * 6 * 8),  # one exact block
+    ])
+    def test_any_block_size(self, monkeypatch, shape, out_h, out_w, block_bytes):
+        x = np.random.default_rng(44).normal(size=shape).astype(np.float32)
+        x[0, 1, 1] = np.nan
+        monkeypatch.setattr(T, "_BLOCK_BYTES", block_bytes)
+        with np.errstate(invalid="ignore"):
+            assert_labels_match_resize_then_argmax(x, out_h, out_w, gather4_resize)
+
+    def test_peak_memory_is_labels_row_lerp_and_blocks(self):
+        # the row lerp and its temporary, then the labels, one block and its
+        # `bot`; never an output-sized float array
+        c, h, w, out_h, out_w = 19, 64, 64, 512, 512
+        x = np.random.default_rng(45).normal(size=(c, h, w)).astype(np.float32)
+        labels_bytes, row_lerp_bytes = 4 * out_h * out_w, 4 * c * h * out_w
+        peak = traced_peak(lambda: T.resize_argmax(x, out_h, out_w))
+        assert peak <= labels_bytes + 2 * row_lerp_bytes + 2 * T._BLOCK_BYTES + 64 * (out_h + out_w)
+        assert peak < 4 * c * out_h * out_w
+
+    def test_rejects_empty_output(self):
+        with pytest.raises(ValueError, match="output size must be positive"):
+            T.resize_argmax(np.ones((2, 3, 3), np.float32), 0, 4)
+
+    def test_input_not_mutated(self):
+        x = np.random.default_rng(46).normal(size=(3, 4, 6)).astype(np.float32)
+        before = x.copy()
+        T.resize_argmax(x, 9, 5)
+        assert np.array_equal(x, before)
 
 
 class TestAddConcat:
