@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import atomic, codec, dataio, metrics, model, phy
+from . import atomic, codec, dataio, metrics, model, phy, tensor_ops
 from .model import ModelConfig, SegmentationMap, WeightSet
 from .phy import ChannelConfig
 
@@ -103,7 +103,7 @@ class ExperimentSpec:
         if not (0 < self.frames_per_second < math.inf):
             raise ConfigError(f"frames_per_second must be positive and finite, got {self.frames_per_second}")
         if not (0 <= self.master_seed < 1 << 64):
-            raise ConfigError(f"master_seed must be a 64-bit unsigned integer")
+            raise ConfigError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}")
 
     def to_dict(self) -> dict:
         return {
@@ -328,6 +328,7 @@ _WORKER_CTX: _SweepContext | None = None
 
 def _init_worker(spec: ExperimentSpec) -> None:
     global _WORKER_CTX
+    tensor_ops.threads = 1  # the pool already runs one worker per core
     _WORKER_CTX = _build_context(spec)
 
 
@@ -370,7 +371,7 @@ def sweep(spec: ExperimentSpec, workers: int = 1) -> list[SweepResult]:
     else:
         chunk = max(len(keys) // (workers * 8), 1)
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(spec,)
+            max_workers=min(workers, len(keys)), initializer=_init_worker, initargs=(spec,)
         ) as pool:
             outcomes = dict(pool.map(_worker_trial, keys, chunksize=chunk))
 

@@ -4,11 +4,32 @@ A tensor is a (channels, height, width) float32 ndarray in channel-major,
 row-major layout. Every operation here is a pure function: no argument is
 mutated except an explicit `out`, and repeated calls on identical inputs
 give bitwise-identical outputs.
+
+Work that already runs in more than one block (a conv2d with more than one
+row chunk, a resize with more than one block of output rows) splits each
+chunk or block into balanced row parts, one per thread in `threads`, none
+smaller than _BLOCK_BYTES // 4. Every thread calls only numpy and BLAS,
+which release the GIL, and writes disjoint rows of buffers that the calling
+thread allocated, so memory is that of the one-thread form. All threads are
+joined before the call returns, so every function stays pure. The bits do
+not depend on the thread count: chunk bounds, block steps, tap order and
+accumulation are the same, a resize row is elementwise, and a conv part only
+narrows an sgemm call that stays in OpenBLAS's packed kernel, where a
+column's value does not depend on the call width. Work within one block,
+which is every desk-scale layer, starts no thread.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
+
 import numpy as np
+
+# Threads a split chunk or block runs on: the cores this process may run on.
+# A process-pool worker sets it to 1, so that a pool uses one core per worker.
+threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def as_tensor(data) -> np.ndarray:
@@ -85,7 +106,8 @@ def conv2d(x, kernels, bias, stride: int = 1, padding: int = 0) -> np.ndarray:
         # the rows of the stride-phase images that the chunk's taps read; each
         # tap's operand is a flat view of it, whose row stride np.matmul hands
         # to sgemm (np.dot would copy it). The `reach` extra columns of each
-        # row are computed and dropped.
+        # row are computed and dropped. A chunk's rows are cut into row parts,
+        # one per thread, each with its own stretch of the product buffer.
         wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))  # (k, k, out_ch, in_ch)
         bounds = [out_h * i // chunks for i in range(chunks + 1)]
         most = -(-out_h // chunks)
@@ -95,14 +117,20 @@ def conv2d(x, kernels, bias, stride: int = 1, padding: int = 0) -> np.ndarray:
         buf = np.empty(out_ch * most * pitch, dtype=np.float32)
         for r0, r1 in zip(bounds, bounds[1:]):
             _fill_phase_slab(slab, x, stride, padding, r0, r1 - r0 + reach)
-            n = (r1 - r0) * pitch
-            prod = buf[:out_ch * n].reshape(out_ch, n)
-            dst = acc[:, r0:r1]
-            for dy in range(k):
-                for dx in range(k):
-                    start = (dy // stride) * pitch + dx // stride
-                    np.matmul(wt[dy, dx], flat[dy % stride, dx % stride, :, start:start + n], out=prod)
-                    dst += prod.reshape(out_ch, r1 - r0, pitch)[:, :, :out_w]
+            parts = _row_parts(r1 - r0, 4 * out_ch * pitch)
+
+            def taps(t: int) -> None:
+                a, z = parts[t]  # rows of this chunk
+                n = (z - a) * pitch
+                prod = buf[out_ch * a * pitch:out_ch * z * pitch].reshape(out_ch, n)
+                dst = acc[:, r0 + a:r0 + z]
+                for dy in range(k):
+                    for dx in range(k):
+                        start = (dy // stride + a) * pitch + dx // stride
+                        np.matmul(wt[dy, dx], flat[dy % stride, dx % stride, :, start:start + n], out=prod)
+                        dst += prod.reshape(out_ch, z - a, pitch)[:, :, :out_w]
+
+            _on_threads(taps, len(parts))
     acc += b[:, None, None]
     return acc
 
@@ -116,6 +144,44 @@ def conv2d(x, kernels, bias, stride: int = 1, padding: int = 0) -> np.ndarray:
 # pass, resize_argmax and argmax_channels work on blocks of at most this many
 # bytes across all channels.
 _BLOCK_BYTES = 2 << 20
+
+
+def _row_parts(rows: int, row_bytes: int) -> list[tuple[int, int]]:
+    """Balanced parts [a, z) of `rows` rows of `row_bytes` bytes each: one
+    per thread, but fewer where a part would hold under _BLOCK_BYTES // 4.
+    That floor keeps a conv part's sgemm call past the small-matrix kernel
+    wherever that kernel's rounding depends on the call width (K >= 32 makes
+    M*N*K over 4e6), and makes a part worth a thread's start-up."""
+    n = min(threads, rows)
+    while n > 1 and rows // n * row_bytes < _BLOCK_BYTES // 4:
+        n -= 1
+    cuts = [rows * i // n for i in range(n + 1)]
+    return list(zip(cuts, cuts[1:]))
+
+
+def _on_threads(fn, n: int) -> None:
+    """Run fn(0) on this thread and fn(1), ..., fn(n - 1) on a new thread
+    each, in a copy of this thread's context (numpy's errstate lives there).
+    All are joined before return; an exception raised by any of them is
+    raised here, the caller's own first."""
+    errors = []
+
+    def run(t):
+        try:
+            fn(t)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    others = [threading.Thread(target=contextvars.copy_context().run, args=(run, t)) for t in range(1, n)]
+    for th in others:
+        th.start()
+    try:
+        fn(0)
+    finally:
+        for th in others:
+            th.join()
+    if errors:
+        raise errors[0]
 
 
 def _fill_phase_slab(slab: np.ndarray, x: np.ndarray, stride: int, padding: int, row0: int, rows: int) -> None:
@@ -204,11 +270,16 @@ def bilinear_resize(x, out_h: int, out_w: int) -> np.ndarray:
     clamped to [0, in - 1].
     """
     x = as_tensor(x)
-    lerp_rows, step = _row_lerp(x, out_h, out_w)
+    gather, lerp_rows, blocks = _row_lerp(x, out_h, out_w)
     out = np.empty((x.shape[0], out_h, out_w), dtype=np.float32)
-    for r0 in range(0, out_h, step):
-        r = slice(r0, r0 + step)
-        lerp_rows(r, out[:, r])
+    gather(0, out_h, out)
+    bot = _block_buffer(x.shape[0], out_h, out_w)
+
+    def run(t: int) -> None:
+        for r0, r1, at in blocks[t]:
+            lerp_rows(r0, r1, out[:, r0:r1], bot(at, r1 - r0))
+
+    _on_threads(run, len(blocks))
     return out
 
 
@@ -219,23 +290,47 @@ def resize_argmax(x, out_h: int, out_w: int) -> np.ndarray:
     exists whole."""
     x = as_tensor(x)
     c = x.shape[0]
-    lerp_rows, step = _row_lerp(x, out_h, out_w)
+    gather, lerp_rows, blocks = _row_lerp(x, out_h, out_w)
     labels = np.zeros((out_h, out_w), dtype=np.int32)
-    buf = np.empty((c, min(step, out_h), out_w), dtype=np.float32)
-    for r0 in range(0, out_h, step):
-        r = slice(r0, min(r0 + step, out_h))
-        block = buf[:, :r.stop - r0]
-        lerp_rows(r, block)
-        _argmax_into(block.reshape(c, -1), labels[r].reshape(-1))
+    top, bot = _block_buffer(c, out_h, out_w), _block_buffer(c, out_h, out_w)
+
+    def run(t: int) -> None:
+        for r0, r1, at in blocks[t]:
+            block = top(at, r1 - r0)
+            gather(r0, r1, block)
+            scratch = bot(at, r1 - r0)
+            lerp_rows(r0, r1, block, scratch)
+            # done with `scratch`: its first channel holds the running maximum
+            _argmax_into(block.reshape(c, -1), labels[r0:r1].reshape(-1), scratch[0].reshape(-1))
+
+    _on_threads(run, len(blocks))
     return labels
 
 
-def _row_lerp(x: np.ndarray, out_h: int, out_w: int):
-    """First pass of bilinear resizing, then a function for the second.
+def _block_rows(c: int, out_w: int) -> int:
+    """Output rows per block of a resize: at most _BLOCK_BYTES across all
+    channels, and at least one."""
+    return max(1, _BLOCK_BYTES // (4 * c * out_w))
 
-    Returns (lerp_rows, step): lerp_rows(r, top) writes output rows `r`
-    (a slice) of every channel into `top`, and `step` is the number of
-    output rows per block, at most _BLOCK_BYTES across all channels.
+
+def _block_buffer(c: int, out_h: int, out_w: int):
+    """One block of output rows of every channel, as a function: rows(at, n)
+    is a C-contiguous (c, n, out_w) view of its rows at..at+n-1."""
+    flat = np.empty(c * min(_block_rows(c, out_w), out_h) * out_w, dtype=np.float32)
+    return lambda at, n: flat[c * at * out_w:c * (at + n) * out_w].reshape(c, n, out_w)
+
+
+def _row_lerp(x: np.ndarray, out_h: int, out_w: int):
+    """First pass of bilinear resizing, then functions for the second.
+
+    Returns (gather, lerp_rows, blocks). gather(r0, r1, top) writes, for
+    output rows r0..r1-1 of every channel, the first of the two row-lerped
+    rows they lerp between into C-contiguous `top`; lerp_rows(r0, r1, top,
+    bot) then lerps `top` toward the second rows in place, using C-contiguous
+    `bot` of the same shape as scratch. blocks[t] lists, for thread t, its
+    row part (r0, r1, at) of every block of _block_rows output rows: output
+    rows r0..r1-1, held at rows at.. of a one-block buffer. A resize within
+    one block has one thread.
     """
     if out_h < 1 or out_w < 1:
         raise ValueError(f"output size must be positive, got {out_h}x{out_w}")
@@ -258,16 +353,23 @@ def _row_lerp(x: np.ndarray, out_h: int, out_w: int):
     rows += right
     del right
 
-    # the second pass runs over blocks of output rows, so its `bot`
-    # temporary is one block rather than a second output-sized array
-    def lerp_rows(r: slice, top: np.ndarray) -> None:
-        np.take(rows, y0[r], axis=1, out=top)
-        bot = np.take(rows, y1[r], axis=1)
+    step = _block_rows(c, out_w)
+    cuts = [(0, step)] if step >= out_h else _row_parts(step, 4 * c * out_w)
+    blocks = [[(r0 + a, min(r0 + z, out_h), a) for r0 in range(0, out_h, step) if r0 + a < out_h]
+              for a, z in cuts]
+
+    # Every index is in range. With mode "clip" np.take writes straight into
+    # a C-contiguous `out`; with "raise" it would fill a copy of it first.
+    def gather(r0: int, r1: int, top: np.ndarray) -> None:
+        np.take(rows, y0[r0:r1], axis=1, out=top, mode="clip")
+
+    def lerp_rows(r0: int, r1: int, top: np.ndarray, bot: np.ndarray) -> None:
+        np.take(rows, y1[r0:r1], axis=1, out=bot, mode="clip")
         bot -= top
-        bot *= wy[:, r]
+        bot *= wy[:, r0:r1]
         top += bot  # lerp form keeps constant inputs exactly constant
 
-    return lerp_rows, max(1, _BLOCK_BYTES // (4 * c * out_w))
+    return gather, lerp_rows, blocks
 
 
 def argmax_channels(x) -> np.ndarray:
@@ -283,16 +385,18 @@ def argmax_channels(x) -> np.ndarray:
     flat = x.reshape(c, -1)
     labels = np.zeros(flat.shape[1], dtype=np.int32)
     step = max(1, _BLOCK_BYTES // (4 * c))
+    best = np.empty(min(step, flat.shape[1]), dtype=np.float32)
     for p0 in range(0, flat.shape[1], step):
         p = slice(p0, p0 + step)
-        _argmax_into(flat[:, p], labels[p])
+        _argmax_into(flat[:, p], labels[p], best[:labels[p].size])
     return labels.reshape(x.shape[1:])
 
 
-def _argmax_into(flat: np.ndarray, lab: np.ndarray) -> None:
+def _argmax_into(flat: np.ndarray, lab: np.ndarray, best: np.ndarray) -> None:
     """Set zeroed int32 `lab` (pixels,) to the first-maximum row of `flat`
-    (channels, pixels), NaN counting as the largest value."""
-    best = flat[0].copy()
+    (channels, pixels), NaN counting as the largest value; float32 `best`
+    (pixels,) is scratch for the running maximum."""
+    np.copyto(best, flat[0])
     greater = np.empty(best.shape, dtype=bool)
     for ch in range(1, flat.shape[0]):
         v = flat[ch]

@@ -173,6 +173,18 @@ def test_invalid_config_message_has_one_prefix(tmp_path, capsys, overrides):
     assert err.count("invalid config") == 1
 
 
+@pytest.mark.parametrize("section,key,value", [
+    (None, "master_seed", -1), (None, "master_seed", 2 ** 64), ("model", "seed", 2 ** 64),
+])
+def test_out_of_range_seed_is_named(tmp_path, capsys, section, key, value):
+    raw = json.loads(write_config(tmp_path).read_text())
+    (raw[section] if section else raw)[key] = value
+    cfg = write_config(tmp_path, **raw)
+    assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert f"seed must be a 64-bit unsigned integer, got {value}" in err
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_below_one_is_a_usage_error(tmp_path, capsys, workers):
     cfg = write_config(tmp_path)

@@ -1,13 +1,15 @@
 """Pipeline, sweep, dataset, CSV, and plot tests on small fast configs."""
 
 import json
+import multiprocessing
+import os
 import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from splitseg import codec, dataio, experiments as E, metrics, model as M, phy
+from splitseg import codec, dataio, experiments as E, metrics, model as M, phy, tensor_ops
 from splitseg.model import ModelConfig
 from splitseg.phy import ChannelConfig
 
@@ -262,6 +264,29 @@ def small_spec(**overrides):
 
 
 class TestSweep:
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="pool workers see the recording build only when forked")
+    def test_pool_builds_one_context_per_trial_at_most_with_one_thread_each(self, tmp_path, monkeypatch):
+        # each pool worker builds the weights and every reference, so a pool
+        # wider than the trial count only builds contexts no trial uses
+        log = tmp_path / "builds.txt"
+        build = E._build_context
+
+        def recording(spec):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {tensor_ops.threads}\n")
+            return build(spec)
+
+        monkeypatch.setattr(E, "_build_context", recording)
+        monkeypatch.setattr(tensor_ops, "threads", 4)
+        spec = small_spec(modulations=(phy.QPSK,), snr_db=(20.0,), pipelines=("split",))
+        E.sweep(spec, workers=6)
+        builds = [line.split() for line in log.read_text().splitlines()]
+        assert len(builds) == len({pid for pid, _ in builds}) == spec.num_images == 2
+        assert os.getpid() not in {int(pid) for pid, _ in builds}
+        assert {threads for _, threads in builds} == {"1"}
+        assert tensor_ops.threads == 4  # the caller's count is its own
+
     def test_row_and_result_counts(self):
         spec = small_spec(snr_db=(5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
                           pipelines=("split",), num_images=1)

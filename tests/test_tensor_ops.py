@@ -1,5 +1,9 @@
 """Tensor primitive tests against brute-force scalar oracles."""
 
+import os
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -808,6 +812,179 @@ class TestResizeArgmax:
         T.resize_argmax(x, 9, 5)
         assert np.array_equal(x, before)
 
+
+THREAD_COUNTS = (1, 2, 3, 4)
+
+
+@pytest.fixture
+def thread_parts(monkeypatch):
+    """The thread count of every `_on_threads` call from here on; each call
+    must leave no thread of its own running."""
+    seen = []
+    run = T._on_threads
+
+    def recording(fn, n):
+        before = threading.active_count()
+        run(fn, n)
+        assert threading.active_count() == before
+        seen.append(n)
+
+    monkeypatch.setattr(T, "_on_threads", recording)
+    return seen
+
+
+def gather4_resize_by_channels(x, out_h, out_w):
+    # the oracle a few channels at a time, so that its temporaries stay small
+    return np.concatenate([gather4_resize(x[c0:c0 + 8], out_h, out_w) for c0 in range(0, x.shape[0], 8)])
+
+
+class TestThreads:
+    """Results do not depend on `T.threads`; large work really runs on threads."""
+
+    def test_conv2d_on_full_scale_model_shapes(self, monkeypatch, thread_parts):
+        rng = np.random.default_rng(1031)
+        for in_shape, kernel_shape, stride, padding in model_conv_shapes(model.ModelConfig.full_scale()):
+            x, kernels, bias = random_conv(rng, in_shape, kernel_shape)
+            want = tensordot_conv2d(x, kernels, bias, stride, padding)
+            for n in THREAD_COUNTS:
+                monkeypatch.setattr(T, "threads", n)
+                thread_parts.clear()
+                assert_bitwise_equal(T.conv2d(x, kernels, bias, stride=stride, padding=padding), want)
+                assert max(thread_parts, default=1) <= n
+                if is_chunked(in_shape, kernel_shape[0], kernel_shape[2], stride, padding) and n > 1:
+                    assert max(thread_parts) > 1
+
+    @pytest.mark.parametrize("in_shape,out,stride,padding",
+                             [case for case in CONV_EDGE_CASES
+                              if is_chunked(case[0], case[1][0], case[1][1], case[2], case[3])] + SLAB_PAD_CASES)
+    def test_conv2d_on_chunked_edge_shapes(self, monkeypatch, thread_parts, in_shape, out, stride, padding):
+        out_ch, k = out
+        rng = np.random.default_rng(sum(in_shape) + out_ch * k + stride + padding)
+        x, kernels, bias = random_conv(rng, in_shape, (out_ch, in_shape[0], k, k))
+        want = tensordot_conv2d(x, kernels, bias, stride, padding)
+        for n in THREAD_COUNTS:
+            monkeypatch.setattr(T, "threads", n)
+            assert_bitwise_equal(T.conv2d(x, kernels, bias, stride=stride, padding=padding), want)
+        assert max(thread_parts) > 1
+
+    def test_bilinear_resize_on_full_scale_model_shapes(self, monkeypatch, thread_parts):
+        rng = np.random.default_rng(1032)
+        for (c, h, w), (out_h, out_w) in model_resize_shapes(model.ModelConfig.full_scale())[:-1]:
+            x = rng.normal(size=(c, h, w)).astype(np.float32)
+            want = gather4_resize_by_channels(x, out_h, out_w)
+            for n in THREAD_COUNTS:
+                monkeypatch.setattr(T, "threads", n)
+                assert_bitwise_equal(T.bilinear_resize(x, out_h, out_w), want)
+        assert max(thread_parts) > 1
+
+    @pytest.mark.parametrize("shape,out_h,out_w", [
+        ((19, 64, 64), 512, 512),  # 10 blocks of 53 rows, the last of 35
+        ((7, 900, 11), 700, 300),  # rows scaled down, so runs of one row; blocks of 249 rows, the last of 202
+    ])
+    def test_resize_on_blocked_shapes(self, monkeypatch, thread_parts, shape, out_h, out_w):
+        x = np.random.default_rng(out_h).normal(size=shape).astype(np.float32)
+        x[0, 1, 2], x[3, 4, 5] = np.nan, np.inf
+        with np.errstate(invalid="ignore"):
+            resized = gather4_resize_by_channels(x, out_h, out_w)
+        labels = argmax_oracle(resized)
+        for n in THREAD_COUNTS:
+            monkeypatch.setattr(T, "threads", n)
+            with np.errstate(invalid="ignore"):
+                assert_bitwise_equal(T.bilinear_resize(x, out_h, out_w), resized)
+                assert np.array_equal(T.resize_argmax(x, out_h, out_w), labels)
+        assert max(thread_parts) > 1
+
+    def test_resize_argmax_on_the_full_scale_head(self, monkeypatch, thread_parts):
+        (c, h, w), (out_h, out_w) = model_resize_shapes(model.ModelConfig.full_scale())[-1]
+        x = np.random.default_rng(1033).normal(size=(c, h, w)).astype(np.float32)
+        monkeypatch.setattr(T, "threads", 1)
+        want = T.argmax_channels(T.bilinear_resize(x, out_h, out_w))
+        for n in THREAD_COUNTS:
+            monkeypatch.setattr(T, "threads", n)
+            assert np.array_equal(T.resize_argmax(x, out_h, out_w), want)
+        assert max(thread_parts) > 1
+
+    def test_desk_scale_forward_starts_no_thread(self, monkeypatch, thread_parts):
+        cfg = model.ModelConfig()
+        weights = model.build(cfg)
+        image = np.random.default_rng(1034).random((3, cfg.input_height, cfg.input_width), dtype=np.float32)
+        monkeypatch.setattr(T, "threads", 4)
+        model.forward_full(image, weights)
+        assert thread_parts and set(thread_parts) == {1}
+
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_an_exception_on_any_thread_reaches_the_caller(self, failing):
+        before = threading.active_count()
+        done = []
+
+        def part(t):
+            if t == failing:
+                raise ValueError(f"part {t}")
+            time.sleep(0.05)  # still running when the failing part raises
+            done.append(t)
+
+        with pytest.raises(ValueError, match=f"part {failing}"):
+            T._on_threads(part, 3)
+        assert sorted(done) == [t for t in range(3) if t != failing]
+        assert threading.active_count() == before
+
+    def test_more_threads_than_cores_with_frequent_switches(self, monkeypatch, thread_parts):
+        # the threads write disjoint rows of shared buffers: an overlap or a
+        # lost write would change bits when they interleave finely
+        in_shape, (out_ch, k), stride, padding = CONV_EDGE_CASES[0]
+        x, kernels, bias = random_conv(np.random.default_rng(1035), in_shape, (out_ch, in_shape[0], k, k))
+        y = np.random.default_rng(1036).normal(size=(19, 64, 64)).astype(np.float32)
+        want = (tensordot_conv2d(x, kernels, bias, stride, padding), argmax_oracle(gather4_resize_by_channels(y, 512, 512)))
+        monkeypatch.setattr(T, "threads", 2 * (os.cpu_count() or 1) + 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert_bitwise_equal(T.conv2d(x, kernels, bias, stride=stride, padding=padding), want[0])
+                assert np.array_equal(T.resize_argmax(y, 512, 512), want[1])
+        finally:
+            sys.setswitchinterval(interval)
+        assert max(thread_parts) > 2
+
+    def test_threads_keep_the_callers_errstate(self):
+        seen = []
+        with np.errstate(invalid="raise", over="ignore"):
+            T._on_threads(lambda t: seen.append(np.geterr()["invalid"] + np.geterr()["over"]), 3)
+        assert seen == ["raiseignore"] * 3
+
+    @pytest.mark.parametrize("n", THREAD_COUNTS)
+    def test_row_parts_are_balanced_and_never_below_the_floor(self, monkeypatch, n):
+        monkeypatch.setattr(T, "threads", n)
+        floor = T._BLOCK_BYTES // 4
+        for rows in range(1, 70):
+            for row_bytes in (1, 4096, 19 * 1024 * 4, floor // 3, floor, 3 * floor):
+                parts = T._row_parts(rows, row_bytes)
+                assert [a for a, _ in parts] == [0] + [z for _, z in parts[:-1]] and parts[-1][1] == rows
+                sizes = [z - a for a, z in parts]
+                assert len(parts) <= n and max(sizes) - min(sizes) <= 1
+                if len(parts) > 1:
+                    assert min(sizes) * row_bytes >= floor
+                if len(parts) < min(n, rows):  # one more part would fall below the floor
+                    assert rows // (len(parts) + 1) * row_bytes < floor
+
+    @pytest.mark.parametrize("op", ["conv2d", "bilinear_resize", "resize_argmax"])
+    def test_peak_memory_does_not_grow_with_threads(self, monkeypatch, op):
+        # the threads share the caller's buffers; each may hold no more than
+        # the buffers of numpy's iterator (bufsize elements for each of three
+        # float32 operands) and its own bookkeeping
+        if op == "conv2d":
+            p = {q.name: q for q in model.layer_plan(model.ModelConfig.full_scale())}["s0.conv2"]
+            x, kernels, bias = random_conv(np.random.default_rng(42), (p.cin, 2 * p.out_h, 2 * p.out_w),
+                                           (p.cout, p.cin, p.k, p.k))
+            args, kwargs = (x, kernels, bias), {"stride": 2, "padding": 1}
+        else:
+            args, kwargs = (np.random.default_rng(43).normal(size=(19, 64, 64)).astype(np.float32), 512, 512), {}
+        peaks = {}
+        for n in THREAD_COUNTS:
+            monkeypatch.setattr(T, "threads", n)
+            peaks[n] = traced_peak(lambda: getattr(T, op)(*args, **kwargs))
+        for n in THREAD_COUNTS:
+            assert peaks[n] <= peaks[1] + (n - 1) * (12 * np.getbufsize() + (16 << 10))
 
 class TestAddConcat:
     def test_add_zeros(self):
