@@ -35,15 +35,10 @@ def _out_dir(args) -> Path:
     return d
 
 
-def _load_spec(args) -> experiments.ExperimentSpec:
+def _cmd_sweep(args) -> int:
     spec = experiments.load_spec(args.config)
     if args.seed is not None:
         spec = dataclasses.replace(spec, master_seed=args.seed)
-    return spec
-
-
-def _cmd_sweep(args) -> int:
-    spec = _load_spec(args)
     out = _out_dir(args)
     results = experiments.sweep(spec, workers=args.workers)
     for result in results:
@@ -57,7 +52,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    spec = _load_spec(args)
+    spec = experiments.load_spec(args.config)
     try:
         rate = metrics.rate_report(spec.model, spec.quant_bits, spec.frames_per_second)
         compute = metrics.compute_report(spec.model)
@@ -130,7 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="emit rate and compute reports as JSON")
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--out", default=None, help="also write report files and bar charts here")
-    p.add_argument("--seed", type=int, default=None, help="override the config master seed")
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("plot", help="render sweep CSVs to an SVG line chart")

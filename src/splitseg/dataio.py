@@ -19,7 +19,9 @@ def class_palette(num_classes: int) -> np.ndarray:
     return np.stack([r, g, b], axis=1).astype(np.uint8)
 
 
-# Bytes of one block of float64 noise in generate_synthetic.
+# Standard deviation of the Gaussian pixel noise in generate_synthetic, in
+# 8-bit levels, and the bytes of one block of its float64 noise.
+_NOISE_SIGMA = 8.0
 _NOISE_BLOCK_BYTES = 1 << 20
 
 
@@ -44,7 +46,7 @@ def _paint_region(labels: np.ndarray, rng: np.random.Generator, num_classes: int
 
 
 def generate_synthetic(
-    n: int, num_classes: int, height: int, width: int, seed: int, noise_sigma: float = 8.0,
+    n: int, num_classes: int, height: int, width: int, seed: int,
 ) -> list[tuple[np.ndarray, SegmentationMap]]:
     """Generate n (RGB raster, ground-truth map) pairs.
 
@@ -72,7 +74,7 @@ def generate_synthetic(
         step = max(1, _NOISE_BLOCK_BYTES // (24 * width))
         for r0 in range(0, height, step):
             rows = slice(r0, r0 + step)
-            img = rng.normal(0.0, noise_sigma, raster[rows].shape)
+            img = rng.normal(0.0, _NOISE_SIGMA, raster[rows].shape)
             img += palette[labels[rows]]
             np.rint(img, out=img)
             np.clip(img, 0, 255, out=img)

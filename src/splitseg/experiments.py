@@ -68,24 +68,17 @@ class ExperimentSpec:
         object.__setattr__(self, "modulations", tuple(self.modulations))
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
         object.__setattr__(self, "pipelines", tuple(self.pipelines))
-        for m in self.modulations:
-            if m not in phy.MODULATIONS:
-                raise ConfigError(f"unknown modulation {m!r}")
         if not self.modulations:
             raise ConfigError("modulations must be nonempty")
-        _reject_duplicates("modulations", self.modulations)
         if not self.snr_db:
             raise ConfigError("snr_db must be nonempty")
-        if not all(math.isfinite(s) for s in self.snr_db):
-            raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
-        for s in self.snr_db:
-            try:
-                phy.noise_power(s)
-            except OverflowError:
-                raise ConfigError(
-                    f"snr_db must be at least about -3082.5 dB, where the noise power "
-                    f"10**(-snr_db/10) overflows float64; got {s}"
-                ) from None
+        for m in self.modulations:
+            for s in self.snr_db:
+                try:
+                    ChannelConfig(m, s)  # the link's own modulation and SNR checks
+                except ValueError as exc:
+                    raise ConfigError(str(exc)) from None
+        _reject_duplicates("modulations", self.modulations)
         if any(a >= b for a, b in zip(self.snr_db, self.snr_db[1:])):
             raise ConfigError(f"snr_db must be strictly increasing, got {self.snr_db}")
         if not self.pipelines:

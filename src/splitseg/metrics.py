@@ -32,8 +32,6 @@ PIPELINES = tuple(p.name for p in PIPELINE_TABLE)
 # transmitter-compute reduction in ComputeReport.
 REFERENCE_TX_REDUCTION_PCT = 19.8
 
-ABSENT_CLASS_MODES = ("exclude", "one", "zero")
-
 
 def confusion(reference: SegmentationMap, predicted: SegmentationMap, num_classes: int) -> np.ndarray:
     """K x K count matrix; entry (g, p) counts pixels of true class g predicted p."""
@@ -49,16 +47,13 @@ def confusion(reference: SegmentationMap, predicted: SegmentationMap, num_classe
     return np.bincount(idx, minlength=num_classes * num_classes).reshape(num_classes, num_classes)
 
 
-def miou(cm: np.ndarray, absent: str = "exclude") -> tuple[list[float | None], float]:
+def miou(cm: np.ndarray) -> tuple[list[float | None], float]:
     """Per-class IoU = TP / (TP + FP + FN) and its mean.
 
-    Classes with no reference or predicted pixels get IoU None; `absent`
-    controls how they enter the mean: dropped ("exclude"), counted as 1.0
-    ("one"), or counted as 0.0 ("zero"). With every class absent the mean is
-    NaN, which is distinct from a genuine 0.
+    Classes with no reference or predicted pixels get IoU None and are left
+    out of the mean. With every class absent the mean is NaN, which is
+    distinct from a genuine 0.
     """
-    if absent not in ABSENT_CLASS_MODES:
-        raise ValueError(f"absent mode {absent!r} not in {ABSENT_CLASS_MODES}")
     cm = np.asarray(cm, dtype=np.int64)
     tp = np.diag(cm)
     fp = cm.sum(axis=0) - tp
@@ -67,9 +62,7 @@ def miou(cm: np.ndarray, absent: str = "exclude") -> tuple[list[float | None], f
     per_class: list[float | None] = [
         float(tp[k]) / float(denom[k]) if denom[k] else None for k in range(cm.shape[0])
     ]
-    fill = {"exclude": None, "one": 1.0, "zero": 0.0}[absent]
-    values = [v if v is not None else fill for v in per_class]
-    values = [v for v in values if v is not None]
+    values = [v for v in per_class if v is not None]
     if not values:
         return per_class, float("nan")
     return per_class, float(sum(values) / len(values))

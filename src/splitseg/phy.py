@@ -47,10 +47,9 @@ _TABLES = _make_tables()
 
 def constellation(modulation: str) -> tuple[np.ndarray, int]:
     """Return (points indexed by bit-pattern value, bits per symbol)."""
-    try:
-        return _TABLES[modulation]
-    except KeyError:
-        raise ValueError(f"unknown modulation {modulation!r}, expected one of {MODULATIONS}") from None
+    if modulation not in MODULATIONS:  # not a dict lookup: an unhashable value is unknown too
+        raise ValueError(f"unknown modulation {modulation!r}, expected one of {MODULATIONS}")
+    return _TABLES[modulation]
 
 
 @dataclass(frozen=True)
@@ -177,11 +176,9 @@ def demodulate(block: SymbolBlock, modulation: str) -> BitStream:
     return BitStream(n_bits, np.packbits(bits.reshape(-1))[: (n_bits + 7) // 8])
 
 
-def qfunc(x) -> np.ndarray:
+def qfunc(x: float) -> float:
     """Gaussian tail probability Q(x)."""
-    from scipy import special  # imported here so that `import splitseg` does not load SciPy
-
-    return 0.5 * special.erfc(np.asarray(x, dtype=np.float64) / math.sqrt(2.0))
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def ber_theoretical(modulation: str, snr_db: float) -> float:
@@ -197,8 +194,8 @@ def ber_theoretical(modulation: str, snr_db: float) -> float:
     except OverflowError:
         return 0.0
     if modulation == QPSK:
-        return float(qfunc(math.sqrt(g)))
-    return float(0.75 * qfunc(math.sqrt(0.2 * g)))
+        return qfunc(math.sqrt(g))
+    return 0.75 * qfunc(math.sqrt(0.2 * g))
 
 
 def transmit(stream: BitStream, channel: ChannelConfig) -> BitStream:

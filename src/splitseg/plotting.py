@@ -9,6 +9,8 @@ from . import atomic
 from .experiments import COLUMNS
 
 _COLORS = ("#c0392b", "#2980b9", "#111111", "#27ae60", "#8e44ad", "#d35400")
+_PLOT_SIZE = (640, 440)  # width, height of render_plot's SVG
+_BARS_SIZE = (520, 360)  # width, height of render_bars' SVG
 
 
 def _axis_ticks(lo: float, hi: float, n: int = 6) -> list[float]:
@@ -18,7 +20,7 @@ def _axis_ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     return [lo + i * step for i in range(n)]
 
 
-def render_plot(results, path, width: int = 640, height: int = 440) -> None:
+def render_plot(results, path) -> None:
     """Render SNR-vs-mIoU line curves, one polyline per pipeline column.
 
     Legend labels match the CSV column names. Y axis is mIoU in percent.
@@ -47,6 +49,7 @@ def render_plot(results, path, width: int = 640, height: int = 440) -> None:
         x_hi = x_lo + 1.0
     y_lo, y_hi = 0.0, 100.0
 
+    width, height = _PLOT_SIZE
     ml, mr, mt, mb = 64, 160, 24, 48
     pw, ph = width - ml - mr, height - mt - mb
 
@@ -98,7 +101,7 @@ def render_plot(results, path, width: int = 640, height: int = 440) -> None:
     atomic.write_text_atomic(path, "\n".join(parts) + "\n")
 
 
-def render_bars(groups, path, ylabel: str, width: int = 520, height: int = 360) -> None:
+def render_bars(groups, path, ylabel: str) -> None:
     """Render labeled bars, e.g. bits per image or MACs per pipeline.
 
     `groups` is a list of (label, value) pairs.
@@ -109,6 +112,7 @@ def render_bars(groups, path, ylabel: str, width: int = 520, height: int = 360) 
     vmax = max(v for _, v in groups)
     if vmax <= 0:
         vmax = 1.0
+    width, height = _BARS_SIZE
     ml, mr, mt, mb = 72, 20, 24, 56
     pw, ph = width - ml - mr, height - mt - mb
     slot = pw / len(groups)

@@ -141,8 +141,8 @@ def conv2d(x, kernels, bias, stride: int = 1, padding: int = 0) -> np.ndarray:
 # (M*N*K <= 1e6 on SkylakeX) rounds some columns by call width once K >= 32;
 # there a 1 MiB product is past that size, in the packed kernel, where a
 # column's value does not depend on the call width. bilinear_resize's second
-# pass, resize_argmax and argmax_channels work on blocks of at most this many
-# bytes across all channels.
+# pass and resize_argmax work on blocks of at most this many bytes across all
+# channels.
 _BLOCK_BYTES = 2 << 20
 
 
@@ -284,7 +284,7 @@ def bilinear_resize(x, out_h: int, out_w: int) -> np.ndarray:
 
 
 def resize_argmax(x, out_h: int, out_w: int) -> np.ndarray:
-    """argmax_channels(bilinear_resize(x, out_h, out_w)), bit for bit, as
+    """np.argmax(bilinear_resize(x, out_h, out_w), axis=0), bit for bit, as
     int32 (out_h, out_w) labels. Each block of output rows is resized into
     one reused buffer and reduced to labels, so the resized array never
     exists whole."""
@@ -370,26 +370,6 @@ def _row_lerp(x: np.ndarray, out_h: int, out_w: int):
         top += bot  # lerp form keeps constant inputs exactly constant
 
     return gather, lerp_rows, blocks
-
-
-def argmax_channels(x) -> np.ndarray:
-    """Index of the largest channel at each pixel, as int32 (height, width).
-
-    Bit-identical to np.argmax(x, axis=0).astype(np.int32): ties keep the
-    first maximum, and NaN counts as the largest value, so the first NaN
-    wins. A running maximum over blocks of pixels takes the place of
-    numpy's transposed copy of `x` and its int64 labels.
-    """
-    x = as_tensor(x)
-    c = x.shape[0]
-    flat = x.reshape(c, -1)
-    labels = np.zeros(flat.shape[1], dtype=np.int32)
-    step = max(1, _BLOCK_BYTES // (4 * c))
-    best = np.empty(min(step, flat.shape[1]), dtype=np.float32)
-    for p0 in range(0, flat.shape[1], step):
-        p = slice(p0, p0 + step)
-        _argmax_into(flat[:, p], labels[p], best[:labels[p].size])
-    return labels.reshape(x.shape[1:])
 
 
 def _argmax_into(flat: np.ndarray, lab: np.ndarray, best: np.ndarray) -> None:

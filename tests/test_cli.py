@@ -92,6 +92,16 @@ def test_sweep_seed_override_changes_noise(tmp_path, capsys):
     assert a != b
 
 
+def test_seed_flag_is_for_sweep_only(tmp_path, capsys):
+    # the reports never read the master seed, so report takes no --seed
+    cfg = write_config(tmp_path)
+    assert cli.main(["report", "--config", str(cfg), "--seed", "1"]) == cli.EXIT_USAGE
+    out = tmp_path / "run"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--seed", "1"]) == cli.EXIT_OK
+    meta = json.loads((out / "sweep_qpsk.meta.json").read_text())
+    assert meta["spec"]["master_seed"] == 1  # the config says 555
+
+
 def test_plot_command(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "run"

@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import re
 import tracemalloc
 import xml.etree.ElementTree as ET
 
@@ -344,6 +345,12 @@ class TestSpecConfig:
     def test_snr_must_increase(self):
         with pytest.raises(E.ConfigError, match="strictly increasing"):
             small_spec(snr_db=(10.0, 10.0))
+
+    @pytest.mark.parametrize("modulation", ["fm", ["qpsk"], {"m": 1}])
+    def test_unknown_modulation_names_the_value(self, modulation):
+        # also one that cannot be a dict key: still a ConfigError, not a TypeError
+        with pytest.raises(E.ConfigError, match=r"unknown modulation " + re.escape(repr(modulation))):
+            small_spec(modulations=(phy.QPSK, modulation))
 
     def test_unknown_pipeline(self):
         with pytest.raises(E.ConfigError, match="unknown pipeline"):

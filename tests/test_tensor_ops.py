@@ -656,8 +656,16 @@ def argmax_oracle(x):
     return np.argmax(x, axis=0).astype(np.int32)
 
 
+def argmax_into(x):
+    """T._argmax_into over every pixel of (c, h, w) `x` in one block."""
+    c = x.shape[0]
+    labels = np.zeros(x.shape[1:], dtype=np.int32)
+    T._argmax_into(x.reshape(c, -1), labels.reshape(-1), np.empty(labels.size, dtype=np.float32))
+    return labels
+
+
 def assert_argmax_matches(x):
-    got = T.argmax_channels(x)
+    got = argmax_into(x)
     assert got.dtype == np.int32 and got.shape == x.shape[1:]
     assert np.array_equal(got, argmax_oracle(x))
 
@@ -676,7 +684,7 @@ class TestArgmaxChannels:
         x[:, 1, 1] = [0.0, -0.0, 0.0, -0.0]
         x[:, 1, 2] = [-1.0, -0.0, 0.0, -0.0]
         assert_argmax_matches(x)
-        assert T.argmax_channels(x).tolist() == [[1, 0, 2], [0, 0, 1]]
+        assert argmax_into(x).tolist() == [[1, 0, 2], [0, 0, 1]]
 
     def test_infinities(self):
         inf = np.float32(np.inf)
@@ -699,50 +707,21 @@ class TestArgmaxChannels:
 
     def test_one_channel(self):
         x = np.array([[[np.nan, -np.inf, 1.0], [0.0, -0.0, np.inf]]], dtype=np.float32)
-        assert T.argmax_channels(x).tolist() == [[0, 0, 0], [0, 0, 0]]
+        assert argmax_into(x).tolist() == [[0, 0, 0], [0, 0, 0]]
         assert_argmax_matches(x)
-
-    @pytest.mark.parametrize("c,h,w,block_bytes", [
-        (3, 5, 7, 4 * 3 * 4),  # blocks of 4 pixels: 35 = 8 x 4 + 3
-        (19, 9, 11, 4 * 19 * 10),  # 99 = 9 x 10 + 9
-        (5, 3, 3, 1),  # blocks of one pixel
-        (2, 4, 4, 4 * 2 * 16),  # one exact block
-    ])
-    def test_blocks_that_do_not_divide_the_pixels(self, monkeypatch, c, h, w, block_bytes):
-        rng = np.random.default_rng(23)
-        values = np.array([-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf, np.nan], dtype=np.float32)
-        x = values[rng.integers(values.size, size=(c, h, w))]
-        monkeypatch.setattr(T, "_BLOCK_BYTES", block_bytes)
-        assert_argmax_matches(x)
-        monkeypatch.undo()
-        assert_argmax_matches(x)
-
-    def test_many_blocks_at_the_default_size(self):
-        # 19 channels: blocks of 27594 pixels; 300 x 200 = 2 x 27594 + 4812
-        x = np.random.default_rng(24).normal(size=(19, 300, 200)).astype(np.float32)
-        x[:, 7, :] = 0.5  # a row of ties
-        x[4, 150:153, 50] = np.nan  # NaN in the second block (pixels from 27594)
-        x[18, 299, 199] = np.nan  # and in the last, partial one
-        assert_argmax_matches(x)
-
-    def test_peak_memory_is_labels_and_one_block(self):
-        c, h, w = 19, 512, 512
-        x = np.random.default_rng(25).normal(size=(c, h, w)).astype(np.float32)
-        peak = traced_peak(lambda: T.argmax_channels(x))
-        assert peak <= 4 * h * w + T._BLOCK_BYTES
 
     def test_input_not_mutated(self):
         x = np.random.default_rng(26).normal(size=(3, 4, 6)).astype(np.float32)
         x[1, 0, 0] = np.nan
         before = x.copy()
-        T.argmax_channels(x)
+        argmax_into(x)
         assert np.array_equal(x, before, equal_nan=True)
 
 
 def assert_labels_match_resize_then_argmax(x, out_h, out_w, oracle_resize=T.bilinear_resize):
     got = T.resize_argmax(x, out_h, out_w)
     assert got.dtype == np.int32 and got.shape == (out_h, out_w)
-    assert np.array_equal(got, T.argmax_channels(oracle_resize(x, out_h, out_w)))
+    assert np.array_equal(got, argmax_oracle(oracle_resize(x, out_h, out_w)))
 
 
 class TestResizeArgmax:
@@ -791,6 +770,32 @@ class TestResizeArgmax:
         monkeypatch.setattr(T, "_BLOCK_BYTES", block_bytes)
         with np.errstate(invalid="ignore"):
             assert_labels_match_resize_then_argmax(x, out_h, out_w, gather4_resize)
+
+    @pytest.mark.parametrize("shape,out_h,out_w,block_bytes", [
+        ((3, 5, 7), 13, 11, 4 * 3 * 11 * 4),  # blocks of 4 rows: 13 = 3 x 4 + 1
+        ((19, 9, 11), 23, 17, 4 * 19 * 17 * 5),  # 23 = 4 x 5 + 3
+        ((5, 3, 3), 7, 7, 1),  # blocks of one row
+        ((2, 4, 4), 16, 8, 4 * 2 * 8 * 16),  # one exact block
+    ])
+    def test_blocks_that_do_not_divide_the_rows(self, monkeypatch, shape, out_h, out_w, block_bytes):
+        rng = np.random.default_rng(23)
+        values = np.array([-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf, np.nan], dtype=np.float32)
+        x = values[rng.integers(values.size, size=shape)]
+        monkeypatch.setattr(T, "_BLOCK_BYTES", block_bytes)
+        with np.errstate(invalid="ignore"):
+            assert_labels_match_resize_then_argmax(x, out_h, out_w, gather4_resize)
+            monkeypatch.undo()
+            assert_labels_match_resize_then_argmax(x, out_h, out_w, gather4_resize)
+
+    def test_many_blocks_at_the_default_size(self):
+        # 19 channels, 200 columns: blocks of 137 rows; 300 = 2 x 137 + 26
+        assert T._block_rows(19, 200) == 137
+        x = np.random.default_rng(24).normal(size=(19, 75, 50)).astype(np.float32)
+        x[:, 7, :] = 0.5  # a row of ties
+        x[4, 37:39, 10] = np.nan  # reaches output rows of the second block
+        x[18, 74, 49] = np.nan  # and of the last, partial one
+        with np.errstate(invalid="ignore"):
+            assert_labels_match_resize_then_argmax(x, 300, 200)
 
     def test_peak_memory_is_labels_row_lerp_and_blocks(self):
         # the row lerp and its temporary, then the labels, one block and its
@@ -898,7 +903,7 @@ class TestThreads:
         (c, h, w), (out_h, out_w) = model_resize_shapes(model.ModelConfig.full_scale())[-1]
         x = np.random.default_rng(1033).normal(size=(c, h, w)).astype(np.float32)
         monkeypatch.setattr(T, "threads", 1)
-        want = T.argmax_channels(T.bilinear_resize(x, out_h, out_w))
+        want = argmax_oracle(T.bilinear_resize(x, out_h, out_w))
         for n in THREAD_COUNTS:
             monkeypatch.setattr(T, "threads", n)
             assert np.array_equal(T.resize_argmax(x, out_h, out_w), want)
@@ -1027,7 +1032,7 @@ def test_all_ops_bitwise_repeatable():
         lambda: T.bilinear_resize(x, 5, 11),
         lambda: T.add(x, x),
         lambda: T.concat_channels([x, x[:1]]),
-        lambda: T.argmax_channels(x),
+        lambda: T.resize_argmax(x, 5, 11),
     ]
     for call in calls:
         assert np.array_equal(call(), call())
