@@ -124,27 +124,30 @@ def _read_pnm_header(f, magic: bytes) -> tuple[int, int]:
             raise ValueError("truncated header")
         fields.append(int(tok))
     w, h, maxval = fields
+    if w < 1 or h < 1:
+        raise ValueError(f"image dims must be at least 1, got {w}x{h}")
     if maxval != 255:
         raise ValueError(f"only 8-bit files supported, maxval={maxval}")
     return w, h
 
 
-def load_ppm(path) -> np.ndarray:
+def _read_pnm(path, magic: bytes, channels: int) -> np.ndarray:
+    """The (h, w, channels) uint8 pixels of a binary PPM/PGM file."""
     with open(path, "rb") as f:
-        w, h = _read_pnm_header(f, b"P6")
-        data = f.read(w * h * 3)
-    if len(data) != w * h * 3:
+        w, h = _read_pnm_header(f, magic)
+        data = f.read()  # what the file holds: the header's dims may be huge
+    count = w * h * channels
+    if len(data) < count:
         raise ValueError(f"truncated pixel data in {path}")
-    return np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3).copy()
+    return np.frombuffer(data, dtype=np.uint8, count=count).reshape(h, w, channels)
+
+
+def load_ppm(path) -> np.ndarray:
+    return _read_pnm(path, b"P6", 3).copy()
 
 
 def load_pgm(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        w, h = _read_pnm_header(f, b"P5")
-        data = f.read(w * h)
-    if len(data) != w * h:
-        raise ValueError(f"truncated pixel data in {path}")
-    return np.frombuffer(data, dtype=np.uint8).reshape(h, w).astype(np.int32).copy()
+    return _read_pnm(path, b"P5", 1)[:, :, 0].astype(np.int32)
 
 
 def write_dataset(dirpath, pairs) -> list[str]:

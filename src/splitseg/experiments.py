@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -40,13 +41,34 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-# Scalar JSON keys -> (ExperimentSpec field, coercion). The list-valued
-# keys are read apart from these, so that a string cannot pass as a list.
+# Scalar JSON keys -> (ExperimentSpec field, type). The spec checks each
+# field against its type and names the JSON key in the message.
 _SPEC_SCALARS = {
     "num_images": ("num_images", int), "master_seed": ("master_seed", int),
     "dataset": ("dataset", str), "reference_mode": ("reference_mode", str),
     "quant_bits": ("quant_bits", int), "fps": ("frames_per_second", float),
 }
+
+# The values each type accepts: a float takes an integer too and numpy scalars
+# pass, but no bool (an int) does, and none is truncated or parsed from a string.
+_ACCEPTS = {int: numbers.Integral, float: numbers.Real, str: str}
+
+
+def _scalar(key: str, value, kind):
+    """`value` as a plain `kind`, or a ConfigError naming `key`."""
+    if isinstance(value, bool) or not isinstance(value, _ACCEPTS[kind]):
+        raise ConfigError(f"{key!r} must be {kind.__name__}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError as exc:  # float(10**400)
+        raise ConfigError(f"{key!r} must be {kind.__name__}, got {value!r}") from exc
+
+
+def _items(key: str, value) -> tuple:
+    """Any iterable but a string, as a tuple."""
+    if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
+        raise ConfigError(f"{key!r} must be a list, got {type(value).__name__}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -65,9 +87,12 @@ class ExperimentSpec:
     frames_per_second: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "modulations", tuple(self.modulations))
-        object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
-        object.__setattr__(self, "pipelines", tuple(self.pipelines))
+        for key, (name, kind) in _SPEC_SCALARS.items():
+            object.__setattr__(self, name, _scalar(key, getattr(self, name), kind))
+        object.__setattr__(self, "modulations", _items("modulations", self.modulations))
+        snrs = tuple(_scalar("snr_db", s, float) for s in _items("snr_db", self.snr_db))
+        object.__setattr__(self, "snr_db", snrs)
+        object.__setattr__(self, "pipelines", _items("pipelines", self.pipelines))
         if not self.modulations:
             raise ConfigError("modulations must be nonempty")
         if not self.snr_db:
@@ -129,24 +154,10 @@ def _section(raw: dict, key: str, allowed) -> dict:
     return section
 
 
-def _items(key: str, value, cast=None) -> tuple:
+def _json_list(key: str, value):
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{key!r} must be a list, got {type(value).__name__}")
-    return tuple(value) if cast is None else tuple(_scalar(key, v, cast) for v in value)
-
-
-# The JSON values each cast accepts: a float key takes an integer too, but no
-# key takes a bool (a Python int) and none is truncated or parsed from a string.
-_JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
-
-
-def _scalar(key: str, value, cast):
-    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[cast]):
-        raise ConfigError(f"{key!r} must be {cast.__name__}, got {value!r}")
-    try:
-        return cast(value)
-    except OverflowError as exc:  # float(10**400)
-        raise ConfigError(f"{key!r} must be {cast.__name__}, got {value!r}") from exc
+    return value
 
 
 def spec_from_dict(raw: dict) -> ExperimentSpec:
@@ -160,22 +171,22 @@ def spec_from_dict(raw: dict) -> ExperimentSpec:
     if "model" not in raw or "channel" not in raw:
         raise ConfigError("config requires 'model' and 'channel' sections")
 
-    m = _section(raw, "model", _MODEL_KEYS)
+    m = dict(_section(raw, "model", _MODEL_KEYS))
     ch = _section(raw, "channel", ("modulations", "snr_db"))
+    # ModelConfig's messages name its fields; these name the JSON keys
+    for k, v in m.items():
+        for entry in (_json_list(k, v) if k == "ppm_bins" else (v,)):
+            _scalar(k, entry, int)
+    if "input_size" in m:
+        size = m.pop("input_size")
+        m = {"input_height": size, "input_width": size, **m}
+    kw = {k: _json_list(k, v) for k, v in ch.items()}
+    if "pipelines" in raw:
+        kw["pipelines"] = _json_list("pipelines", raw["pipelines"])
+    kw.update({name: raw[key] for key, (name, _) in _SPEC_SCALARS.items() if key in raw})
     try:
-        model_kw = {k: _items(k, v, int) if k == "ppm_bins" else _scalar(k, v, int) for k, v in m.items()}
-        size = model_kw.pop("input_size", None)
-        if size is not None:
-            model_kw = {"input_height": size, "input_width": size, **model_kw}
-        mc = ModelConfig(**model_kw)
-        kw = {k: _items(k, ch[k], float if k == "snr_db" else None) for k in ch}
-        if "pipelines" in raw:
-            kw["pipelines"] = _items("pipelines", raw["pipelines"])
-        kw["master_seed"] = mc.seed
-        for key, (name, cast) in _SPEC_SCALARS.items():
-            if key in raw:
-                kw[name] = _scalar(key, raw[key], cast)
-        return ExperimentSpec(model=mc, **kw)
+        mc = ModelConfig(**m)
+        return ExperimentSpec(model=mc, **{"master_seed": mc.seed, **kw})
     except (TypeError, ValueError) as exc:  # ConfigError included, message kept
         raise ConfigError(str(exc)) from exc
 
@@ -472,26 +483,3 @@ def read_csv(path) -> SweepResult:
     medians = {COLUMN_PIPELINE[c]: v for c, v in cols.items()}
     return SweepResult(modulation="", snr_db=snrs, miou_median=medians)
 
-
-def snr_advantage(result: SweepResult, target: str = "miou_s", reference: str = "miou_f") -> float:
-    """Mean dB saved by `target` reaching `reference`'s mIoU at each SNR.
-
-    Positive means the target curve needs less SNR for the same fidelity.
-    Interpolates on the rising part of the target curve; NaN when the curves
-    cannot be compared. Diagnostic only.
-    """
-    snrs = np.asarray(result.snr_db, dtype=float)
-    tgt = np.asarray(result.column(target), dtype=float)
-    ref = np.asarray(result.column(reference), dtype=float)
-    if np.isnan(tgt).any() or np.isnan(ref).any():
-        return float("nan")
-    keep = [0]
-    for i in range(1, len(tgt)):
-        if tgt[i] > tgt[keep[-1]]:
-            keep.append(i)
-    xs, ys = tgt[keep], snrs[keep]
-    gains = []
-    for snr, level in zip(snrs, ref):
-        if xs[0] <= level <= xs[-1] and len(xs) >= 2:
-            gains.append(snr - float(np.interp(level, xs, ys)))
-    return float(np.mean(gains)) if gains else float("nan")

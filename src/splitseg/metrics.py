@@ -95,8 +95,18 @@ def bitrate_mbps(bits: int, frames_per_second: float) -> float:
     return bits * frames_per_second / 1e6
 
 
+class _Report:
+    """JSON form shared by the report dataclasses."""
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
+
+
 @dataclass
-class RateReport:
+class RateReport(_Report):
     """Per-pipeline payload sizes and the split pipeline's reductions."""
 
     bits_per_image: dict[str, int]
@@ -106,12 +116,6 @@ class RateReport:
     quant_bits: int
     frames_per_second: float
     config: dict
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def rate_report(config: ModelConfig, quant_bits: int = 8, frames_per_second: float = 1.0) -> RateReport:
@@ -129,7 +133,7 @@ def rate_report(config: ModelConfig, quant_bits: int = 8, frames_per_second: flo
 
 
 @dataclass
-class ComputeReport:
+class ComputeReport(_Report):
     """Per-pipeline transmitter/receiver MACs and the split's reduction."""
 
     tx_macs: dict[str, int]
@@ -137,12 +141,6 @@ class ComputeReport:
     tx_reduction_pct: float
     reference_tx_reduction_pct: float
     config: dict
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def compute_report(config: ModelConfig) -> ComputeReport:

@@ -222,17 +222,15 @@ def layer_plan(config: ModelConfig) -> list[ConvPlan]:
     return plans
 
 
-def param_names(plan: ConvPlan) -> list[str]:
-    names = [plan.name + ".kernel", plan.name + ".bias"]
-    if plan.affine:
-        names += [plan.name + ".scale", plan.name + ".shift"]
-    return names
-
-
-def param_shape(plan: ConvPlan, suffix: str) -> tuple[int, ...]:
-    if suffix == "kernel":
-        return (plan.cout, plan.cin, plan.k, plan.k)
-    return (plan.cout,)
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in plan order: per conv its kernel
+    (cout, cin, k, k) and bias (cout,), then scale and shift (cout,) if affine."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    for p in layer_plan(config):
+        shapes[p.name + ".kernel"] = (p.cout, p.cin, p.k, p.k)
+        for suffix in ("bias", "scale", "shift") if p.affine else ("bias",):
+            shapes[f"{p.name}.{suffix}"] = (p.cout,)
+    return shapes
 
 
 @dataclass
@@ -256,15 +254,13 @@ def build(config: ModelConfig) -> WeightSet:
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed)))
     params: dict[str, np.ndarray] = {}
-    for p in layer_plan(config):
-        fan_in = p.cin * p.k * p.k
-        fan_out = p.cout * p.k * p.k
-        a = math.sqrt(6.0 / (fan_in + fan_out))
-        params[p.name + ".kernel"] = rng.uniform(-a, a, size=(p.cout, p.cin, p.k, p.k)).astype(np.float32)
-        params[p.name + ".bias"] = np.zeros(p.cout, dtype=np.float32)
-        if p.affine:
-            params[p.name + ".scale"] = np.ones(p.cout, dtype=np.float32)
-            params[p.name + ".shift"] = np.zeros(p.cout, dtype=np.float32)
+    for name, shape in param_shapes(config).items():
+        if name.endswith(".kernel"):
+            cout, cin, k, _ = shape
+            a = math.sqrt(6.0 / ((cin + cout) * k * k))  # fan_in + fan_out
+            params[name] = rng.uniform(-a, a, size=shape).astype(np.float32)
+        else:
+            params[name] = (np.ones if name.endswith(".scale") else np.zeros)(shape, dtype=np.float32)
     return WeightSet(config=config, params=params)
 
 
@@ -471,11 +467,7 @@ def load_weights(path) -> WeightSet:
     if len(blob) != total:
         raise ValueError(f"corrupt file: blob {bpath} has {len(blob)} bytes, manifest says {total}")
 
-    expected: dict[str, tuple[int, ...]] = {}
-    for plan in layer_plan(config):
-        for name in param_names(plan):
-            expected[name] = param_shape(plan, name.rsplit(".", 1)[1])
-
+    expected = param_shapes(config)
     for name in entries:
         if name not in expected:
             raise ValueError(f"unexpected entry: {name}")

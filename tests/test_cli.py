@@ -1,9 +1,11 @@
 """Command-line interface behavior and exit codes."""
 
 import errno
+import hashlib
 import json
 import os
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +49,18 @@ def test_report_writes_files(tmp_path, capsys):
     assert (out / "compute_report.json").exists()
     assert (out / "bits_per_image.svg").exists()
     assert (out / "tx_macs.svg").exists()
+
+
+def test_readme_config_example_runs(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(block)
+    assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_OK
+    model = json.loads(block)["model"]
+    size = model.pop("input_size")
+    report = json.loads(capsys.readouterr().out)
+    assert report["rate"]["config"] == {"input_height": size, "input_width": size, **model}
 
 
 def test_missing_config_exit_code(tmp_path, capsys):
@@ -290,6 +304,22 @@ def test_repeated_list_entry_rejected(tmp_path, capsys, command, section, key, v
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("name,header", [
+    ("img_0000.ppm", b"P6\n99999999999 99999999999\n255\n"),
+    ("img_0000.ppm", b"P6\n1000000 1000000\n255\n"),
+    ("img_0001.pgm", b"P5\n99999999999 99999999999\n255\n"),
+])
+def test_huge_image_header_is_a_dataset_error(tmp_path, capsys, name, header):
+    data = tmp_path / "data"
+    dataio.write_dataset(data, dataio.generate_synthetic(2, 4, 128, 128, seed=3))
+    (data / name).write_bytes(header)
+    cfg = write_config(tmp_path, dataset=str(data))
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: dataset load failed")
+    assert name.replace("pgm", "ppm") in err and "Traceback" not in err
+
+
 def test_snr_at_the_float64_noise_power_limit_runs(tmp_path, capsys):
     cfg = write_config(tmp_path, channel={"modulations": ["qpsk", "16qam"], "snr_db": [-3082.0, 10.0]})
     assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_OK
@@ -356,3 +386,35 @@ def test_failed_write_leaves_old_file_or_none(tmp_path, capsys, monkeypatch, com
         assert all((old / name).read_bytes() in (b"old\n", good[name]) for name in files)
         assert sorted(os.listdir(fresh)) == sorted(files[:n])
         assert all((fresh / name).read_bytes() == good[name] for name in files[:n])
+
+
+# sha256 of what `report --out` writes for write_config's spec and what `plot`
+# writes for SWEEP_CSVS. A change that alters any of these bytes must update
+# the digests on purpose.
+REPORT_SHA256 = {
+    "rate_report.json": "912200e0262aeb4f99530a5255fb1f4ba708d07827f668915eabc545756a028a",
+    "compute_report.json": "96f389328174bd2822ae85b0bcc1543721bc3977d3301de83fc85ddd6cc75211",
+    "bits_per_image.svg": "9ebffbfc5123375a675819eeadf3f6346570eb87c23032e7a8567de16b7b5aa0",
+    "tx_macs.svg": "a8d030c33d2b6945533d20a64139c4b573ef9c9a3540c0af90f3bc09440e99f1",
+}
+PLOT_SHA256 = "057fda3d88e0ce200ec56373244f6d62c33a13ece8d20ce60781d9656674fc12"
+SWEEP_CSVS = {
+    "sweep_qpsk.csv": "snr,miou_f,miou_n,miou_s\n"
+                      "5.0,0.25,nan,0.125\n10.0,0.5,0.0625,0.40625\n20.0,0.875,0.5,0.9\n",
+    "sweep_16qam.csv": "snr,miou_f,miou_n,miou_s\n"
+                       "5.0,0.1,nan,0.05\n10.0,0.3,nan,0.2\n20.0,0.7,nan,0.75\n",
+}
+
+
+def test_report_and_plot_golden_digests(tmp_path, capsys):
+    out = tmp_path / "reports"
+    assert cli.main(["report", "--config", str(write_config(tmp_path)), "--out", str(out)]) == cli.EXIT_OK
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in REPORT_SHA256}
+    assert digests == REPORT_SHA256
+
+    for name, text in SWEEP_CSVS.items():
+        (tmp_path / name).write_text(text)
+    svg = tmp_path / "curves.svg"
+    argv = ["plot", *(str(tmp_path / name) for name in SWEEP_CSVS), "-o", str(svg)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == PLOT_SHA256

@@ -1,20 +1,24 @@
-"""Property test: any JSON-shaped config gives exit code 0 or 4, never a traceback."""
+"""Property tests: any JSON-shaped config gives exit code 0 or 4, never a
+traceback, and a spec built in the library is either rejected or survives
+its JSON form unchanged."""
 
 import json
 import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from splitseg import cli  # noqa: E402
-from splitseg.experiments import ExperimentSpec  # noqa: E402
+from splitseg.experiments import ExperimentSpec, spec_from_dict  # noqa: E402
 from splitseg.model import ModelConfig  # noqa: E402
 
-BASE = ExperimentSpec(model=ModelConfig(input_height=128, input_width=128, ppm_bins=(1, 2))).to_dict()
+BASE_MODEL = ModelConfig(input_height=128, input_width=128, ppm_bins=(1, 2))
+BASE = ExperimentSpec(model=BASE_MODEL).to_dict()
 TOP_KEYS = sorted(BASE)
 SECTION_KEYS = {
     "model": sorted({*BASE["model"], "input_size"}),
@@ -77,3 +81,35 @@ def test_report_exit_code_is_0_or_4(raw):
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(raw))  # inf and nan written as Infinity / NaN
         assert cli.main(["report", "--config", str(path)]) in (cli.EXIT_OK, cli.EXIT_BAD_CONFIG)
+
+
+# Library values per field: mostly valid ones, in the forms a caller may pass
+# to ExperimentSpec directly (numpy scalars and arrays, ranges, tuples), with
+# any JSON value mixed in.
+LIBRARY_VALUES = {
+    "modulations": [["qpsk"], ("16qam", "qpsk"), np.array(["qpsk"]), np.str_("qpsk")],
+    "snr_db": [[5, 20.5], np.array([5.0, 20.0]), range(5, 30, 10), (np.float32(1.5),),
+               [np.int64(3)], np.array([[1.0]]), [np.bool_(True)]],
+    "pipelines": [["split"], np.array(["full_tx", "split"]), ("traditional",)],
+    "num_images": [np.int64(2), 1, np.uint64(3), np.float64(1.0)],
+    "master_seed": [np.uint64(2 ** 64 - 1), 0, np.int32(5), np.bool_(False)],
+    "dataset": [np.str_("synthetic"), "synthetic"],
+    "reference_mode": [np.str_("ground_truth"), "noiseless_output"],
+    "quant_bits": [np.int32(8), 4, np.int64(16), np.float32(8.0)],
+    "frames_per_second": [np.float32(0.5), 30, np.int64(2), np.float64(1e300), np.float16(2.0)],
+}
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hypothesis.given(fields=st.fixed_dictionaries({}, optional={
+    k: st.sampled_from(v) | st.sampled_from(v) | JSON_VALUES for k, v in LIBRARY_VALUES.items()
+}))
+@hypothesis.example(fields={"num_images": np.int64(1), "snr_db": np.array([5, 20])})
+@hypothesis.example(fields={"quant_bits": 8.0})
+def test_library_spec_is_rejected_or_round_trips(fields):
+    try:
+        spec = ExperimentSpec(model=BASE_MODEL, **fields)
+    except ValueError:  # ConfigError included
+        return
+    raw = json.loads(json.dumps(spec.to_dict()))
+    assert spec_from_dict(raw) == spec

@@ -150,6 +150,18 @@ class TestDatasetFiles:
         with pytest.raises(FileNotFoundError):
             dataio.load_dataset_dir(tmp_path / "absent")
 
+    @pytest.mark.parametrize("suffix,magic", [(".ppm", "P6"), (".pgm", "P5")])
+    @pytest.mark.parametrize("dims,problem", [
+        ("99999999999 99999999999", "truncated"),  # more bytes than an index holds
+        ("1000000 1000000", "truncated"),  # more than memory holds
+        ("0 32", "at least 1"), ("32 -1", "at least 1"),
+    ])
+    def test_header_dims_are_checked_against_the_file(self, tmp_path, suffix, magic, dims, problem):
+        dataio.write_dataset(tmp_path, dataio.generate_synthetic(1, 4, 32, 32, seed=9))
+        (tmp_path / f"img_0000{suffix}").write_bytes(f"{magic}\n{dims}\n255\n".encode() + bytes(64))
+        with pytest.raises(ValueError, match=f"img_0000.ppm: .*{problem}"):  # problems are named per image
+            dataio.load_dataset_dir(tmp_path)
+
 
 class TestPipelines:
     def test_traditional_noiseless_matches_clean_inference(self, tiny_weights, tiny_pair):
@@ -360,6 +372,33 @@ class TestSpecConfig:
         with pytest.raises(E.ConfigError, match="quant_bits"):
             small_spec(quant_bits=5)
 
+    @pytest.mark.parametrize("field,value,key", [
+        ("quant_bits", 8.0, "quant_bits"), ("num_images", 1.0, "num_images"),
+        ("master_seed", True, "master_seed"), ("dataset", 5, "dataset"),
+        ("reference_mode", None, "reference_mode"), ("frames_per_second", "2", "fps"),
+        ("modulations", "qpsk", "modulations"), ("pipelines", "split", "pipelines"),
+        ("snr_db", 10.0, "snr_db"), ("snr_db", (5.0, "20"), "snr_db"), ("snr_db", (True,), "snr_db"),
+    ])
+    def test_library_values_are_type_checked(self, field, value, key):
+        # the same rules as the JSON config, with the JSON key in the message
+        with pytest.raises(E.ConfigError, match=re.escape(repr(key))):
+            small_spec(**{field: value})
+
+    def test_numpy_values_and_iterables_stored_as_plain_python(self):
+        spec = small_spec(
+            modulations=np.array([phy.QPSK]), snr_db=np.array([5, 20.5], dtype=np.float32),
+            pipelines=(p for p in ("split",)), num_images=np.int64(1), master_seed=np.uint64(7),
+            quant_bits=np.int32(8), frames_per_second=np.float64(2.0),
+        )
+        assert spec.snr_db == (5.0, 20.5) and spec.pipelines == ("split",)
+        for value in (*spec.snr_db, spec.frames_per_second):
+            assert type(value) is float
+        for value in (spec.num_images, spec.master_seed, spec.quant_bits):
+            assert type(value) is int
+        assert small_spec(snr_db=range(5, 30, 10)).snr_db == (5.0, 15.0, 25.0)
+        # the CLI writes this as the .meta.json sidecar
+        json.dumps(E.sweep(spec)[0].metadata)
+
     def test_json_round_trip(self):
         spec = small_spec()
         again = E.spec_from_dict(spec.to_dict())
@@ -474,17 +513,3 @@ class TestPlot:
 
         with pytest.raises(ValueError, match="no results"):
             render_plot([], tmp_path / "x.svg")
-
-
-class TestSnrAdvantage:
-    def test_shifted_curves(self):
-        # target curve is the reference shifted 2 dB left
-        snrs = [5.0, 10.0, 15.0, 20.0]
-        ref = [0.2, 0.5, 0.8, 0.9]
-        tgt = [0.28, 0.56, 0.84, 0.9]
-        result = E.SweepResult(
-            modulation="qpsk", snr_db=snrs,
-            miou_median={"split": tgt, "full_tx": ref},
-        )
-        adv = E.snr_advantage(result)
-        assert adv > 0.0

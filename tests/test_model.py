@@ -105,18 +105,25 @@ class TestBuild:
             not np.array_equal(a.params[k], b.params[k]) for k in a.params
         )
 
-    def test_shapes_match_plan(self):
+    def test_shapes_match_plan(self, tmp_path):
         cfg = tiny_config()
-        weights = M.build(cfg)
         expected = {}
         for plan in M.layer_plan(cfg):
-            for name in M.param_names(plan):
-                expected[name] = M.param_shape(plan, name.rsplit(".", 1)[1])
-        assert set(weights.params) == set(expected)
+            expected[plan.name + ".kernel"] = (plan.cout, plan.cin, plan.k, plan.k)
+            expected[plan.name + ".bias"] = (plan.cout,)
+            if plan.affine:
+                expected[plan.name + ".scale"] = (plan.cout,)
+                expected[plan.name + ".shift"] = (plan.cout,)
+        assert list(M.param_shapes(cfg).items()) == list(expected.items())
+        weights = M.build(cfg)
         for name, arr in weights.params.items():
             assert arr.shape == expected[name], name
             assert arr.dtype == np.float32
             assert np.isfinite(arr).all()
+        # the weight file lists its entries in the same order
+        M.save_weights(weights, tmp_path / "w")
+        manifest = json.loads((tmp_path / "w.json").read_text())
+        assert [(e["name"], tuple(e["shape"])) for e in manifest["params"]] == list(expected.items())
 
     def test_kernel_init_range(self):
         cfg = tiny_config()
