@@ -84,8 +84,13 @@ def generate_synthetic(
 
 
 def raster_to_tensor(raster: np.ndarray) -> np.ndarray:
-    """uint8 (H, W, 3) raster to float32 (3, H, W) tensor in [0, 1]."""
-    return np.ascontiguousarray(raster.transpose(2, 0, 1).astype(np.float32) / np.float32(255.0))
+    """uint8 (H, W, 3) raster to float32 (3, H, W) tensor in [0, 1], in one
+    C-contiguous array: the cast is copied into it and divided in place."""
+    planes = raster.transpose(2, 0, 1)
+    out = np.empty(planes.shape, dtype=np.float32)
+    np.copyto(out, planes, casting="unsafe")
+    out /= np.float32(255.0)
+    return out
 
 
 def save_ppm(path, raster: np.ndarray) -> None:

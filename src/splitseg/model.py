@@ -290,6 +290,22 @@ def _unit(weights: WeightSet, name: str, x, act: bool = True) -> np.ndarray:
     return out
 
 
+def _unit_rows(weights: WeightSet, name: str, x) -> T._ConvRows:
+    """_unit(weights, name, x), an affine unit with ReLU, as rows that the
+    next conv makes as it reads them (see T._ConvRows)."""
+    plan = _plans(weights.config)[name]
+    p = weights.params
+    return T._ConvRows(x, p[name + ".kernel"], p[name + ".bias"], plan.stride, plan.k // 2,
+                       p[name + ".scale"], p[name + ".shift"])
+
+
+def _streams(weights: WeightSet, name: str) -> bool:
+    """Whether conv `name` runs in row chunks, and so may read its input as
+    rows made on demand. conv2d reads such rows only in that regime."""
+    p = _plans(weights.config)[name]
+    return T._row_chunks(p.k, p.cin, p.cout, p.stride, p.out_h, p.out_w) > 1
+
+
 _RB = ("conv1", "conv2")
 _RBB = ("reduce", "conv", "expand")
 
@@ -322,8 +338,18 @@ def _fuse(weights: WeightSet, pid) -> np.ndarray:
     return _unit(weights, "s5.fuse", T.concat_channels([*pooled, i]), act=False)
 
 
+def _stem(weights: WeightSet, x) -> np.ndarray:
+    """Stage 0: two stride-2 convs. Where s0.conv2 runs in row chunks, it
+    reads s0.conv1's output as rows made in s0.conv1's own row chunks, so
+    that output never exists whole."""
+    conv1 = _unit_rows if _streams(weights, "s0.conv2") else _unit
+    return _unit(weights, "s0.conv2", conv1(weights, "s0.conv1", x))
+
+
 def _head(weights: WeightSet, x) -> np.ndarray:
-    """Stage 6: pyramid pooling over the fused map, then the two-conv head at 1/8 scale."""
+    """Stage 6: pyramid pooling over the fused map, then the two-conv head at
+    1/8 scale. Where s6.head1 runs in row chunks, it reads its resized input
+    as rows resized on demand, so that input never exists whole."""
     cfg = weights.config
     branches = [x]
     for b in cfg.ppm_bins:
@@ -331,14 +357,15 @@ def _head(weights: WeightSet, x) -> np.ndarray:
         branches.append(T.bilinear_resize(ppm, x.shape[1], x.shape[2]))
     y = _unit(weights, "s6.ppm.fuse", T.concat_channels(branches))
     head1 = _plans(cfg)["s6.head1"]
-    y = _unit(weights, "s6.head1", T.bilinear_resize(y, head1.out_h, head1.out_w))
+    resize = T._ResizeRows if _streams(weights, "s6.head1") else T.bilinear_resize
+    y = _unit(weights, "s6.head1", resize(y, head1.out_h, head1.out_w))
     return _unit(weights, "s6.head2", y, act=False)
 
 
 # The stage schedule. Per stage: its function (weights, input) -> output, its
 # kind, and the plan entry of its output. Stage 3 feeds x to all of (p, i, d).
 _STAGES = (
-    (lambda w, x: _unit(w, "s0.conv2", _unit(w, "s0.conv1", x)), "conv x2", "s0.conv2"),
+    (_stem, "conv x2", "s0.conv2"),
     (lambda w, x: _block(w, "s1.rb", x, _RB), "rb", "s1.rb.conv2"),
     (lambda w, x: _block(w, "s2.rb", x, _RB), "rb", "s2.rb.conv2"),
     (lambda w, x: _branches(w, 3, (x, x, x)), "rb x3", "s3.i.conv2"),

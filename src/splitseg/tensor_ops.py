@@ -47,92 +47,123 @@ def conv2d(x, kernels, bias, stride: int = 1, padding: int = 0) -> np.ndarray:
 
     kernels has shape (out_ch, in_ch, k, k) with odd k; bias has one entry
     per output channel. Output spatial size follows
-    floor((dim + 2*padding - k) / stride) + 1.
+    floor((dim + 2*padding - k) / stride) + 1. Where the layer runs in row
+    chunks, `x` may also be a private row source (`_Rows`).
     """
-    x = as_tensor(x)
-    w = np.asarray(kernels, dtype=np.float32)
-    if w.ndim != 4 or w.shape[2] != w.shape[3]:
-        raise ValueError(f"kernels must have shape (out_ch, in_ch, k, k), got {w.shape}")
-    out_ch, in_ch, k, _ = w.shape
-    if k % 2 != 1:
-        raise ValueError(f"kernel size must be odd, got {k}")
-    if in_ch != x.shape[0]:
-        raise ValueError(f"channel mismatch: input has {x.shape[0]} channels, kernels expect {in_ch}")
-    b = np.asarray(bias, dtype=np.float32).reshape(-1)
-    if b.size != out_ch:
-        raise ValueError(f"bias length {b.size} != out_ch {out_ch}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if padding < 0:
-        raise ValueError(f"padding must be >= 0, got {padding}")
-
-    _, h, wd = x.shape
-    out_h = (h + 2 * padding - k) // stride + 1
-    out_w = (wd + 2 * padding - k) // stride + 1
-    if out_h < 1 or out_w < 1:
-        raise ValueError(
-            f"empty output: input {h}x{wd}, kernel {k}, stride {stride}, padding {padding}"
-        )
-
-    # Arithmetic contract: acc starts at zero, each tap (dy, dx) in order adds
-    # one product (out_ch x in_ch) @ (in_ch x pixels), the bias is added last.
-    # The two regimes below differ only in the bytes they move.
-    acc = np.zeros((out_ch, out_h, out_w), dtype=np.float32)
-    reach = (k - 1) // stride  # how far, in output pixels, a tap reaches
-    pitch = out_w + reach
-    chunks = min(out_h, -(-4 * out_ch * out_h * pitch // _BLOCK_BYTES))
-    if chunks == 1 or k == 1 or min(out_ch, in_ch) == 1:
-        # Small layer, single tap, or a unit dimension: the np.dot call of a
-        # plain tap-by-tap tensordot, on the same operands, because small
-        # sgemm calls may round a column differently when their width
-        # changes, and at a unit dimension np.dot takes gemv, whose bits
-        # depend on operand strides. Only the window copy and the product
-        # reuse buffers; with one tap there is no repeated traffic to block.
-        xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding))) if padding else x
-        window = np.empty((in_ch, out_h, out_w), dtype=np.float32)
-        prod = np.empty((out_ch, out_h * out_w), dtype=np.float32)
-        for dy in range(k):
-            y_stop = dy + (out_h - 1) * stride + 1
-            for dx in range(k):
-                x_stop = dx + (out_w - 1) * stride + 1
-                patch = xp[:, dy:y_stop:stride, dx:x_stop:stride]
-                if not patch.flags.c_contiguous:
-                    np.copyto(window, patch)
-                    patch = window
-                np.dot(w[:, :, dy, dx], patch.reshape(in_ch, -1), out=prod)
-                acc += prod.reshape(acc.shape)
-    else:
-        # Larger layer: balanced row chunks. Per chunk, one reused slab holds
-        # the rows of the stride-phase images that the chunk's taps read; each
-        # tap's operand is a flat view of it, whose row stride np.matmul hands
-        # to sgemm (np.dot would copy it). The `reach` extra columns of each
-        # row are computed and dropped. A chunk's rows are cut into row parts,
-        # one per thread, each with its own stretch of the product buffer.
-        wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))  # (k, k, out_ch, in_ch)
-        bounds = [out_h * i // chunks for i in range(chunks + 1)]
-        most = -(-out_h // chunks)
-        m = min(k, stride)
-        slab = np.zeros((m, m, in_ch, most + reach + 1, pitch), dtype=np.float32)
-        flat = slab.reshape(m, m, in_ch, -1)
-        buf = np.empty(out_ch * most * pitch, dtype=np.float32)
-        for r0, r1 in zip(bounds, bounds[1:]):
-            _fill_phase_slab(slab, x, stride, padding, r0, r1 - r0 + reach)
-            parts = _row_parts(r1 - r0, 4 * out_ch * pitch)
-
-            def taps(t: int) -> None:
-                a, z = parts[t]  # rows of this chunk
-                n = (z - a) * pitch
-                prod = buf[out_ch * a * pitch:out_ch * z * pitch].reshape(out_ch, n)
-                dst = acc[:, r0 + a:r0 + z]
-                for dy in range(k):
-                    for dx in range(k):
-                        start = (dy // stride + a) * pitch + dx // stride
-                        np.matmul(wt[dy, dx], flat[dy % stride, dx % stride, :, start:start + n], out=prod)
-                        dst += prod.reshape(out_ch, z - a, pitch)[:, :, :out_w]
-
-            _on_threads(taps, len(parts))
-    acc += b[:, None, None]
+    conv = _Conv(x, kernels, bias, stride, padding)
+    acc = np.zeros(conv.shape, dtype=np.float32)
+    for r0, r1 in conv.chunks:
+        conv.add_taps(r0, r1, acc[:, r0:r1])
+    acc += conv.bias[:, None, None]
     return acc
+
+
+class _Conv:
+    """One conv2d call, run by output row chunks: for each (r0, r1) of
+    `chunks`, add_taps(r0, r1, dst) adds the taps of output rows r0..r1-1
+    into zeroed `dst`, of shape (out_ch, r1 - r0, out_w). Adding `bias` is
+    left to the caller.
+
+    Arithmetic contract: acc starts at zero, each tap (dy, dx) in order adds
+    one product (out_ch x in_ch) @ (in_ch x pixels), the bias is added last.
+    The two regimes below differ only in the bytes they move.
+    """
+
+    def __init__(self, x, kernels, bias, stride: int, padding: int):
+        lazy = isinstance(x, _Rows)
+        x = x if lazy else as_tensor(x)
+        w = np.asarray(kernels, dtype=np.float32)
+        if w.ndim != 4 or w.shape[2] != w.shape[3]:
+            raise ValueError(f"kernels must have shape (out_ch, in_ch, k, k), got {w.shape}")
+        out_ch, in_ch, k, _ = w.shape
+        if k % 2 != 1:
+            raise ValueError(f"kernel size must be odd, got {k}")
+        if in_ch != x.shape[0]:
+            raise ValueError(f"channel mismatch: input has {x.shape[0]} channels, kernels expect {in_ch}")
+        b = np.asarray(bias, dtype=np.float32).reshape(-1)
+        if b.size != out_ch:
+            raise ValueError(f"bias length {b.size} != out_ch {out_ch}")
+        if stride < 1:
+            raise ValueError(f"stride must be >= 1, got {stride}")
+        if padding < 0:
+            raise ValueError(f"padding must be >= 0, got {padding}")
+
+        _, h, wd = x.shape
+        out_h = (h + 2 * padding - k) // stride + 1
+        out_w = (wd + 2 * padding - k) // stride + 1
+        if out_h < 1 or out_w < 1:
+            raise ValueError(
+                f"empty output: input {h}x{wd}, kernel {k}, stride {stride}, padding {padding}"
+            )
+        self.shape, self.bias, self.stride, self.padding = (out_ch, out_h, out_w), b, stride, padding
+        self._w, self._slab = w, None
+        chunks = _row_chunks(k, in_ch, out_ch, stride, out_h, out_w)
+        if chunks == 1:
+            # Small layer, single tap, or a unit dimension: the np.dot call of a
+            # plain tap-by-tap tensordot, on the same operands, because small
+            # sgemm calls may round a column differently when their width
+            # changes, and at a unit dimension np.dot takes gemv, whose bits
+            # depend on operand strides. Only the window copy and the product
+            # reuse buffers; with one tap there is no repeated traffic to block.
+            if lazy:
+                raise ValueError("a row source is read only by conv2d's chunked regime")
+            self._x, self.chunks = x, [(0, out_h)]
+        else:
+            # Larger layer: balanced row chunks. Per chunk, one reused slab holds
+            # the rows of the stride-phase images that the chunk's taps read; each
+            # tap's operand is a flat view of it, whose row stride np.matmul hands
+            # to sgemm (np.dot would copy it). The `reach` extra columns of each
+            # row are computed and dropped. A chunk's rows are cut into row parts,
+            # one per thread, each with its own stretch of the product buffer.
+            self._x = x if lazy else _Rows(x)
+            bounds = [out_h * i // chunks for i in range(chunks + 1)]
+            self.chunks = list(zip(bounds, bounds[1:]))
+
+    def add_taps(self, r0: int, r1: int, dst: np.ndarray) -> None:
+        # Buffers are allocated here, after the caller's output: freed, they
+        # leave no hole under a longer-lived array in malloc's heap.
+        (out_ch, out_h, out_w), stride, padding, w = self.shape, self.stride, self.padding, self._w
+        in_ch, k = w.shape[1], w.shape[2]
+        if len(self.chunks) == 1:
+            x = self._x
+            xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding))) if padding else x
+            window = np.empty((in_ch, out_h, out_w), dtype=np.float32)
+            prod = np.empty((out_ch, out_h * out_w), dtype=np.float32)
+            for dy in range(k):
+                y_stop = dy + (out_h - 1) * stride + 1
+                for dx in range(k):
+                    x_stop = dx + (out_w - 1) * stride + 1
+                    patch = xp[:, dy:y_stop:stride, dx:x_stop:stride]
+                    if not patch.flags.c_contiguous:
+                        np.copyto(window, patch)
+                        patch = window
+                    np.dot(w[:, :, dy, dx], patch.reshape(in_ch, -1), out=prod)
+                    dst += prod.reshape(dst.shape)
+            return
+        reach = (k - 1) // stride  # how far, in output pixels, a tap reaches
+        pitch = out_w + reach
+        if self._slab is None:
+            most, m = max(z - a for a, z in self.chunks), min(k, stride)
+            self._wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))  # (k, k, out_ch, in_ch)
+            self._slab = np.zeros((m, m, in_ch, most + reach + 1, pitch), dtype=np.float32)
+            self._buf = np.empty(out_ch * most * pitch, dtype=np.float32)
+        wt, buf = self._wt, self._buf
+        _fill_phase_slab(self._slab, self._x, stride, padding, r0, r1 - r0 + reach)
+        flat = self._slab.reshape(*self._slab.shape[:3], -1)
+        parts = _row_parts(r1 - r0, 4 * out_ch * pitch)
+
+        def taps(t: int) -> None:
+            a, z = parts[t]  # rows of this chunk
+            n = (z - a) * pitch
+            prod = buf[out_ch * a * pitch:out_ch * z * pitch].reshape(out_ch, n)
+            part = dst[:, a:z]
+            for dy in range(k):
+                for dx in range(k):
+                    start = (dy // stride + a) * pitch + dx // stride
+                    np.matmul(wt[dy, dx], flat[dy % stride, dx % stride, :, start:start + n], out=prod)
+                    part += prod.reshape(out_ch, z - a, pitch)[:, :, :out_w]
+
+        _on_threads(taps, len(parts))
 
 
 # Bytes of one tap's product that conv2d keeps live: about half a 2-4 MiB L2.
@@ -144,6 +175,15 @@ def conv2d(x, kernels, bias, stride: int = 1, padding: int = 0) -> np.ndarray:
 # pass and resize_argmax work on blocks of at most this many bytes across all
 # channels.
 _BLOCK_BYTES = 2 << 20
+
+
+def _row_chunks(k: int, in_ch: int, out_ch: int, stride: int, out_h: int, out_w: int) -> int:
+    """Output row chunks conv2d runs a layer in. 1 is its one-call regime:
+    a tap product within _BLOCK_BYTES, a single tap or a unit channel count."""
+    if k == 1 or min(out_ch, in_ch) == 1:
+        return 1
+    pitch = out_w + (k - 1) // stride
+    return min(out_h, -(-4 * out_ch * out_h * pitch // _BLOCK_BYTES))
 
 
 def _row_parts(rows: int, row_bytes: int) -> list[tuple[int, int]]:
@@ -184,33 +224,121 @@ def _on_threads(fn, n: int) -> None:
         raise errors[0]
 
 
-def _fill_phase_slab(slab: np.ndarray, x: np.ndarray, stride: int, padding: int, row0: int, rows: int) -> None:
+def _fill_phase_slab(slab: np.ndarray, src: _Rows, stride: int, padding: int, row0: int, rows: int) -> None:
     """Write rows row0..row0+rows-1 of the stride-phase images of zero-padded
-    `x` into `slab`, of shape (m, m, c, more than rows, cols).
+    `src` into `slab`, of shape (m, m, c, more than rows, cols).
 
     Phase (py, px) holds padded pixel (i*stride + py, j*stride + px) at slab
     row i - row0, column j. Slab rows that hold no input pixel, from row
     `rows` on included, are zeroed here, so a flat window may run past the
     last row; columns that hold none are never written and must be zero.
+    No input row before row0*stride - padding is read.
     """
-    _, h, w = x.shape
+    _, h, w = src.shape
     m, cols = slab.shape[0], slab.shape[4]
 
     def span(phase, size, first, n):
         # slab indices [lo, hi) inside the unpadded input, and the source slice
         lo = max(first, -(-(padding - phase) // stride))
         hi = max(lo, min(first + n, (size - 1 + padding - phase) // stride + 1))
-        src = lo * stride + phase - padding
-        return lo - first, hi - first, slice(src, src + (hi - lo) * stride, stride)
+        at = lo * stride + phase - padding
+        return lo - first, hi - first, slice(at, at + (hi - lo) * stride, stride)
 
+    src.drop(max(0, row0 * stride - padding))
     for py in range(m):
         lo, hi, src_r = span(py, h, row0, rows)
         for px in range(m):
             c_lo, c_hi, src_c = span(px, w, 0, cols)
             phase = slab[py, px]
             phase[:, :lo] = 0.0
-            phase[:, lo:hi, c_lo:c_hi] = x[:, src_r, src_c]
+            if hi > lo and c_hi > c_lo:
+                src.read(phase[:, lo:hi, c_lo:c_hi], src_r, src_c)
             phase[:, hi:] = 0.0
+
+
+class _Rows:
+    """A (c, h, w) tensor as conv2d's chunked regime reads it; this one is
+    an array. Per row chunk, conv2d calls drop(row), after which no read
+    reaches a row before `row`, then read(dst, rows, cols) once per stride
+    phase, which writes rows `rows` and columns `cols` (slices with the conv's
+    stride) of the tensor into `dst`. The subclasses make their rows when a
+    read needs them instead, so that the tensor never exists whole. They run
+    on the calling thread, which allocates every buffer, as conv2d does."""
+
+    def __init__(self, x: np.ndarray):
+        self.x, self.shape = x, x.shape
+
+    def drop(self, row: int) -> None:
+        pass
+
+    def read(self, dst: np.ndarray, rows: slice, cols: slice) -> None:
+        np.copyto(dst, self.x[:, rows, cols])
+
+
+class _ConvRows(_Rows):
+    """Rows of relu(affine_norm(conv2d(x, kernels, bias, stride, padding),
+    scale, shift)), made in that conv2d's own row chunks when a read first
+    reaches them, and let go once drop() passes them. A chunk runs the same
+    slab fill and sgemm calls as in the whole call, then the same elementwise
+    bias, affine and ReLU, so its rows have the whole call's bits."""
+
+    def __init__(self, x, kernels, bias, stride: int, padding: int, scale, shift):
+        self._conv = _Conv(x, kernels, bias, stride, padding)
+        self.shape = self._conv.shape
+        self._scale = np.asarray(scale, dtype=np.float32).reshape(-1)
+        self._shift = np.asarray(shift, dtype=np.float32).reshape(-1)
+        self._todo = iter(self._conv.chunks)
+        self._made: list[tuple[int, int, np.ndarray]] = []  # (r0, r1, rows r0..r1-1)
+
+    def drop(self, row: int) -> None:
+        self._made = [made for made in self._made if made[1] > row]
+
+    def read(self, dst: np.ndarray, rows: slice, cols: slice) -> None:
+        first, step, n = rows.start, rows.step, dst.shape[1]
+        while not self._made or self._made[-1][1] <= first + (n - 1) * step:
+            r0, r1 = next(self._todo)
+            out = np.zeros((self.shape[0], r1 - r0, self.shape[2]), dtype=np.float32)
+            self._conv.add_taps(r0, r1, out)
+            out += self._conv.bias[:, None, None]
+            _affine(out, self._scale, self._shift, out)
+            np.maximum(out, np.float32(0.0), out=out)
+            self._made.append((r0, r1, out))
+        for r0, r1, out in self._made:
+            # reads a..z-1 fall in this chunk: r0 <= first + i * step < r1
+            a, z = max(0, -(-(r0 - first) // step)), min(n, -(-(r1 - first) // step))
+            if a < z:
+                top = first + a * step - r0
+                np.copyto(dst[:, a:z], out[:, top:top + (z - a - 1) * step + 1:step, cols])
+
+
+class _ResizeRows(_Rows):
+    """Rows of bilinear_resize(x, out_h, out_w), made one block of rows at a
+    time when read, each block in row parts on threads as in bilinear_resize.
+    A resized row is elementwise in the row-lerped input, so a row made on
+    its own has the whole resize's bits."""
+
+    def __init__(self, x, out_h: int, out_w: int):
+        x = as_tensor(x)
+        c = x.shape[0]
+        self.shape = (c, out_h, out_w)
+        self._gather, self._lerp_rows, _ = _row_lerp(x, out_h, out_w)
+        self._step = _block_rows(c, out_w)
+        self._top, self._bot = _block_buffer(c, out_h, out_w), _block_buffer(c, out_h, out_w)
+
+    def read(self, dst: np.ndarray, rows: slice, cols: slice) -> None:
+        n, c, out_w = dst.shape[1], self.shape[0], self.shape[2]
+        for r0 in range(0, n, self._step):
+            parts = _row_parts(min(n - r0, self._step), 4 * c * out_w)
+
+            def lerp(t: int) -> None:
+                a, z = parts[t]  # rows r0 + a..r0 + z - 1 of the read
+                sel = slice(rows.start + (r0 + a) * rows.step, rows.start + (r0 + z) * rows.step, rows.step)
+                top = self._top(a, z - a)
+                self._gather(sel, top)
+                self._lerp_rows(sel, top, self._bot(a, z - a))
+                np.copyto(dst[:, r0 + a:r0 + z], top[:, :, cols])
+
+            _on_threads(lerp, len(parts))
 
 
 def _check_out(out, shape) -> None:
@@ -232,6 +360,10 @@ def affine_norm(x, scale, shift, out=None) -> np.ndarray:
             f"scale/shift length ({s.size}/{t.size}) must equal channel count {x.shape[0]}"
         )
     _check_out(out, x.shape)
+    return _affine(x, s, t, out)
+
+
+def _affine(x: np.ndarray, s: np.ndarray, t: np.ndarray, out) -> np.ndarray:
     out = np.multiply(x, s[:, None, None], out=out)
     out += t[:, None, None]  # same two float32 roundings as x * s + t
     return out
@@ -272,12 +404,12 @@ def bilinear_resize(x, out_h: int, out_w: int) -> np.ndarray:
     x = as_tensor(x)
     gather, lerp_rows, blocks = _row_lerp(x, out_h, out_w)
     out = np.empty((x.shape[0], out_h, out_w), dtype=np.float32)
-    gather(0, out_h, out)
+    gather(slice(0, out_h), out)
     bot = _block_buffer(x.shape[0], out_h, out_w)
 
     def run(t: int) -> None:
         for r0, r1, at in blocks[t]:
-            lerp_rows(r0, r1, out[:, r0:r1], bot(at, r1 - r0))
+            lerp_rows(slice(r0, r1), out[:, r0:r1], bot(at, r1 - r0))
 
     _on_threads(run, len(blocks))
     return out
@@ -297,9 +429,9 @@ def resize_argmax(x, out_h: int, out_w: int) -> np.ndarray:
     def run(t: int) -> None:
         for r0, r1, at in blocks[t]:
             block = top(at, r1 - r0)
-            gather(r0, r1, block)
+            gather(slice(r0, r1), block)
             scratch = bot(at, r1 - r0)
-            lerp_rows(r0, r1, block, scratch)
+            lerp_rows(slice(r0, r1), block, scratch)
             # done with `scratch`: its first channel holds the running maximum
             _argmax_into(block.reshape(c, -1), labels[r0:r1].reshape(-1), scratch[0].reshape(-1))
 
@@ -323,14 +455,14 @@ def _block_buffer(c: int, out_h: int, out_w: int):
 def _row_lerp(x: np.ndarray, out_h: int, out_w: int):
     """First pass of bilinear resizing, then functions for the second.
 
-    Returns (gather, lerp_rows, blocks). gather(r0, r1, top) writes, for
-    output rows r0..r1-1 of every channel, the first of the two row-lerped
-    rows they lerp between into C-contiguous `top`; lerp_rows(r0, r1, top,
-    bot) then lerps `top` toward the second rows in place, using C-contiguous
-    `bot` of the same shape as scratch. blocks[t] lists, for thread t, its
-    row part (r0, r1, at) of every block of _block_rows output rows: output
-    rows r0..r1-1, held at rows at.. of a one-block buffer. A resize within
-    one block has one thread.
+    Returns (gather, lerp_rows, blocks). gather(rows, top) writes, for the
+    output rows in slice `rows` of every channel, the first of the two
+    row-lerped rows they lerp between into C-contiguous `top`;
+    lerp_rows(rows, top, bot) then lerps `top` toward the second rows in
+    place, using C-contiguous `bot` of the same shape as scratch. blocks[t]
+    lists, for thread t, its row part (r0, r1, at) of every block of
+    _block_rows output rows: output rows r0..r1-1, held at rows at.. of a
+    one-block buffer. A resize within one block has one thread.
     """
     if out_h < 1 or out_w < 1:
         raise ValueError(f"output size must be positive, got {out_h}x{out_w}")
@@ -360,13 +492,13 @@ def _row_lerp(x: np.ndarray, out_h: int, out_w: int):
 
     # Every index is in range. With mode "clip" np.take writes straight into
     # a C-contiguous `out`; with "raise" it would fill a copy of it first.
-    def gather(r0: int, r1: int, top: np.ndarray) -> None:
-        np.take(rows, y0[r0:r1], axis=1, out=top, mode="clip")
+    def gather(sel: slice, top: np.ndarray) -> None:
+        np.take(rows, y0[sel], axis=1, out=top, mode="clip")
 
-    def lerp_rows(r0: int, r1: int, top: np.ndarray, bot: np.ndarray) -> None:
-        np.take(rows, y1[r0:r1], axis=1, out=bot, mode="clip")
+    def lerp_rows(sel: slice, top: np.ndarray, bot: np.ndarray) -> None:
+        np.take(rows, y1[sel], axis=1, out=bot, mode="clip")
         bot -= top
-        bot *= wy[:, r0:r1]
+        bot *= wy[:, sel]
         top += bot  # lerp form keeps constant inputs exactly constant
 
     return gather, lerp_rows, blocks

@@ -126,6 +126,36 @@ class TestSyntheticData:
         assert not np.array_equal(a[0][0], b[0][0])
 
 
+class TestRasterToTensor:
+    @staticmethod
+    def oracle(raster):
+        # the three-array form: cast, divide, then a contiguous copy
+        return np.ascontiguousarray(raster.transpose(2, 0, 1).astype(np.float32) / np.float32(255.0))
+
+    @pytest.mark.parametrize("raster", [
+        np.arange(256, dtype=np.uint8).reshape(16, 16, 1).repeat(3, axis=2),  # every byte value
+        np.random.default_rng(5).integers(0, 256, (1024, 1024, 3), dtype=np.uint8),
+        np.random.default_rng(6).integers(0, 256, (7, 5, 3), dtype=np.uint8)[::-1, ::2],  # strided
+    ], ids=["bytes", "full_scale", "strided"])
+    def test_matches_the_three_array_form_bitwise(self, raster):
+        x = dataio.raster_to_tensor(raster)
+        want = self.oracle(raster)
+        assert x.dtype == np.float32 and x.flags.c_contiguous
+        assert np.array_equal(x.view(np.uint32), want.view(np.uint32))
+
+    def test_full_scale_allocates_one_tensor(self):
+        raster = np.zeros((1024, 1024, 3), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            dataio.raster_to_tensor(raster)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= (12 << 20) + (64 << 10)
+
+
 class TestDatasetFiles:
     def test_ppm_pgm_round_trip(self, tmp_path):
         pairs = dataio.generate_synthetic(3, 4, 32, 48, seed=9)

@@ -295,6 +295,11 @@ SLAB_PAD_CASES = [
 ]
 
 
+# the 128x128 config of the benchmark's self-tests
+TINY_128 = model.ModelConfig(input_height=128, input_width=128, base_channels=8,
+                             feature_channels=16, num_classes=4, ppm_bins=(1, 2), seed=11)
+
+
 class TestConv2dExact:
     @pytest.mark.parametrize("cfg", [model.ModelConfig(), model.ModelConfig.full_scale()],
                              ids=["desk", "full_scale"])
@@ -310,13 +315,17 @@ class TestConv2dExact:
                  for in_shape, ks, stride, padding in model_conv_shapes(model.ModelConfig.full_scale())}
         assert flags == {True, False}
 
-    def test_model_shape_list_is_complete(self, monkeypatch):
-        cfg = model.ModelConfig()
+    @pytest.mark.parametrize("cfg", [model.ModelConfig(), TINY_128], ids=["desk", "128"])
+    def test_model_shape_list_is_complete(self, monkeypatch, cfg):
+        # every conv input here is an array: a row source may reach conv2d
+        # only where the layer runs in row chunks, and the benchmark's
+        # self-tests trace a conv2d that calls no traced function
         weights = model.build(cfg)
         seen = []
         conv = T.conv2d
 
         def recording(x, kernels, bias, stride=1, padding=0):
+            assert isinstance(x, np.ndarray)
             seen.append((x.shape, kernels.shape, stride, padding))
             return conv(x, kernels, bias, stride=stride, padding=padding)
 
@@ -360,7 +369,7 @@ class TestConv2dExact:
         def filled(*row0s):
             slab = np.zeros((m, m, 3, rows + 2, cols), dtype=np.float32)
             for row0 in row0s:
-                T._fill_phase_slab(slab, x, stride, padding, row0, min(rows, total - row0))
+                T._fill_phase_slab(slab, T._Rows(x), stride, padding, row0, min(rows, total - row0))
             return slab
 
         for row0 in range(total):
@@ -406,6 +415,62 @@ class TestConv2dExact:
         T.conv2d(x, kernels, bias, stride=stride, padding=padding)
         for a, b in zip((x, kernels, bias), before):
             assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+def conv_rows(rng, in_shape):
+    """A row source of shape in_shape made by a unit like s0.conv1 (3x3,
+    stride 2, affine and ReLU on a 3-channel input), and that tensor whole."""
+    c, h, w = in_shape
+    x, kernels, bias = random_conv(rng, (3, 2 * h, 2 * w), (c, 3, 3, 3))
+    scale = rng.uniform(0.5, 1.5, c).astype(np.float32)
+    shift = rng.standard_normal(c, dtype=np.float32)
+    whole = T.relu(T.affine_norm(T.conv2d(x, kernels, bias, stride=2, padding=1), scale, shift))
+    return T._ConvRows(x, kernels, bias, 2, 1, scale, shift), whole
+
+
+def resize_rows(rng, in_shape):
+    """A row source of shape in_shape resized from a smaller map, and that tensor whole."""
+    c, h, w = in_shape
+    x = rng.standard_normal((c, -(-h // 3), -(-w // 5)), dtype=np.float32)
+    return T._ResizeRows(x, h, w), T.bilinear_resize(x, h, w)
+
+
+ROW_SOURCES = {"conv": conv_rows, "resize": resize_rows}
+STRIDED_EDGE_CASES = [case for case in CONV_EDGE_CASES if case[2] > 1]
+
+
+class TestRowSources:
+    """conv2d on rows made on demand equals conv2d on the whole tensor."""
+
+    @pytest.mark.parametrize("source", ROW_SOURCES)
+    @pytest.mark.parametrize("in_shape,out,stride,padding",
+                             SLAB_PAD_CASES + [case for case in STRIDED_EDGE_CASES if is_chunked(
+                                 case[0], case[1][0], case[1][1], case[2], case[3])])
+    def test_conv_on_rows_matches_conv_on_the_tensor(self, monkeypatch, source, in_shape, out, stride, padding):
+        # 64 KiB blocks cut both convs into many chunks, down to one row each,
+        # and a resized read into many blocks
+        out_ch, k = out
+        rng = np.random.default_rng(sum(in_shape) + out_ch * k + stride + padding)
+        _, kernels, bias = random_conv(rng, (1, 1, 1), (out_ch, in_shape[0], k, k))
+        for block_bytes, n in ((T._BLOCK_BYTES, 1), (T._BLOCK_BYTES, 2), (1 << 16, 2)):
+            monkeypatch.setattr(T, "_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(T, "threads", n)
+            rows, whole = ROW_SOURCES[source](rng, in_shape)
+            assert rows.shape == whole.shape
+            want = T.conv2d(whole, kernels, bias, stride=stride, padding=padding)
+            assert_bitwise_equal(T.conv2d(rows, kernels, bias, stride=stride, padding=padding), want)
+
+    @pytest.mark.parametrize("source", ROW_SOURCES)
+    @pytest.mark.parametrize("in_shape,out,stride,padding",
+                             [case for case in STRIDED_EDGE_CASES if not is_chunked(
+                                 case[0], case[1][0], case[1][1], case[2], case[3])])
+    def test_conv_refuses_rows_outside_the_chunked_regime(self, source, in_shape, out, stride, padding):
+        out_ch, k = out
+        rng = np.random.default_rng(7)
+        _, kernels, bias = random_conv(rng, (1, 1, 1), (out_ch, in_shape[0], k, k))
+        rows, _ = ROW_SOURCES[source](rng, in_shape)
+        with pytest.raises(ValueError, match="chunked regime"):
+            T.conv2d(rows, kernels, bias, stride=stride, padding=padding)
 
 
 class TestAffineRelu:
