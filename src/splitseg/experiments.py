@@ -178,6 +178,10 @@ def spec_from_dict(raw: dict) -> ExperimentSpec:
         for entry in (_json_list(k, v) if k == "ppm_bins" else (v,)):
             _scalar(k, entry, int)
     if "input_size" in m:
+        also = [k for k in ("input_height", "input_width") if k in m]
+        if also:
+            keys = ", ".join(repr(k) for k in ["input_size", *also])
+            raise ConfigError(f"model keys {keys} conflict: give 'input_size' or the height and width, not both")
         size = m.pop("input_size")
         m = {"input_height": size, "input_width": size, **m}
     kw = {k: _json_list(k, v) for k, v in ch.items()}

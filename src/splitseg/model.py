@@ -485,10 +485,12 @@ def load_weights(path) -> WeightSet:
     try:
         manifest = json.loads(mpath.read_text())
         config = ModelConfig.from_dict(manifest["config"])
-        entries = {e["name"]: e for e in manifest["params"]}
+        entries = {e["name"]: (tuple(e["shape"]), _integer("offset", e["offset"])) for e in manifest["params"]}
         total = int(manifest["total_bytes"])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"corrupt file: unreadable manifest {mpath} ({exc})") from exc
+    if len(entries) != len(manifest["params"]):
+        raise ValueError(f"corrupt file: manifest {mpath} lists an entry twice")
 
     blob = bpath.read_bytes()
     if len(blob) != total:
@@ -501,13 +503,12 @@ def load_weights(path) -> WeightSet:
 
     params: dict[str, np.ndarray] = {}
     for name, shape in expected.items():
-        entry = entries.get(name)
-        if entry is None:
+        if name not in entries:
             raise ValueError(f"missing entry: {name}")
-        if tuple(entry["shape"]) != shape:
-            raise ValueError(f"shape mismatch for {name}: manifest {entry['shape']}, expected {list(shape)}")
+        listed_shape, offset = entries[name]
+        if listed_shape != shape:
+            raise ValueError(f"shape mismatch for {name}: manifest {list(listed_shape)}, expected {list(shape)}")
         count = int(np.prod(shape))
-        offset = int(entry["offset"])
         end = offset + 4 * count
         if offset < 0 or end > len(blob):
             raise ValueError(f"corrupt file: entry {name} spans bytes {offset}..{end} of {len(blob)}")

@@ -16,7 +16,9 @@ not depend on the thread count: chunk bounds, block steps, tap order and
 accumulation are the same, a resize row is elementwise, and a conv part only
 narrows an sgemm call that stays in OpenBLAS's packed kernel, where a
 column's value does not depend on the call width. Work within one block,
-which is every desk-scale layer, starts no thread.
+which is every desk-scale layer, starts no thread. Every resize, the row
+source a conv reads included, is one _ResizeRows run through its one block
+loop, in which each thread takes the same row part of every block.
 """
 
 from __future__ import annotations
@@ -312,33 +314,87 @@ class _ConvRows(_Rows):
 
 
 class _ResizeRows(_Rows):
-    """Rows of bilinear_resize(x, out_h, out_w), made one block of rows at a
-    time when read, each block in row parts on threads as in bilinear_resize.
-    A resized row is elementwise in the row-lerped input, so a row made on
-    its own has the whole resize's bits."""
+    """bilinear_resize(x, out_h, out_w), run by blocks of output rows; as a
+    row source, the rows a read asks for, so the resize never exists whole.
+
+    The constructor runs the first pass, the lerp along each source row.
+    For the output rows in slice `sel`, gather(sel, top) writes the first of
+    the two row-lerped rows they lerp between into C-contiguous `top`, and
+    lerp(sel, top, bot) lerps `top` toward the second in place, with
+    C-contiguous `bot` of its shape as scratch. A resized row is elementwise
+    in the row-lerped input, so a row made on its own has the whole
+    resize's bits."""
 
     def __init__(self, x, out_h: int, out_w: int):
         x = as_tensor(x)
-        c = x.shape[0]
-        self.shape = (c, out_h, out_w)
-        self._gather, self._lerp_rows, _ = _row_lerp(x, out_h, out_w)
-        self._step = _block_rows(c, out_w)
-        self._top, self._bot = _block_buffer(c, out_h, out_w), _block_buffer(c, out_h, out_w)
+        if out_h < 1 or out_w < 1:
+            raise ValueError(f"output size must be positive, got {out_h}x{out_w}")
+        c, h, w = x.shape
+        self.shape, self._bufs = (c, out_h, out_w), None
+        ys = np.clip((np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
+        xs = np.clip((np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
+        self._y0 = np.floor(ys).astype(np.int64)
+        x0 = np.floor(xs).astype(np.int64)
+        self._y1 = np.minimum(self._y0 + 1, h - 1)
+        self._wy = (ys - self._y0).astype(np.float32)[None, :, None]
+        wx = (xs - x0).astype(np.float32)
+
+        # separable lerp: along each source row once, then between the two rows;
+        # every output element sees the same float32 operations as the 2-D form
+        self._rows = np.take(x, x0, axis=2)
+        right = np.take(x, np.minimum(x0 + 1, w - 1), axis=2)
+        right -= self._rows
+        right *= wx
+        self._rows += right
+
+    # Every index is in range. With mode "clip" np.take writes straight into
+    # a C-contiguous `out`; with "raise" it would fill a copy of it first.
+    def gather(self, sel: slice, top: np.ndarray) -> None:
+        np.take(self._rows, self._y0[sel], axis=1, out=top, mode="clip")
+
+    def lerp(self, sel: slice, top: np.ndarray, bot: np.ndarray) -> None:
+        np.take(self._rows, self._y1[sel], axis=1, out=bot, mode="clip")
+        bot -= top
+        bot *= self._wy[:, sel]
+        top += bot  # lerp form keeps constant inputs exactly constant
+
+    def buffer(self):
+        """One block of output rows of every channel, as a function: rows(at, n)
+        is a C-contiguous (c, n, out_w) view of its rows at..at+n-1."""
+        c, out_h, out_w = self.shape
+        flat = np.empty(c * min(_block_rows(c, out_w), out_h) * out_w, dtype=np.float32)
+        return lambda at, n: flat[c * at * out_w:c * (at + n) * out_w].reshape(c, n, out_w)
+
+    def blocks(self, n: int, fn) -> None:
+        """Call fn(r0, r1, at) on output rows 0..n-1 by blocks of _block_rows
+        rows: rows r0..r1-1, held at rows at.. of a block buffer. A resize
+        whose output fits in one block runs on this thread; otherwise a block
+        is cut into row parts, and thread t runs part t of every block. One
+        join per call: a join after each block measured slower."""
+        c, out_h, out_w = self.shape
+        step = _block_rows(c, out_w)
+        parts = [(0, step)] if step >= out_h else _row_parts(min(step, n), 4 * c * out_w)
+
+        def run(t: int) -> None:
+            a, z = parts[t]
+            for b0 in range(0, n - a, step):
+                fn(b0 + a, min(b0 + z, n), a)
+
+        _on_threads(run, len(parts))
 
     def read(self, dst: np.ndarray, rows: slice, cols: slice) -> None:
-        n, c, out_w = dst.shape[1], self.shape[0], self.shape[2]
-        for r0 in range(0, n, self._step):
-            parts = _row_parts(min(n - r0, self._step), 4 * c * out_w)
+        if self._bufs is None:
+            self._bufs = self.buffer(), self.buffer()
+        top, bot = self._bufs
 
-            def lerp(t: int) -> None:
-                a, z = parts[t]  # rows r0 + a..r0 + z - 1 of the read
-                sel = slice(rows.start + (r0 + a) * rows.step, rows.start + (r0 + z) * rows.step, rows.step)
-                top = self._top(a, z - a)
-                self._gather(sel, top)
-                self._lerp_rows(sel, top, self._bot(a, z - a))
-                np.copyto(dst[:, r0 + a:r0 + z], top[:, :, cols])
+        def run(r0: int, r1: int, at: int) -> None:
+            sel = slice(rows.start + r0 * rows.step, rows.start + r1 * rows.step, rows.step)
+            block = top(at, r1 - r0)
+            self.gather(sel, block)
+            self.lerp(sel, block, bot(at, r1 - r0))
+            np.copyto(dst[:, r0:r1], block[:, :, cols])
 
-            _on_threads(lerp, len(parts))
+        self.blocks(dst.shape[1], run)
 
 
 def _check_out(out, shape) -> None:
@@ -401,17 +457,11 @@ def bilinear_resize(x, out_h: int, out_w: int) -> np.ndarray:
     Source coordinate for destination index d is (d + 0.5) * in/out - 0.5,
     clamped to [0, in - 1].
     """
-    x = as_tensor(x)
-    gather, lerp_rows, blocks = _row_lerp(x, out_h, out_w)
-    out = np.empty((x.shape[0], out_h, out_w), dtype=np.float32)
-    gather(slice(0, out_h), out)
-    bot = _block_buffer(x.shape[0], out_h, out_w)
-
-    def run(t: int) -> None:
-        for r0, r1, at in blocks[t]:
-            lerp_rows(slice(r0, r1), out[:, r0:r1], bot(at, r1 - r0))
-
-    _on_threads(run, len(blocks))
+    rs = _ResizeRows(x, out_h, out_w)
+    out = np.empty(rs.shape, dtype=np.float32)
+    rs.gather(slice(0, out_h), out)
+    bot = rs.buffer()
+    rs.blocks(out_h, lambda r0, r1, at: rs.lerp(slice(r0, r1), out[:, r0:r1], bot(at, r1 - r0)))
     return out
 
 
@@ -420,22 +470,18 @@ def resize_argmax(x, out_h: int, out_w: int) -> np.ndarray:
     int32 (out_h, out_w) labels. Each block of output rows is resized into
     one reused buffer and reduced to labels, so the resized array never
     exists whole."""
-    x = as_tensor(x)
-    c = x.shape[0]
-    gather, lerp_rows, blocks = _row_lerp(x, out_h, out_w)
+    rs = _ResizeRows(x, out_h, out_w)
     labels = np.zeros((out_h, out_w), dtype=np.int32)
-    top, bot = _block_buffer(c, out_h, out_w), _block_buffer(c, out_h, out_w)
+    top, bot = rs.buffer(), rs.buffer()
 
-    def run(t: int) -> None:
-        for r0, r1, at in blocks[t]:
-            block = top(at, r1 - r0)
-            gather(slice(r0, r1), block)
-            scratch = bot(at, r1 - r0)
-            lerp_rows(slice(r0, r1), block, scratch)
-            # done with `scratch`: its first channel holds the running maximum
-            _argmax_into(block.reshape(c, -1), labels[r0:r1].reshape(-1), scratch[0].reshape(-1))
+    def run(r0: int, r1: int, at: int) -> None:
+        block, scratch = top(at, r1 - r0), bot(at, r1 - r0)
+        rs.gather(slice(r0, r1), block)
+        rs.lerp(slice(r0, r1), block, scratch)
+        # done with `scratch`: its first channel holds the running maximum
+        _argmax_into(block.reshape(rs.shape[0], -1), labels[r0:r1].reshape(-1), scratch[0].reshape(-1))
 
-    _on_threads(run, len(blocks))
+    rs.blocks(out_h, run)
     return labels
 
 
@@ -443,65 +489,6 @@ def _block_rows(c: int, out_w: int) -> int:
     """Output rows per block of a resize: at most _BLOCK_BYTES across all
     channels, and at least one."""
     return max(1, _BLOCK_BYTES // (4 * c * out_w))
-
-
-def _block_buffer(c: int, out_h: int, out_w: int):
-    """One block of output rows of every channel, as a function: rows(at, n)
-    is a C-contiguous (c, n, out_w) view of its rows at..at+n-1."""
-    flat = np.empty(c * min(_block_rows(c, out_w), out_h) * out_w, dtype=np.float32)
-    return lambda at, n: flat[c * at * out_w:c * (at + n) * out_w].reshape(c, n, out_w)
-
-
-def _row_lerp(x: np.ndarray, out_h: int, out_w: int):
-    """First pass of bilinear resizing, then functions for the second.
-
-    Returns (gather, lerp_rows, blocks). gather(rows, top) writes, for the
-    output rows in slice `rows` of every channel, the first of the two
-    row-lerped rows they lerp between into C-contiguous `top`;
-    lerp_rows(rows, top, bot) then lerps `top` toward the second rows in
-    place, using C-contiguous `bot` of the same shape as scratch. blocks[t]
-    lists, for thread t, its row part (r0, r1, at) of every block of
-    _block_rows output rows: output rows r0..r1-1, held at rows at.. of a
-    one-block buffer. A resize within one block has one thread.
-    """
-    if out_h < 1 or out_w < 1:
-        raise ValueError(f"output size must be positive, got {out_h}x{out_w}")
-    c, h, w = x.shape
-    ys = np.clip((np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
-    xs = np.clip((np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = (ys - y0).astype(np.float32)[None, :, None]
-    wx = (xs - x0).astype(np.float32)
-
-    # separable lerp: along each source row once, then between the two rows;
-    # every output element sees the same float32 operations as the 2-D form
-    rows = np.take(x, x0, axis=2)
-    right = np.take(x, x1, axis=2)
-    right -= rows
-    right *= wx
-    rows += right
-    del right
-
-    step = _block_rows(c, out_w)
-    cuts = [(0, step)] if step >= out_h else _row_parts(step, 4 * c * out_w)
-    blocks = [[(r0 + a, min(r0 + z, out_h), a) for r0 in range(0, out_h, step) if r0 + a < out_h]
-              for a, z in cuts]
-
-    # Every index is in range. With mode "clip" np.take writes straight into
-    # a C-contiguous `out`; with "raise" it would fill a copy of it first.
-    def gather(sel: slice, top: np.ndarray) -> None:
-        np.take(rows, y0[sel], axis=1, out=top, mode="clip")
-
-    def lerp_rows(sel: slice, top: np.ndarray, bot: np.ndarray) -> None:
-        np.take(rows, y1[sel], axis=1, out=bot, mode="clip")
-        bot -= top
-        bot *= wy[:, sel]
-        top += bot  # lerp form keeps constant inputs exactly constant
-
-    return gather, lerp_rows, blocks
 
 
 def _argmax_into(flat: np.ndarray, lab: np.ndarray, best: np.ndarray) -> None:

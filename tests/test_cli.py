@@ -269,6 +269,18 @@ def test_non_finite_value_rejected(tmp_path, capsys, command, section, key, lite
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("keys", [["input_height"], ["input_width"], ["input_height", "input_width"]])
+def test_input_size_with_height_or_width_rejected(tmp_path, capsys, keys):
+    # merged, {"input_size": 128, "input_height": 256} would give a 256x128 model
+    raw = json.loads(write_config(tmp_path).read_text())
+    raw["model"].update({k: 256 for k in keys})
+    cfg = write_config(tmp_path, **raw)
+    assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: ")
+    assert all(repr(k) in err for k in ["input_size", *keys])
+
+
 def test_report_too_large_to_count_is_a_config_error(tmp_path, capsys):
     cfg = write_raw_config(tmp_path, "model", "input_size", str(64 * 2 ** 1100))
     assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_BAD_CONFIG

@@ -497,6 +497,33 @@ class TestWeightIO:
         with pytest.raises(ValueError, match=f"corrupt file: .*{key}"):
             M.load_weights(tmp_path / "w")
 
+    @pytest.mark.parametrize("defect", [
+        lambda e: e.pop("shape"),
+        lambda e: e.pop("offset"),
+        lambda e: e.update(shape=3),
+        lambda e: e.update(offset="x"),
+        lambda e: e.update(offset=e["offset"] + 0.5),  # int() would truncate it to a wrong offset
+    ], ids=["no_shape", "no_offset", "scalar_shape", "text_offset", "fractional_offset"])
+    def test_malformed_entry_is_corrupt(self, tmp_path, defect):
+        M.save_weights(M.build(tiny_config()), tmp_path / "w")
+        mpath = tmp_path / "w.json"
+        manifest = json.loads(mpath.read_text())
+        defect(manifest["params"][3])
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="corrupt file"):
+            M.load_weights(tmp_path / "w")
+
+    def test_duplicate_entry_is_corrupt(self, tmp_path):
+        # the copy points at another parameter's bytes; it must not silently win
+        M.save_weights(M.build(tiny_config()), tmp_path / "w")
+        mpath = tmp_path / "w.json"
+        manifest = json.loads(mpath.read_text())
+        first, other = manifest["params"][0], manifest["params"][2]
+        manifest["params"].append({**first, "offset": other["offset"]})
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="corrupt file: .*twice"):
+            M.load_weights(tmp_path / "w")
+
     def test_missing_files_reported(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             M.load_weights(tmp_path / "nope")

@@ -974,6 +974,20 @@ class TestThreads:
             assert np.array_equal(T.resize_argmax(x, out_h, out_w), want)
         assert max(thread_parts) > 1
 
+    def test_row_source_within_one_block_starts_no_thread(self, monkeypatch, thread_parts):
+        # 8 channels of 256 columns: blocks of 256 rows. A 200-row read is
+        # 1.6 MiB, which row parts would cut in two, but the whole resize
+        # fits in one block; a 600-row resize has three blocks, each cut.
+        monkeypatch.setattr(T, "threads", 2)
+        x = np.random.default_rng(1037).normal(size=(8, 50, 64)).astype(np.float32)
+        for out_h, threaded in ((200, False), (600, True)):
+            want = gather4_resize(x, out_h, 256)
+            rows, dst = T._ResizeRows(x, out_h, 256), np.empty((8, out_h, 256), dtype=np.float32)
+            thread_parts.clear()
+            rows.read(dst, slice(0, out_h, 1), slice(0, 256, 1))
+            assert_bitwise_equal(dst, want)
+            assert thread_parts and (max(thread_parts) > 1) == threaded
+
     def test_desk_scale_forward_starts_no_thread(self, monkeypatch, thread_parts):
         cfg = model.ModelConfig()
         weights = model.build(cfg)
