@@ -3,7 +3,7 @@
 Subcommands: sweep (run the SNR sweep and write CSVs), report (rate and
 compute reports as JSON), plot (render sweep CSVs to SVG), gen-data (write a
 synthetic PPM/PGM dataset). The SPLITSEG_OUT_DIR environment variable
-overrides --out for sweep and gen-data.
+overrides every --out (sweep, report and gen-data).
 
 Exit codes: 0 ok, 1 runtime failure, 2 usage error, 3 missing file,
 4 invalid config.

@@ -19,7 +19,8 @@ from .model import SegmentationMap
 MIN_QUANT_BITS = 1
 MAX_QUANT_BITS = 16
 STANDARD_QUANT_BITS = (4, 6, 8, 16)
-PAYLOAD_HEADER_FIXED_BITS = 96  # three packed 32-bit words: channels, dims, bits per value
+_HEADER = struct.Struct(">III")  # channels, (height << 16 | width), bits per value
+PAYLOAD_HEADER_FIXED_BITS = 8 * _HEADER.size
 PAYLOAD_HEADER_BITS_PER_CHANNEL = 64  # float32 min and max
 
 
@@ -198,9 +199,7 @@ def serialize_payload(payload: FeaturePayload) -> tuple[BitStream, BitStream]:
     """
     if payload.height >= 1 << 16 or payload.width >= 1 << 16:
         raise ValueError("payload dims exceed the 16-bit header fields")
-    head = struct.pack(
-        ">III", payload.channels, (payload.height << 16) | payload.width, payload.bits_per_value
-    )
+    head = _HEADER.pack(payload.channels, (payload.height << 16) | payload.width, payload.bits_per_value)
     ranges = np.empty(2 * payload.channels, dtype=">f4")
     ranges[0::2] = payload.mins
     ranges[1::2] = payload.maxs
@@ -214,11 +213,11 @@ def deserialize_payload(header: BitStream, body: BitStream) -> FeaturePayload:
     if header.n_bits < PAYLOAD_HEADER_FIXED_BITS or header.n_bits % 8 != 0:
         raise ValueError(f"malformed header: {header.n_bits} bits")
     raw = header.data.tobytes()
-    channels, dims, bits_per_value = struct.unpack(">III", raw[:12])
+    channels, dims, bits_per_value = _HEADER.unpack_from(raw)
     if header.n_bits != payload_header_bits(channels):
         raise ValueError(f"malformed header: {header.n_bits} bits for {channels} channels")
     height, width = dims >> 16, dims & 0xFFFF
-    ranges = np.frombuffer(raw[12:], dtype=">f4")
+    ranges = np.frombuffer(raw, dtype=">f4", offset=_HEADER.size)
     return FeaturePayload(
         channels, height, width, bits_per_value,
         ranges[0::2].astype(np.float32), ranges[1::2].astype(np.float32), body.copy(),

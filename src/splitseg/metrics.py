@@ -82,7 +82,7 @@ def bits_per_image(pipeline: str, config: ModelConfig, quant_bits: int = 8) -> i
         return label_bits_per_pixel(config.num_classes) * h * w
     if pipeline == "split":
         cut = M.describe(config)[M.SPLIT_BOUNDARY]
-        return cut.out_channels * cut.out_h * cut.out_w * quant_bits + payload_header_bits(cut.out_channels)
+        return cut.cout * cut.out_h * cut.out_w * quant_bits + payload_header_bits(cut.cout)
     raise ValueError(f"unknown pipeline {pipeline!r}, expected one of {PIPELINES}")
 
 

@@ -147,24 +147,12 @@ class ConvPlan:
         return self.k * self.k * self.cin * self.cout * self.out_h * self.out_w
 
 
-def _rbb_mid(cout: int) -> int:
-    return max(cout // 4, 4)
-
-
-def _ppm_branch_channels(config: ModelConfig) -> int:
-    return max(config.feature_channels // len(config.ppm_bins), 1)
-
-
-def _head_mid(config: ModelConfig) -> int:
-    return max(config.feature_channels // 4, config.num_classes)
-
-
 def layer_plan(config: ModelConfig) -> list[ConvPlan]:
     """Enumerate every convolution in execution order.
 
-    This single table drives weight construction, weight-file validation,
-    MAC accounting, the stage table of `describe`, and the executor's
-    strides, padding, affine layers and residual projections.
+    This single table drives weight construction, the weight-file layout,
+    MAC accounting, `describe`, and the executor's units, strides, padding,
+    affine layers and residual projections.
     """
     c0, c5, k = config.base_channels, config.feature_channels, config.num_classes
     h, w = config.input_height, config.input_width
@@ -186,7 +174,7 @@ def layer_plan(config: ModelConfig) -> list[ConvPlan]:
             conv(f"{prefix}.proj", stage, 1, cin, cout, stride, oh, ow)
 
     def rbb(prefix, stage, cin, cout, stride, ih, iw, oh, ow):
-        mid = _rbb_mid(cout)
+        mid = max(cout // 4, 4)
         conv(f"{prefix}.reduce", stage, 1, cin, mid, 1, ih, iw)
         conv(f"{prefix}.conv", stage, 3, mid, mid, stride, oh, ow)
         conv(f"{prefix}.expand", stage, 1, mid, cout, 1, oh, ow)
@@ -213,12 +201,13 @@ def layer_plan(config: ModelConfig) -> list[ConvPlan]:
     rbb("s5.d", 5, c0, c0, 1, h8, w8, h8, w8)
     conv("s5.fuse", 5, 1, 11 * c0, c5, 1, h64, w64)
 
-    cb = _ppm_branch_channels(config)
+    cb = max(c5 // len(config.ppm_bins), 1)
     for b in config.ppm_bins:
         conv(f"s6.ppm.bin{b}", 6, 1, c5, cb, 1, b, b)
     conv("s6.ppm.fuse", 6, 1, c5 + cb * len(config.ppm_bins), c5, 1, h64, w64)
-    conv("s6.head1", 6, 3, c5, _head_mid(config), 1, h8, w8)
-    conv("s6.head2", 6, 1, _head_mid(config), k, 1, h8, w8, affine=False)
+    mid = max(c5 // 4, k)
+    conv("s6.head1", 6, 3, c5, mid, 1, h8, w8)
+    conv("s6.head2", 6, 1, mid, k, 1, h8, w8, affine=False)
     return plans
 
 
@@ -264,15 +253,6 @@ def build(config: ModelConfig) -> WeightSet:
     return WeightSet(config=config, params=params)
 
 
-@dataclass(frozen=True)
-class StageInfo:
-    stage: int
-    kind: str
-    out_channels: int
-    out_h: int
-    out_w: int
-
-
 @functools.lru_cache(maxsize=32)
 def _plans(config: ModelConfig) -> dict[str, ConvPlan]:
     return {p.name: p for p in layer_plan(config)}
@@ -306,26 +286,25 @@ def _streams(weights: WeightSet, name: str) -> bool:
     return T._row_chunks(p.k, p.cin, p.cout, p.stride, p.out_h, p.out_w) > 1
 
 
-_RB = ("conv1", "conv2")
-_RBB = ("reduce", "conv", "expand")
-
-
-def _block(weights: WeightSet, prefix: str, x, units: tuple[str, ...]) -> np.ndarray:
-    """Residual block: `units` in sequence, ReLU after all but the last, plus
-    the input (through the block's projection conv when the plan has one)."""
+def _block(weights: WeightSet, prefix: str, x) -> np.ndarray:
+    """Residual block: the plan's units under `prefix` in plan order, ReLU
+    after all but the last, plus the input (through the block's projection
+    conv when the plan has one)."""
+    plans, proj = _plans(weights.config), prefix + ".proj"
+    units = [name for name in plans if name.startswith(prefix + ".") and name != proj]
     y = x
     for name in units:
-        y = _unit(weights, f"{prefix}.{name}", y, act=name != units[-1])
+        y = _unit(weights, name, y, act=name != units[-1])
     skip = x
-    if prefix + ".proj" in _plans(weights.config):
-        skip = _unit(weights, prefix + ".proj", x, act=False)
+    if proj in plans:
+        skip = _unit(weights, proj, x, act=False)
     return T.relu(T.add(y, skip, out=y), out=y)  # y is the fresh output of a unit
 
 
 def _branches(weights: WeightSet, s: int, pid) -> tuple:
     """Stages 3-4: a residual block per branch, then the context branch's
     compensation features resized and added onto the detail branch."""
-    p, i, d = (_block(weights, f"s{s}.{b}", t, _RB) for b, t in zip("pid", pid))
+    p, i, d = (_block(weights, f"s{s}.{b}", t) for b, t in zip("pid", pid))
     comp = _unit(weights, f"s{s}.comp", i, act=False)
     return T.add(p, T.bilinear_resize(comp, p.shape[1], p.shape[2]), out=p), i, d
 
@@ -333,7 +312,7 @@ def _branches(weights: WeightSet, s: int, pid) -> tuple:
 def _fuse(weights: WeightSet, pid) -> np.ndarray:
     """Stage 5: a bottleneck block per branch, then all three on the context
     branch's 1/64 grid fused into one map."""
-    p, i, d = (_block(weights, f"s5.{b}", t, _RBB) for b, t in zip("pid", pid))
+    p, i, d = (_block(weights, f"s5.{b}", t) for b, t in zip("pid", pid))
     pooled = [T.avg_pool_to(t, i.shape[1], i.shape[2]) for t in (p, d)]
     return _unit(weights, "s5.fuse", T.concat_channels([*pooled, i]), act=False)
 
@@ -362,34 +341,32 @@ def _head(weights: WeightSet, x) -> np.ndarray:
     return _unit(weights, "s6.head2", y, act=False)
 
 
-# The stage schedule. Per stage: its function (weights, input) -> output, its
-# kind, and the plan entry of its output. Stage 3 feeds x to all of (p, i, d).
+# The stage schedule. Per stage: its function (weights, input) -> output and
+# the plan entry of its output. Stage 3 feeds x to all of (p, i, d).
 _STAGES = (
-    (_stem, "conv x2", "s0.conv2"),
-    (lambda w, x: _block(w, "s1.rb", x, _RB), "rb", "s1.rb.conv2"),
-    (lambda w, x: _block(w, "s2.rb", x, _RB), "rb", "s2.rb.conv2"),
-    (lambda w, x: _branches(w, 3, (x, x, x)), "rb x3", "s3.i.conv2"),
-    (lambda w, pid: _branches(w, 4, pid), "rb x3", "s4.i.conv2"),
-    (_fuse, "rbb x3 + fuse", "s5.fuse"),
-    (_head, "ppm + conv x2", "s6.head2"),
+    (_stem, "s0.conv2"),
+    (lambda w, x: _block(w, "s1.rb", x), "s1.rb.conv2"),
+    (lambda w, x: _block(w, "s2.rb", x), "s2.rb.conv2"),
+    (lambda w, x: _branches(w, 3, (x, x, x)), "s3.i.conv2"),
+    (lambda w, pid: _branches(w, 4, pid), "s4.i.conv2"),
+    (_fuse, "s5.fuse"),
+    (_head, "s6.head2"),
 )
 TOTAL_STAGES = len(_STAGES)
 # The transmitter runs stages 0..SPLIT_BOUNDARY and sends that stage's output.
 SPLIT_BOUNDARY = 5
 
 
-def describe(config: ModelConfig) -> list[StageInfo]:
-    """Per-stage operation kind, output channels, and output resolution."""
+def describe(config: ModelConfig) -> list[ConvPlan]:
+    """Per stage, the plan entry of its output (for stages 3-4, the context
+    branch's): its channels `cout` and resolution `out_h` x `out_w`."""
     plans = _plans(config)
-    return [
-        StageInfo(stage, kind, plans[name].cout, plans[name].out_h, plans[name].out_w)
-        for stage, (_, kind, name) in enumerate(_STAGES)
-    ]
+    return [plans[name] for _, name in _STAGES]
 
 
 def _forward(x, weights: WeightSet, start: int, stop: int):
     """Run stages start..stop-1 on the input of stage `start`."""
-    for run, _, _ in _STAGES[start:stop]:
+    for run, _ in _STAGES[start:stop]:
         x = run(weights, x)
     return x
 
@@ -410,8 +387,8 @@ def forward_receiver(features, weights: WeightSet) -> tuple[np.ndarray, Segmenta
     cfg = weights.config
     cut = describe(cfg)[SPLIT_BOUNDARY]
     x = np.asarray(features, dtype=np.float32)
-    if x.shape != (cut.out_channels, cut.out_h, cut.out_w):
-        raise ValueError(f"feature shape {x.shape} != ({cut.out_channels}, {cut.out_h}, {cut.out_w})")
+    if x.shape != (cut.cout, cut.out_h, cut.out_w):
+        raise ValueError(f"feature shape {x.shape} != ({cut.cout}, {cut.out_h}, {cut.out_w})")
     y = _forward(x, weights, SPLIT_BOUNDARY + 1, TOTAL_STAGES)
     return y, SegmentationMap(T.resize_argmax(y, cfg.input_height, cfg.input_width))
 
@@ -448,26 +425,34 @@ def _blob_path(path) -> Path:
     return Path(str(path) + ".bin")
 
 
+def _layout(config: ModelConfig) -> tuple[dict[str, tuple[tuple[int, ...], int]], int]:
+    """Each parameter's shape and byte offset in the weight blob, packed back
+    to back as float32 in param_shapes order, and the blob's total bytes."""
+    layout, offset = {}, 0
+    for name, shape in param_shapes(config).items():
+        layout[name] = (shape, offset)
+        offset += 4 * math.prod(shape)
+    return layout, offset
+
+
 def save_weights(weights: WeightSet, path) -> None:
     """Write `<path>.json` (manifest) and `<path>.bin` (little-endian float32 blob).
 
-    The manifest lists {name, shape, offset} per parameter in plan order and
-    embeds the model config so the file is self-describing.
+    The manifest lists {name, shape, offset} per parameter as `_layout`
+    places it and embeds the model config so the file is self-describing.
     """
-    entries = []
-    blob = bytearray()
-    for name, arr in weights.params.items():
-        data = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        entries.append({"name": name, "shape": list(arr.shape), "offset": len(blob)})
-        blob.extend(data)
+    if {name: np.shape(arr) for name, arr in weights.params.items()} != param_shapes(weights.config):
+        raise ValueError("weights do not match param_shapes of their config")
+    layout, total = _layout(weights.config)
+    blob = b"".join(np.ascontiguousarray(weights.params[name], dtype="<f4").tobytes() for name in layout)
     manifest = {
         "config": weights.config.to_dict(),
-        "params": entries,
-        "total_bytes": len(blob),
+        "params": [{"name": n, "shape": list(shape), "offset": o} for n, (shape, o) in layout.items()],
+        "total_bytes": total,
     }
     # blob first: if the manifest write fails, the old manifest stays and
     # load_weights rejects the new blob unless its layout is the same
-    write_bytes_atomic(_blob_path(path), bytes(blob))
+    write_bytes_atomic(_blob_path(path), blob)
     write_text_atomic(_manifest_path(path), json.dumps(manifest, indent=1) + "\n")
 
 
@@ -475,7 +460,8 @@ def load_weights(path) -> WeightSet:
     """Load and validate a weight file pair written by save_weights.
 
     Raises ValueError with a "missing entry", "shape mismatch", "unexpected
-    entry", or "corrupt file" message depending on the defect found.
+    entry", or "corrupt file" message depending on the defect found. Every
+    entry must sit at the offset `_layout` gives it.
     """
     mpath, bpath = _manifest_path(path), _blob_path(path)
     if not mpath.exists():
@@ -485,34 +471,33 @@ def load_weights(path) -> WeightSet:
     try:
         manifest = json.loads(mpath.read_text())
         config = ModelConfig.from_dict(manifest["config"])
-        entries = {e["name"]: (tuple(e["shape"]), _integer("offset", e["offset"])) for e in manifest["params"]}
-        total = int(manifest["total_bytes"])
+        entries = {e["name"]: (tuple(e["shape"]), e["offset"]) for e in manifest["params"]}
+        total = manifest["total_bytes"]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"corrupt file: unreadable manifest {mpath} ({exc})") from exc
     if len(entries) != len(manifest["params"]):
         raise ValueError(f"corrupt file: manifest {mpath} lists an entry twice")
 
-    blob = bpath.read_bytes()
-    if len(blob) != total:
-        raise ValueError(f"corrupt file: blob {bpath} has {len(blob)} bytes, manifest says {total}")
-
-    expected = param_shapes(config)
+    layout, size = _layout(config)
     for name in entries:
-        if name not in expected:
+        if name not in layout:
             raise ValueError(f"unexpected entry: {name}")
-
-    params: dict[str, np.ndarray] = {}
-    for name, shape in expected.items():
+    for name, (shape, offset) in layout.items():
         if name not in entries:
             raise ValueError(f"missing entry: {name}")
-        listed_shape, offset = entries[name]
+        listed_shape, listed_offset = entries[name]
         if listed_shape != shape:
             raise ValueError(f"shape mismatch for {name}: manifest {list(listed_shape)}, expected {list(shape)}")
-        count = int(np.prod(shape))
-        end = offset + 4 * count
-        if offset < 0 or end > len(blob):
-            raise ValueError(f"corrupt file: entry {name} spans bytes {offset}..{end} of {len(blob)}")
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+        if listed_offset != offset:
+            raise ValueError(f"corrupt file: entry {name} at byte {listed_offset}, expected {offset}")
+    blob = bpath.read_bytes()
+    if not len(blob) == total == size:
+        raise ValueError(f"corrupt file: blob {bpath} has {len(blob)} bytes, manifest says {total}, layout {size}")
+
+    values = np.frombuffer(blob, dtype="<f4")
+    params: dict[str, np.ndarray] = {}
+    for name, (shape, offset) in layout.items():
+        arr = values[offset // 4 : offset // 4 + math.prod(shape)]
         if not np.isfinite(arr).all():
             raise ValueError(f"corrupt file: non-finite values in {name}")
         params[name] = arr.reshape(shape).astype(np.float32)

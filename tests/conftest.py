@@ -1,13 +1,54 @@
-"""Test session set-up.
+"""Test session set-up and shared fixtures.
 
 One BLAS thread unless the caller chose otherwise: the model's small
 matrix products run several times slower under OpenBLAS's own thread
 pool, and large layers already split across cores in `tensor_ops`.
 The variables are read when numpy loads, so they are set here, before
-any test module imports it.
+any test module imports it (splitseg is imported only inside fixtures).
 """
 
+import errno
 import os
+
+import pytest
 
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
+
+
+class _HalfWrittenFile:
+    """A file that writes half of what it is given, then fails like a full disk."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+    def write(self, data):
+        self._f.write(data[: len(data) // 2])
+        self._f.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _fail_write_number(monkeypatch, n):
+    """Make the n-th (from 0) file that splitseg.atomic writes from now on fail half-way."""
+    from splitseg import atomic
+
+    count = []
+
+    def opener(file, *args, **kwargs):
+        f = open(file, *args, **kwargs)
+        count.append(file)
+        return _HalfWrittenFile(f) if len(count) == n + 1 else f
+
+    monkeypatch.setattr(atomic, "open", opener, raising=False)
+
+
+@pytest.fixture
+def fail_write_number():
+    """`fail_write_number(monkeypatch, n)`: see _fail_write_number."""
+    return _fail_write_number

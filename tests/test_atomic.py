@@ -1,44 +1,13 @@
 """Weight and dataset files are replaced whole: a failed write keeps the old file or leaves none."""
 
-import errno
 import os
 
 import numpy as np
 import pytest
 
-from splitseg import atomic, dataio
+from splitseg import dataio
 from splitseg import model as M
 from splitseg.model import ModelConfig
-
-
-class _HalfWrittenFile:
-    """A file that writes half of what it is given, then fails like a full disk."""
-
-    def __init__(self, f):
-        self._f = f
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._f.close()
-
-    def write(self, data):
-        self._f.write(data[: len(data) // 2])
-        self._f.flush()
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-
-def fail_write_number(monkeypatch, n):
-    """Make the n-th (from 0) file written from now on fail half-way."""
-    count = []
-
-    def opener(file, *args, **kwargs):
-        f = open(file, *args, **kwargs)
-        count.append(file)
-        return _HalfWrittenFile(f) if len(count) == n + 1 else f
-
-    monkeypatch.setattr(atomic, "open", opener, raising=False)
 
 
 def _tiny_weights():
@@ -58,7 +27,7 @@ WRITERS = {
 
 
 @pytest.mark.parametrize("name", sorted(WRITERS))
-def test_failed_write_keeps_old_file_or_none(tmp_path, monkeypatch, name):
+def test_failed_write_keeps_old_file_or_none(tmp_path, monkeypatch, fail_write_number, name):
     write, files = WRITERS[name]
     good = tmp_path / "good"
     good.mkdir()

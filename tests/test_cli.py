@@ -1,6 +1,5 @@
 """Command-line interface behavior and exit codes."""
 
-import errno
 import hashlib
 import json
 import os
@@ -9,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from splitseg import atomic, cli, dataio, experiments
+from splitseg import cli, dataio, experiments
 
 
 def write_config(tmp_path, **overrides):
@@ -156,12 +155,22 @@ def test_gen_data_accepts_the_smallest_and_largest_values(tmp_path, capsys):
     assert raster.shape == (9, 9, 3) and seg.labels.max() < 256
 
 
-def test_out_dir_env_override(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command,written", [
+    ("gen-data", ["*.ppm"]),
+    ("report", ["rate_report.json", "compute_report.json", "bits_per_image.svg", "tx_macs.svg"]),
+    ("sweep", ["sweep_qpsk.csv", "sweep_qpsk_ext.csv", "sweep_qpsk.meta.json"]),
+], ids=["gen-data", "report", "sweep"])
+def test_out_dir_env_override(tmp_path, capsys, monkeypatch, command, written):
+    # the variable overrides every --out
     target = tmp_path / "env_target"
     monkeypatch.setenv("SPLITSEG_OUT_DIR", str(target))
-    code = cli.main(["gen-data", "--out", str(tmp_path / "ignored"), "--num", "1", "--size", "64"])
+    if command == "gen-data":
+        args = ["--num", "1", "--size", "64"]
+    else:
+        args = ["--config", str(write_config(tmp_path, num_images=1, channel={"modulations": ["qpsk"], "snr_db": [10.0]}))]
+    code = cli.main([command, "--out", str(tmp_path / "ignored"), *args])
     assert code == 0
-    assert len(list(target.glob("*.ppm"))) == 1
+    assert all(len(list(target.glob(pattern))) == 1 for pattern in written)
     assert not (tmp_path / "ignored").exists()
 
 
@@ -337,41 +346,11 @@ def test_snr_at_the_float64_noise_power_limit_runs(tmp_path, capsys):
     assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_OK
 
 
-class _HalfWrittenFile:
-    """A text file that writes half of what it is given, then fails like a full disk."""
-
-    def __init__(self, f):
-        self._f = f
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._f.close()
-
-    def write(self, text):
-        self._f.write(text[: len(text) // 2])
-        self._f.flush()
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-
-def fail_write_number(monkeypatch, n):
-    """Make the n-th (from 0) artifact file written from now on fail half-way."""
-    count = []
-
-    def opener(file, *args, **kwargs):
-        f = open(file, *args, **kwargs)
-        count.append(file)
-        return _HalfWrittenFile(f) if len(count) == n + 1 else f
-
-    monkeypatch.setattr(atomic, "open", opener, raising=False)
-
-
 @pytest.mark.parametrize("command,files", [
     ("sweep", ["sweep_qpsk.csv", "sweep_qpsk_ext.csv", "sweep_qpsk.meta.json"]),
     ("report", ["rate_report.json", "compute_report.json", "bits_per_image.svg", "tx_macs.svg"]),
 ])
-def test_failed_write_leaves_old_file_or_none(tmp_path, capsys, monkeypatch, command, files):
+def test_failed_write_leaves_old_file_or_none(tmp_path, capsys, monkeypatch, fail_write_number, command, files):
     cfg = write_config(tmp_path)
 
     def run(out, fail_at=None):

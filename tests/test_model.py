@@ -1,6 +1,7 @@
 """Network construction, split execution, MAC accounting, and weight i/o."""
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -124,6 +125,10 @@ class TestBuild:
         M.save_weights(weights, tmp_path / "w")
         manifest = json.loads((tmp_path / "w.json").read_text())
         assert [(e["name"], tuple(e["shape"])) for e in manifest["params"]] == list(expected.items())
+        # packed back to back: each offset is the running sum of 4 bytes per value
+        ends = np.cumsum([4 * math.prod(shape) for shape in expected.values()]).tolist()
+        assert [e["offset"] for e in manifest["params"]] == [0] + ends[:-1]
+        assert manifest["total_bytes"] == ends[-1]
 
     def test_kernel_init_range(self):
         cfg = tiny_config()
@@ -151,7 +156,7 @@ class TestDescribe:
 
     def test_channel_column(self):
         cfg = ModelConfig.full_scale()
-        chans = [s.out_channels for s in M.describe(cfg)]
+        chans = [s.cout for s in M.describe(cfg)]
         c0 = cfg.base_channels
         assert chans == [c0, c0, 2 * c0, 4 * c0, 8 * c0, cfg.feature_channels, cfg.num_classes]
 
@@ -286,6 +291,22 @@ class TestForward:
             assert (plans["s6.head2"].out_h) == stages[6].out_h
 
 
+RB = ("conv1", "conv2")
+RBB = ("reduce", "conv", "expand")
+
+
+def oracle_block(weights, prefix, x, units):
+    """A residual block written out: `units` in sequence, ReLU after all but
+    the last, plus the input (through `prefix.proj` where the block has one)."""
+    y = x
+    for name in units:
+        y = M._unit(weights, f"{prefix}.{name}", y, act=name != units[-1])
+    skip = x
+    if prefix + ".proj.kernel" in weights.params:
+        skip = M._unit(weights, prefix + ".proj", x, act=False)
+    return T.relu(T.add(y, skip))
+
+
 def oracle_stage_outputs(image, weights):
     """Every stage's output, from the network written out layer by layer
     (stages 3-4 give the (p, i, d) branch triple, stage 6 the 1/8-scale head
@@ -293,19 +314,19 @@ def oracle_stage_outputs(image, weights):
     cfg = weights.config
     x = M._unit(weights, "s0.conv1", image)
     outs = [M._unit(weights, "s0.conv2", x)]
-    outs.append(M._block(weights, "s1.rb", outs[-1], M._RB))
-    outs.append(M._block(weights, "s2.rb", outs[-1], M._RB))
+    outs.append(oracle_block(weights, "s1.rb", outs[-1], RB))
+    outs.append(oracle_block(weights, "s2.rb", outs[-1], RB))
     p = i = d = outs[-1]
     for s in (3, 4):
-        p = M._block(weights, f"s{s}.p", p, M._RB)
-        i = M._block(weights, f"s{s}.i", i, M._RB)
-        d = M._block(weights, f"s{s}.d", d, M._RB)
+        p = oracle_block(weights, f"s{s}.p", p, RB)
+        i = oracle_block(weights, f"s{s}.i", i, RB)
+        d = oracle_block(weights, f"s{s}.d", d, RB)
         comp = M._unit(weights, f"s{s}.comp", i, act=False)
         p = T.add(p, T.bilinear_resize(comp, p.shape[1], p.shape[2]))
         outs.append((p, i, d))
-    p = M._block(weights, "s5.p", p, M._RBB)
-    i = M._block(weights, "s5.i", i, M._RBB)
-    d = M._block(weights, "s5.d", d, M._RBB)
+    p = oracle_block(weights, "s5.p", p, RBB)
+    i = oracle_block(weights, "s5.i", i, RBB)
+    d = oracle_block(weights, "s5.d", d, RBB)
     h64, w64 = cfg.input_height // 64, cfg.input_width // 64
     pooled = [T.avg_pool_to(p, h64, w64), T.avg_pool_to(d, h64, w64), i]
     fused = M._unit(weights, "s5.fuse", T.concat_channels(pooled), act=False)
@@ -340,7 +361,7 @@ class TestStageTable:
                 assert same_tensors(got, want), f"stage {k}"
                 # describe names the i branch of a triple
                 tensor = got[1] if isinstance(got, tuple) else got
-                assert tensor.shape == (stages[k].out_channels, stages[k].out_h, stages[k].out_w)
+                assert tensor.shape == (stages[k].cout, stages[k].out_h, stages[k].out_w)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_full_scale_stages_match_the_layer_by_layer_oracle(self, monkeypatch, full_scale_weights, n):
@@ -375,7 +396,7 @@ class TestStageTable:
         monkeypatch.setattr(M, "SPLIT_BOUNDARY", k)
         cut = M.describe(cfg)[k]
         features = M.forward_transmitter(img, weights)
-        assert features.shape == (cut.out_channels, cut.out_h, cut.out_w)
+        assert features.shape == (cut.cout, cut.out_h, cut.out_w)
         logits_k, seg_k = M.forward_receiver(features, weights)
         assert np.array_equal(logits_k, logits) and seg_k.same_as(seg)
         assert np.array_equal(M.forward_full(img, weights)[0], logits)
@@ -523,6 +544,47 @@ class TestWeightIO:
         mpath.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="corrupt file: .*twice"):
             M.load_weights(tmp_path / "w")
+
+    def test_overlapping_entry_is_corrupt(self, tmp_path):
+        # s0.conv1.bias pointed at s0.conv1.scale's bytes: same shape, in range
+        M.save_weights(M.build(tiny_config()), tmp_path / "w")
+        mpath = tmp_path / "w.json"
+        manifest = json.loads(mpath.read_text())
+        entries = {e["name"]: e for e in manifest["params"]}
+        bias, scale = entries["s0.conv1.bias"]["offset"], entries["s0.conv1.scale"]["offset"]
+        entries["s0.conv1.bias"]["offset"] = scale
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=f"corrupt file: entry s0.conv1.bias at byte {scale}, expected {bias}"):
+            M.load_weights(tmp_path / "w")
+
+    def test_gapped_entry_is_corrupt(self, tmp_path):
+        # 4 spare bytes before s0.conv1.bias, every later offset and the total
+        # moved to match: the bytes are all there, but not packed
+        M.save_weights(M.build(tiny_config()), tmp_path / "w")
+        mpath, bpath = tmp_path / "w.json", tmp_path / "w.bin"
+        manifest = json.loads(mpath.read_text())
+        bias = next(e["offset"] for e in manifest["params"] if e["name"] == "s0.conv1.bias")
+        for e in manifest["params"]:
+            e["offset"] += 4 if e["offset"] >= bias else 0
+        manifest["total_bytes"] += 4
+        blob = bpath.read_bytes()
+        bpath.write_bytes(blob[:bias] + bytes(4) + blob[bias:])
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=f"corrupt file: entry s0.conv1.bias at byte {bias + 4}, expected {bias}"):
+            M.load_weights(tmp_path / "w")
+
+    @pytest.mark.parametrize("defect", [
+        lambda p: p.update({"s0.conv1.bias": p["s0.conv1.bias"][:-1]}),
+        lambda p: p.pop("s5.fuse.kernel"),
+        lambda p: p.update({"s9.bogus.kernel": p["s0.conv1.bias"]}),
+    ], ids=["shape", "missing", "unexpected"])
+    def test_save_rejects_parameters_off_the_plan(self, tmp_path, defect):
+        # written as the plan lays them out, they would make a corrupt file
+        weights = M.build(tiny_config())
+        defect(weights.params)
+        with pytest.raises(ValueError, match="do not match param_shapes"):
+            M.save_weights(weights, tmp_path / "w")
+        assert not list(tmp_path.iterdir())
 
     def test_missing_files_reported(self, tmp_path):
         with pytest.raises(FileNotFoundError):
