@@ -158,8 +158,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except (ValueError, OSError, RuntimeError) as exc:
-        # RuntimeError covers a failed sweep check and a broken worker pool
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+        # RuntimeError: a failed sweep check or a broken worker pool; MemoryError: a model too large
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import atomic, codec, dataio, metrics, model, phy, tensor_ops
-from .model import ModelConfig, SegmentationMap, WeightSet
+from .model import ConfigError, ModelConfig, SegmentationMap, WeightSet, as_list, as_scalar, as_seed
 from .phy import ChannelConfig
 
 ARTIFACT_VERSION = "0.1.0"
@@ -37,10 +36,6 @@ CSV_HEADER = ",".join(("snr",) + COLUMNS)
 REFERENCE_MODES = ("ground_truth", "noiseless_output")
 
 
-class ConfigError(ValueError):
-    """Invalid experiment configuration."""
-
-
 # Scalar JSON keys -> (ExperimentSpec field, type). The spec checks each
 # field against its type and names the JSON key in the message.
 _SPEC_SCALARS = {
@@ -48,27 +43,6 @@ _SPEC_SCALARS = {
     "dataset": ("dataset", str), "reference_mode": ("reference_mode", str),
     "quant_bits": ("quant_bits", int), "fps": ("frames_per_second", float),
 }
-
-# The values each type accepts: a float takes an integer too and numpy scalars
-# pass, but no bool (an int) does, and none is truncated or parsed from a string.
-_ACCEPTS = {int: numbers.Integral, float: numbers.Real, str: str}
-
-
-def _scalar(key: str, value, kind):
-    """`value` as a plain `kind`, or a ConfigError naming `key`."""
-    if isinstance(value, bool) or not isinstance(value, _ACCEPTS[kind]):
-        raise ConfigError(f"{key!r} must be {kind.__name__}, got {value!r}")
-    try:
-        return kind(value)
-    except OverflowError as exc:  # float(10**400)
-        raise ConfigError(f"{key!r} must be {kind.__name__}, got {value!r}") from exc
-
-
-def _items(key: str, value) -> tuple:
-    """Any iterable but a string, as a tuple."""
-    if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
-        raise ConfigError(f"{key!r} must be a list, got {type(value).__name__}")
-    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -88,15 +62,12 @@ class ExperimentSpec:
 
     def __post_init__(self):
         for key, (name, kind) in _SPEC_SCALARS.items():
-            object.__setattr__(self, name, _scalar(key, getattr(self, name), kind))
-        object.__setattr__(self, "modulations", _items("modulations", self.modulations))
-        snrs = tuple(_scalar("snr_db", s, float) for s in _items("snr_db", self.snr_db))
+            object.__setattr__(self, name, as_scalar(key, getattr(self, name), kind))
+        as_seed("master_seed", self.master_seed)
+        object.__setattr__(self, "modulations", as_list("modulations", self.modulations))
+        snrs = tuple(as_scalar("snr_db", s, float) for s in as_list("snr_db", self.snr_db))
         object.__setattr__(self, "snr_db", snrs)
-        object.__setattr__(self, "pipelines", _items("pipelines", self.pipelines))
-        if not self.modulations:
-            raise ConfigError("modulations must be nonempty")
-        if not self.snr_db:
-            raise ConfigError("snr_db must be nonempty")
+        object.__setattr__(self, "pipelines", as_list("pipelines", self.pipelines))
         for m in self.modulations:
             for s in self.snr_db:
                 try:
@@ -106,8 +77,6 @@ class ExperimentSpec:
         _reject_duplicates("modulations", self.modulations)
         if any(a >= b for a, b in zip(self.snr_db, self.snr_db[1:])):
             raise ConfigError(f"snr_db must be strictly increasing, got {self.snr_db}")
-        if not self.pipelines:
-            raise ConfigError("pipelines must be nonempty")
         for p in self.pipelines:
             if p not in metrics.PIPELINES:
                 raise ConfigError(f"unknown pipeline {p!r}")
@@ -120,8 +89,6 @@ class ExperimentSpec:
             raise ConfigError(f"quant_bits {self.quant_bits} not in {codec.STANDARD_QUANT_BITS}")
         if not (0 < self.frames_per_second < math.inf):
             raise ConfigError(f"frames_per_second must be positive and finite, got {self.frames_per_second}")
-        if not (0 <= self.master_seed < 1 << 64):
-            raise ConfigError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}")
 
     def to_dict(self) -> dict:
         return {
@@ -154,12 +121,6 @@ def _section(raw: dict, key: str, allowed) -> dict:
     return section
 
 
-def _json_list(key: str, value):
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{key!r} must be a list, got {type(value).__name__}")
-    return value
-
-
 def spec_from_dict(raw: dict) -> ExperimentSpec:
     """Build a spec from its JSON form; absent keys take the dataclass
     defaults, except that master_seed defaults to the model seed."""
@@ -172,21 +133,16 @@ def spec_from_dict(raw: dict) -> ExperimentSpec:
         raise ConfigError("config requires 'model' and 'channel' sections")
 
     m = dict(_section(raw, "model", _MODEL_KEYS))
-    ch = _section(raw, "channel", ("modulations", "snr_db"))
-    # ModelConfig's messages name its fields; these name the JSON keys
-    for k, v in m.items():
-        for entry in (_json_list(k, v) if k == "ppm_bins" else (v,)):
-            _scalar(k, entry, int)
-    if "input_size" in m:
+    kw = dict(_section(raw, "channel", ("modulations", "snr_db")))
+    if "input_size" in m:  # not a field: expanded to the height and width
+        size = as_scalar("input_size", m.pop("input_size"), int)
         also = [k for k in ("input_height", "input_width") if k in m]
         if also:
             keys = ", ".join(repr(k) for k in ["input_size", *also])
             raise ConfigError(f"model keys {keys} conflict: give 'input_size' or the height and width, not both")
-        size = m.pop("input_size")
         m = {"input_height": size, "input_width": size, **m}
-    kw = {k: _json_list(k, v) for k, v in ch.items()}
     if "pipelines" in raw:
-        kw["pipelines"] = _json_list("pipelines", raw["pipelines"])
+        kw["pipelines"] = raw["pipelines"]
     kw.update({name: raw[key] for key, (name, _) in _SPEC_SCALARS.items() if key in raw})
     try:
         mc = ModelConfig(**m)
@@ -481,6 +437,12 @@ def read_csv(path) -> SweepResult:
             values = [float(f) for f in cells]
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: non-numeric field") from None
+        if not math.isfinite(values[0]):
+            raise ValueError(f"{path}: line {lineno}: snr {cells[0]} is not finite")
+        # nan marks a pipeline absent from the sweep, as write_csv writes it
+        bad = [c for c, v in zip(cells[1:], values[1:]) if not (0.0 <= v <= 1.0 or math.isnan(v))]
+        if bad:
+            raise ValueError(f"{path}: line {lineno}: mIoU {bad[0]} outside [0, 1]")
         snrs.append(values[0])
         for col, value in zip(COLUMNS, values[1:]):
             cols[col].append(value)

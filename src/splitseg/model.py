@@ -19,6 +19,7 @@ import functools
 import json
 import math
 import numbers
+from collections.abc import Iterable, Mapping
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -28,10 +29,45 @@ from . import tensor_ops as T
 from .atomic import write_bytes_atomic, write_text_atomic
 
 
-def _integer(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+class ConfigError(ValueError):
+    """Invalid experiment configuration."""
+
+
+# One type rule, one list rule and one seed rule for every config value:
+# ModelConfig, experiments.ExperimentSpec and phy.ChannelConfig apply them to
+# their fields, and each ConfigError names the JSON key.
+
+# The values each type accepts: a float takes an integer too and numpy scalars
+# pass, but no bool (an int) does, and none is truncated or parsed from a string.
+_ACCEPTS = {int: numbers.Integral, float: numbers.Real, str: str}
+
+
+def as_scalar(key: str, value, kind):
+    """`value` as a plain `kind` (int, float or str)."""
+    try:
+        if not isinstance(value, bool) and isinstance(value, _ACCEPTS[kind]):
+            return kind(value)
+    except OverflowError:  # float(10**400)
+        pass
+    raise ConfigError(f"{key!r} must be {kind.__name__}, got {value!r}")
+
+
+def as_list(key: str, value) -> tuple:
+    """Any iterable but a string or a mapping, as a nonempty tuple."""
+    if isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Iterable):
+        raise ConfigError(f"{key!r} must be a list, got {type(value).__name__}")
+    items = tuple(value)
+    if not items:
+        raise ConfigError(f"{key} must be nonempty")
+    return items
+
+
+def as_seed(key: str, value) -> int:
+    """An integer that np.random.SeedSequence takes: in [0, 2**64)."""
+    seed = as_scalar(key, value, int)
+    if not 0 <= seed < 1 << 64:
+        raise ConfigError(f"{key} must be a 64-bit unsigned integer, got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -54,37 +90,32 @@ class ModelConfig:
         # only real integers: a float, bool or string would be truncated,
         # taken as 0/1, or fail far from here in the executor
         for f in fields(self):
-            if f.name != "ppm_bins":
-                object.__setattr__(self, f.name, _integer(f.name, getattr(self, f.name)))
-        bins = self.ppm_bins
-        if isinstance(bins, (str, bytes)) or not hasattr(bins, "__iter__"):
-            raise ValueError(f"ppm_bins must be a sequence of integers, got {bins!r}")
-        object.__setattr__(self, "ppm_bins", tuple(_integer("ppm_bins entry", b) for b in bins))
+            if f.name not in ("ppm_bins", "seed"):
+                object.__setattr__(self, f.name, as_scalar(f.name, getattr(self, f.name), int))
+        bins = as_list("ppm_bins", self.ppm_bins)
+        object.__setattr__(self, "ppm_bins", tuple(as_scalar("ppm_bins", b, int) for b in bins))
+        object.__setattr__(self, "seed", as_seed("seed", self.seed))
         if self.input_height % 64 or self.input_width % 64:
-            raise ValueError(
+            raise ConfigError(
                 f"input dims must be divisible by 64, got {self.input_height}x{self.input_width}"
             )
         if self.input_height < 64 or self.input_width < 64:
-            raise ValueError("input dims must be at least 64")
+            raise ConfigError("input dims must be at least 64")
         if self.base_channels < 4:
-            raise ValueError(f"base_channels must be >= 4, got {self.base_channels}")
+            raise ConfigError(f"base_channels must be >= 4, got {self.base_channels}")
         if self.feature_channels < 4:
-            raise ValueError(f"feature_channels must be >= 4, got {self.feature_channels}")
+            raise ConfigError(f"feature_channels must be >= 4, got {self.feature_channels}")
         if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if not self.ppm_bins:
-            raise ValueError("ppm_bins must be nonempty")
+            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         if any(b < 1 for b in self.ppm_bins):
-            raise ValueError(f"ppm_bins must be positive, got {self.ppm_bins}")
+            raise ConfigError(f"ppm_bins must be positive, got {self.ppm_bins}")
         if any(a >= b for a, b in zip(self.ppm_bins, self.ppm_bins[1:])):
-            raise ValueError(f"ppm_bins must be strictly increasing, got {self.ppm_bins}")
+            raise ConfigError(f"ppm_bins must be strictly increasing, got {self.ppm_bins}")
         if max(self.ppm_bins) > min(self.input_height, self.input_width) // 64:
-            raise ValueError(
+            raise ConfigError(
                 f"max ppm bin {max(self.ppm_bins)} exceeds fused map size "
                 f"{min(self.input_height, self.input_width) // 64}"
             )
-        if not (0 <= self.seed < 1 << 64):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
     @classmethod
     def full_scale(cls, **overrides) -> "ModelConfig":

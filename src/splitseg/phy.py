@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import BitStream
+from .model import as_seed
 
 QPSK = "qpsk"
 QAM16 = "16qam"
@@ -71,8 +72,7 @@ class ChannelConfig:
                 f"snr_db must be at least about -3082.5 dB, where the noise power overflows float64; "
                 f"got {self.snr_db}"
             ) from None
-        if not (0 <= self.seed < 1 << 64):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        object.__setattr__(self, "seed", as_seed("seed", self.seed))
 
 
 @dataclass

@@ -227,7 +227,10 @@ def test_workers_below_one_is_a_usage_error(tmp_path, capsys, workers):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("exc", [RuntimeError("bit accounting mismatch"), BrokenProcessPool("worker died")])
+@pytest.mark.parametrize("exc", [
+    RuntimeError("bit accounting mismatch"), BrokenProcessPool("worker died"),
+    MemoryError("Unable to allocate 96.0 GiB for an array"),
+])
 def test_sweep_runtime_failure_exit_code(tmp_path, capsys, monkeypatch, exc):
     def failing_sweep(spec, workers=1):
         raise exc

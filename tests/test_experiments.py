@@ -408,6 +408,7 @@ class TestSpecConfig:
         ("reference_mode", None, "reference_mode"), ("frames_per_second", "2", "fps"),
         ("modulations", "qpsk", "modulations"), ("pipelines", "split", "pipelines"),
         ("snr_db", 10.0, "snr_db"), ("snr_db", (5.0, "20"), "snr_db"), ("snr_db", (True,), "snr_db"),
+        ("snr_db", {5.0: "x"}, "snr_db"),
     ])
     def test_library_values_are_type_checked(self, field, value, key):
         # the same rules as the JSON config, with the JSON key in the message
@@ -504,6 +505,11 @@ class TestCsv:
         path.write_text("snr,miou_f,miou_n,miou_s\n5.0,a,b,c\n")
         with pytest.raises(ValueError, match="line 2: non-numeric"):
             E.read_csv(path)
+        # an infinite SNR, or an mIoU outside [0, 1] that is not the nan of an absent pipeline
+        for row in ("inf,0.5,0.5,0.4", "5.0,0.5,inf,0.4", "5.0,0.5,1e308,0.4"):
+            path.write_text(f"snr,miou_f,miou_n,miou_s\n5.0,0.1,nan,0.3\n{row}\n")
+            with pytest.raises(ValueError, match="line 3"):
+                E.read_csv(path)
 
 
 class TestPlot:

@@ -73,17 +73,17 @@ class TestConfig:
         ("seed", True), ("seed", 1234.0), ("seed", np.float64(7.0)), ("seed", np.bool_(True)),
     ])
     def test_integer_fields_reject_other_types(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        with pytest.raises(M.ConfigError, match=f"'{field}' must be int"):
             ModelConfig(**{field: value})
 
     @pytest.mark.parametrize("bins", [(1.7, 2.2), (1, 2.0), (True, 2), ("1", "2")])
     def test_ppm_bins_entries_must_be_integers(self, bins):
-        with pytest.raises(ValueError, match="ppm_bins entry must be an integer"):
+        with pytest.raises(M.ConfigError, match="'ppm_bins' must be int"):
             ModelConfig(ppm_bins=bins)
 
-    @pytest.mark.parametrize("bins", ["12", 3, None])
+    @pytest.mark.parametrize("bins", ["12", 3, None, {1: "a", 2: "b"}])
     def test_ppm_bins_must_be_a_sequence(self, bins):
-        with pytest.raises(ValueError, match="ppm_bins must be a sequence of integers"):
+        with pytest.raises(M.ConfigError, match="'ppm_bins' must be a list"):
             ModelConfig(ppm_bins=bins)
 
     def test_numpy_integers_are_stored_as_int(self):

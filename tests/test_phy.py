@@ -363,6 +363,9 @@ def test_channel_config_validation():
         ChannelConfig(QPSK, float("inf"), seed=1)
     with pytest.raises(ValueError, match="64-bit"):
         ChannelConfig(QPSK, 10.0, seed=-3)
+    for seed in (1.5, True):  # no float or bool reaches SeedSequence
+        with pytest.raises(ValueError, match="'seed' must be int"):
+            ChannelConfig(QPSK, 10.0, seed=seed)
     with pytest.raises(ValueError, match="snr_db"):
         ChannelConfig(QPSK, -4000.0, seed=1)
     with pytest.raises(ValueError, match="snr_db"):
