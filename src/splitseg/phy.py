@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import BitStream
-from .model import as_seed
+from .model import as_scalar, as_seed
 
 QPSK = "qpsk"
 QAM16 = "16qam"
@@ -63,6 +63,7 @@ class ChannelConfig:
 
     def __post_init__(self):
         constellation(self.modulation)
+        object.__setattr__(self, "snr_db", as_scalar("snr_db", self.snr_db, float))
         if not math.isfinite(self.snr_db):
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")
         try:

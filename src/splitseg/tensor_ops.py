@@ -68,7 +68,9 @@ class _Conv:
 
     Arithmetic contract: acc starts at zero, each tap (dy, dx) in order adds
     one product (out_ch x in_ch) @ (in_ch x pixels), the bias is added last.
-    The two regimes below differ only in the bytes they move.
+    The two regimes below differ only in the bytes they move. Both read the
+    zero-padded input through _span, and both take a tap's weights from one
+    contiguous (k, k, out_ch, in_ch) copy outside a unit dimension.
     """
 
     def __init__(self, x, kernels, bias, stride: int, padding: int):
@@ -98,15 +100,19 @@ class _Conv:
                 f"empty output: input {h}x{wd}, kernel {k}, stride {stride}, padding {padding}"
             )
         self.shape, self.bias, self.stride, self.padding = (out_ch, out_h, out_w), b, stride, padding
-        self._w, self._slab = w, None
+        self._w, self._wt, self._slab = w, None, None
         chunks = _row_chunks(k, in_ch, out_ch, stride, out_h, out_w)
         if chunks == 1:
-            # Small layer, single tap, or a unit dimension: the np.dot call of a
-            # plain tap-by-tap tensordot, on the same operands, because small
-            # sgemm calls may round a column differently when their width
-            # changes, and at a unit dimension np.dot takes gemv, whose bits
-            # depend on operand strides. Only the window copy and the product
-            # reuse buffers; with one tap there is no repeated traffic to block.
+            # Small layer, single tap, or a unit dimension: one call per tap of
+            # the full width out_h*out_w, because small sgemm calls may round a
+            # column differently when their width changes. The input is copied
+            # once per row phase and column tap (_shifted_copies); each tap's
+            # operand is a strided view of one copy, which np.matmul hands to
+            # sgemm with a plain tap-by-tap tensordot's M, N, K and values (only
+            # ldb differs; np.dot would copy the view). At a unit dimension
+            # np.dot takes gemv, whose bits depend on operand strides, so there
+            # it gets that tensordot's operands: the weight view and a
+            # contiguous copy of the tap.
             if lazy:
                 raise ValueError("a row source is read only by conv2d's chunked regime")
             self._x, self.chunks = x, [(0, out_h)]
@@ -126,27 +132,26 @@ class _Conv:
         # leave no hole under a longer-lived array in malloc's heap.
         (out_ch, out_h, out_w), stride, padding, w = self.shape, self.stride, self.padding, self._w
         in_ch, k = w.shape[1], w.shape[2]
+        unit = min(out_ch, in_ch) == 1 or out_h * out_w == 1
+        if self._wt is None and not unit:
+            self._wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))  # (k, k, out_ch, in_ch)
         if len(self.chunks) == 1:
-            x = self._x
-            xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding))) if padding else x
-            window = np.empty((in_ch, out_h, out_w), dtype=np.float32)
+            copies = _shifted_copies(self._x, k, stride, padding, out_h, out_w)
             prod = np.empty((out_ch, out_h * out_w), dtype=np.float32)
             for dy in range(k):
-                y_stop = dy + (out_h - 1) * stride + 1
+                top = dy // stride
                 for dx in range(k):
-                    x_stop = dx + (out_w - 1) * stride + 1
-                    patch = xp[:, dy:y_stop:stride, dx:x_stop:stride]
-                    if not patch.flags.c_contiguous:
-                        np.copyto(window, patch)
-                        patch = window
-                    np.dot(w[:, :, dy, dx], patch.reshape(in_ch, -1), out=prod)
+                    tap = copies[dy % stride, dx][:, top:top + out_h].reshape(in_ch, -1)
+                    if unit:
+                        np.dot(w[:, :, dy, dx], np.ascontiguousarray(tap), out=prod)
+                    else:
+                        np.matmul(self._wt[dy, dx], tap, out=prod)
                     dst += prod.reshape(dst.shape)
             return
         reach = (k - 1) // stride  # how far, in output pixels, a tap reaches
         pitch = out_w + reach
         if self._slab is None:
             most, m = max(z - a for a, z in self.chunks), min(k, stride)
-            self._wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))  # (k, k, out_ch, in_ch)
             self._slab = np.zeros((m, m, in_ch, most + reach + 1, pitch), dtype=np.float32)
             self._buf = np.empty(out_ch * most * pitch, dtype=np.float32)
         wt, buf = self._wt, self._buf
@@ -238,24 +243,48 @@ def _fill_phase_slab(slab: np.ndarray, src: _Rows, stride: int, padding: int, ro
     """
     _, h, w = src.shape
     m, cols = slab.shape[0], slab.shape[4]
-
-    def span(phase, size, first, n):
-        # slab indices [lo, hi) inside the unpadded input, and the source slice
-        lo = max(first, -(-(padding - phase) // stride))
-        hi = max(lo, min(first + n, (size - 1 + padding - phase) // stride + 1))
-        at = lo * stride + phase - padding
-        return lo - first, hi - first, slice(at, at + (hi - lo) * stride, stride)
-
     src.drop(max(0, row0 * stride - padding))
     for py in range(m):
-        lo, hi, src_r = span(py, h, row0, rows)
+        lo, hi, src_r = _span(py, h, row0, rows, stride, padding)
         for px in range(m):
-            c_lo, c_hi, src_c = span(px, w, 0, cols)
+            c_lo, c_hi, src_c = _span(px, w, 0, cols, stride, padding)
             phase = slab[py, px]
             phase[:, :lo] = 0.0
             if hi > lo and c_hi > c_lo:
                 src.read(phase[:, lo:hi, c_lo:c_hi], src_r, src_c)
             phase[:, hi:] = 0.0
+
+
+def _shifted_copies(x: np.ndarray, k: int, stride: int, padding: int, out_h: int, out_w: int) -> np.ndarray:
+    """The operands of conv2d's one-call regime, shape (m, k, c, rows, out_w)
+    with m = min(k, stride) and rows = out_h + (k-1)//stride: per row phase
+    py and column tap dx, a C-contiguous image of zero-padded `x` that holds
+    padded pixel (py + i*stride, dx + j*stride) at [py, dx, :, i, j]. Tap
+    (dy, dx) reads rows dy//stride.. of copy (dy % stride, dx). A 1x1,
+    stride-1, unpadded layer on C-contiguous `x` reads `x` itself."""
+    if k == 1 and stride == 1 and padding == 0 and x.flags.c_contiguous:
+        return x[None, None]
+    c, h, w = x.shape
+    m, rows = min(k, stride), out_h + (k - 1) // stride
+    copies = np.zeros((m, k, c, rows, out_w), dtype=np.float32)
+    for py in range(m):
+        lo, hi, src_r = _span(py, h, 0, rows, stride, padding)
+        for dx in range(k):
+            c_lo, c_hi, src_c = _span(dx, w, 0, out_w, stride, padding)
+            if hi > lo and c_hi > c_lo:
+                np.copyto(copies[py, dx, :, lo:hi, c_lo:c_hi], x[:, src_r, src_c])
+    return copies
+
+
+def _span(phase: int, size: int, first: int, n: int, stride: int, padding: int):
+    """Of the n indices first..first+n-1 of a stride phase of an axis of
+    `size` input pixels zero-padded by `padding` (phase index i holds padded
+    pixel i*stride + phase), those [lo, hi) that hold an input pixel, counted
+    from `first`, and the slice of input pixels they hold."""
+    lo = max(first, -(-(padding - phase) // stride))
+    hi = max(lo, min(first + n, (size - 1 + padding - phase) // stride + 1))
+    at = lo * stride + phase - padding
+    return lo - first, hi - first, slice(at, at + (hi - lo) * stride, stride)
 
 
 class _Rows:

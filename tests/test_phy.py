@@ -11,6 +11,7 @@ import pytest
 
 from splitseg import phy
 from splitseg.codec import BitStream
+from splitseg.model import ConfigError
 from splitseg.phy import QAM16, QPSK, ChannelConfig
 
 
@@ -371,6 +372,18 @@ def test_channel_config_validation():
     with pytest.raises(ValueError, match="snr_db"):
         ChannelConfig(QAM16, -3083.0)
     ChannelConfig(QPSK, -3082.0)  # noise power still fits float64
+
+
+@pytest.mark.parametrize("snr", ["10", None, True, 10 + 0j, 10**400], ids=["str", "none", "bool", "complex", "huge-int"])
+def test_channel_config_snr_must_be_a_real_number(snr):
+    with pytest.raises(ConfigError, match="'snr_db' must be float"):
+        ChannelConfig(QPSK, snr)
+
+
+def test_channel_config_stores_snr_as_a_plain_float():
+    for snr in (10, np.int64(10), np.float32(10.0), 10.0):
+        channel = ChannelConfig(QAM16, snr)
+        assert type(channel.snr_db) is float and channel.snr_db == 10.0
 
 
 def test_package_runs_with_scipy_blocked(tmp_path):

@@ -282,6 +282,8 @@ CONV_EDGE_CASES = [
     ((100, 12, 10), (1, 3), 3, 1),     # a single output channel
     ((1, 12, 10), (5, 3), 1, 1),       # a single input channel
     ((1, 5, 5), (1, 3), 2, 1),         # a single channel on both sides
+    ((2, 1, 1), (3, 5), 2, 4),         # padding above the input size: some shifted copies hold no input pixel
+    ((6, 25, 22), (8, 3), 4, 1),       # stride 4 above k = 3: some padded rows and columns are never read
 ]
 
 
@@ -301,8 +303,8 @@ TINY_128 = model.ModelConfig(input_height=128, input_width=128, base_channels=8,
 
 
 class TestConv2dExact:
-    @pytest.mark.parametrize("cfg", [model.ModelConfig(), model.ModelConfig.full_scale()],
-                             ids=["desk", "full_scale"])
+    @pytest.mark.parametrize("cfg", [model.ModelConfig(), model.ModelConfig.full_scale(), TINY_128],
+                             ids=["desk", "full_scale", "128"])
     def test_matches_tensordot_on_model_shapes(self, cfg):
         # full channel counts: in_ch is the sgemm depth, which selects the BLAS kernel
         rng = np.random.default_rng(cfg.input_height + 1)
@@ -348,6 +350,22 @@ class TestConv2dExact:
         shape, (out_ch, k), stride, padding = CONV_EDGE_CASES[0]
         assert ((shape[1] + 2 * padding - k) // stride + 1) % 2 == 1
 
+    def test_edge_cases_cover_a_shifted_copy_without_input(self):
+        in_shape, (_, k), stride, padding = CONV_EDGE_CASES[-2]
+        out = [(n + 2 * padding - k) // stride + 1 for n in in_shape[1:]]
+        copies = T._shifted_copies(np.ones(in_shape, dtype=np.float32), k, stride, padding, *out)
+        held = copies.reshape(min(k, stride) * k, -1).any(axis=1)
+        assert held.any() and not held.all()
+
+    @pytest.mark.parametrize("k,padding", [(1, 0), (3, 1)], ids=["k1", "k3"])
+    def test_matches_tensordot_on_a_non_contiguous_input_view(self, k, padding):
+        # the one-call regime on every other channel and column of a larger array
+        rng = np.random.default_rng(47 + k)
+        whole, kernels, bias = random_conv(rng, (12, 9, 22), (16, 6, k, k))
+        x = whole[::2, :, ::2]
+        assert not x.flags.c_contiguous and not is_chunked(x.shape, 16, k, 1, padding)
+        assert_conv_matches_tensordot(x, kernels, bias, 1, padding)
+
     @pytest.mark.parametrize("in_shape,out,stride,padding", SLAB_PAD_CASES, ids=["s1", "s2", "s3"])
     def test_matches_tensordot_where_a_slab_is_padded_above_and_below(self, in_shape, out, stride, padding):
         out_ch, k = out
@@ -391,6 +409,19 @@ class TestConv2dExact:
         product_bytes = 4 * p.cout * most * pitch
         peak = traced_peak(lambda: T.conv2d(x, kernels, bias, stride=p.stride, padding=p.k // 2))
         assert peak <= out_bytes + slab_bytes + product_bytes + kernels.nbytes + (64 << 10)
+
+    @pytest.mark.parametrize("name", ["s0.conv1", "s1.rb.conv1"])
+    def test_desk_peak_memory_is_output_product_shifted_copies_and_weights(self, name):
+        # the one-call regime trades k * min(k, stride) shifted copies of the
+        # input for np.pad's padded input and a window per tap
+        p = {q.name: q for q in model.layer_plan(model.ModelConfig())}[name]
+        in_shape = (p.cin, p.out_h * p.stride, p.out_w * p.stride)
+        x, kernels, bias = random_conv(np.random.default_rng(43), in_shape, (p.cout, p.cin, p.k, p.k))
+        assert not is_chunked(in_shape, p.cout, p.k, p.stride, p.k // 2)
+        out_bytes = product_bytes = 4 * p.cout * p.out_h * p.out_w
+        copies_bytes = 4 * p.k * min(p.k, p.stride) * p.cin * (p.out_h + (p.k - 1) // p.stride) * p.out_w
+        peak = traced_peak(lambda: T.conv2d(x, kernels, bias, stride=p.stride, padding=p.k // 2))
+        assert peak <= out_bytes + product_bytes + copies_bytes + kernels.nbytes + (64 << 10)
 
     @pytest.mark.parametrize("in_shape,out,stride,padding", [
         ((16, 131, 130), (32, 3), 1, 1), ((5, 14, 17), (7, 3), 2, 1),
