@@ -7,6 +7,12 @@ Three pipelines share one trained-once weight set per spec:
   split:       transmitter half, quantized features over the channel (range
                header error-free), receiver half completes inference.
 
+A pipeline whose stream arrives without a flip skips its receive half when
+the result is already in hand: full_tx returns the map it sent, and
+traditional returns the image's clean label map, which the sweep holds as
+the reference in `noiseless_output` mode. Both are what the receive half
+would compute. Split always runs its receiver.
+
 Every trial derives its own noise substream from (master seed, modulation
 index, SNR index, image index, pipeline index), so sweep output is a pure
 function of the spec regardless of worker count or scheduling. The pipeline
@@ -192,24 +198,40 @@ def _count_flips(sent: codec.BitStream, received: codec.BitStream) -> int:
     return int(_POPCOUNT[np.bitwise_xor(sent.data, received.data)].sum(dtype=np.int64))
 
 
-def run_traditional(raster, weights: WeightSet, channel: ChannelConfig) -> PipelineResult:
-    """Raw 24 bpp image over the channel; all inference at the receiver."""
+def run_traditional(raster, weights: WeightSet, channel: ChannelConfig,
+                    clean: SegmentationMap | None = None) -> PipelineResult:
+    """Raw 24 bpp image over the channel; all inference at the receiver.
+
+    `clean` is the raster's own label map, `forward_full` of the raster,
+    when the caller has it. A stream that arrives without a flip returns it:
+    the decoded raster would be the raster itself, and `forward_full` is
+    deterministic, so decoding and inference would give the same labels.
+    """
     cfg = weights.config
     stream = codec.encode_image(raster)
     received = phy.transmit(stream, channel)
-    decoded = codec.decode_image(received, cfg.input_height, cfg.input_width)
-    _, seg = model.forward_full(dataio.raster_to_tensor(decoded), weights)
-    return PipelineResult(seg, stream.n_bits, _count_flips(stream, received), stream.n_bits)
+    flips = _count_flips(stream, received)
+    seg = clean
+    if flips or seg is None:
+        decoded = codec.decode_image(received, cfg.input_height, cfg.input_width)
+        _, seg = model.forward_full(dataio.raster_to_tensor(decoded), weights)
+    return PipelineResult(seg, stream.n_bits, flips, stream.n_bits)
 
 
 def run_full_tx(raster, weights: WeightSet, channel: ChannelConfig) -> PipelineResult:
-    """Full inference at the transmitter; packed label map over the channel."""
+    """Full inference at the transmitter; packed label map over the channel.
+
+    A stream that arrives without a flip returns the transmitted map, which
+    is what decoding it would give.
+    """
     cfg = weights.config
     _, seg = model.forward_full(dataio.raster_to_tensor(raster), weights)
     stream = codec.encode_labelmap(seg, cfg.num_classes)
     received = phy.transmit(stream, channel)
-    out = codec.decode_labelmap(received, cfg.input_height, cfg.input_width, cfg.num_classes)
-    return PipelineResult(out, stream.n_bits, _count_flips(stream, received), stream.n_bits)
+    flips = _count_flips(stream, received)
+    if flips:
+        seg = codec.decode_labelmap(received, cfg.input_height, cfg.input_width, cfg.num_classes)
+    return PipelineResult(seg, stream.n_bits, flips, stream.n_bits)
 
 
 def run_split(raster, weights: WeightSet, channel: ChannelConfig, quant_bits: int = 8) -> PipelineResult:
@@ -270,6 +292,8 @@ def _run_trial(ctx: _SweepContext, mod_idx: int, snr_idx: int, image_idx: int) -
     spec = ctx.spec
     raster, _ = ctx.dataset[image_idx]
     reference = ctx.references[image_idx]
+    # in noiseless_output mode the reference is the raster's clean label map
+    clean = reference if spec.reference_mode == "noiseless_output" else None
     out = {}
     for pipeline in spec.pipelines:
         channel = ChannelConfig(
@@ -277,7 +301,7 @@ def _run_trial(ctx: _SweepContext, mod_idx: int, snr_idx: int, image_idx: int) -
             trial_seed(spec.master_seed, mod_idx, snr_idx, image_idx, pipeline),
         )
         if pipeline == "traditional":
-            res = run_traditional(raster, ctx.weights, channel)
+            res = run_traditional(raster, ctx.weights, channel, clean)
         elif pipeline == "full_tx":
             res = run_full_tx(raster, ctx.weights, channel)
         else:

@@ -1,5 +1,12 @@
 """Modeled radio link: Gray-mapped QPSK/16QAM over AWGN, hard decisions.
 
+`transmit` streams the link in blocks through `modulate`, `apply_awgn` and
+`demodulate`, each called through this module's attributes. Each stage
+keeps its temporaries to a few block-sized arrays. The noise is drawn
+straight into the output, and the slicer's margin test runs only on the
+symbols within one bound of a threshold per block. Both give the bits of
+the plain forms, which the tests keep as oracles.
+
 SNR is interpreted as Es/N0 per complex symbol (average symbol energy is
 normalized to 1 for both constellations), so the two modulations are
 directly comparable on a shared SNR axis. Noise is N0/2 per real dimension
@@ -103,7 +110,7 @@ def modulate(stream: BitStream, modulation: str) -> SymbolBlock:
     _, bps = constellation(modulation)
     # bps divides 8 and a stream's pad bits are zero, so each byte holds
     # whole symbols and the last one is already padded
-    symbols = _BYTE_SYMBOLS[modulation][stream.data].reshape(-1)
+    symbols = np.take(_BYTE_SYMBOLS[modulation], stream.data, axis=0).reshape(-1)
     return SymbolBlock(symbols[: -(-stream.n_bits // bps)], int(stream.n_bits))
 
 
@@ -114,12 +121,21 @@ def noise_power(snr_db: float) -> float:
 
 
 def apply_awgn(block: SymbolBlock, snr_db: float, rng: np.random.Generator) -> SymbolBlock:
-    """Add complex Gaussian noise at the given Es/N0 (dB), Es = 1."""
+    """Add complex Gaussian noise at the given Es/N0 (dB), Es = 1.
+
+    The normals are drawn straight into the output's real and imaginary
+    parts, interleaved, and scaled there: numpy's normal(0, sigma) is
+    0 + sigma * z, so these are the draws of rng.normal(0.0, sigma, (n, 2)),
+    and the sums equal symbols + noise bit for bit. The one exception: a
+    -0.0 part plus a -0.0 draw stays -0.0, where 0 + sigma * z would have
+    made the noise +0.0. Modulated symbols have no zero part.
+    """
     sigma = math.sqrt(noise_power(snr_db) / 2.0)
-    noise = rng.normal(0.0, sigma, size=(block.symbols.size, 2))
-    noisy = block.symbols.copy()
-    parts = noisy.view(np.float64)  # real, imag interleaved like the noise columns
-    parts += noise.reshape(-1)
+    noisy = np.empty(block.symbols.size, dtype=np.complex128)
+    parts = noisy.view(np.float64)
+    rng.standard_normal(out=parts)
+    parts *= sigma
+    parts += np.ascontiguousarray(block.symbols).view(np.float64)
     return SymbolBlock(noisy, block.bit_count)
 
 
@@ -139,6 +155,18 @@ def _min_distance_codes(y: np.ndarray, points: np.ndarray) -> np.ndarray:
     return codes
 
 
+def _not_clear(parts: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """Rows of `parts` (real, imaginary) whose distance `near` to the nearest
+    threshold is not clear of the band _SLICER_MARGIN * (1 + |y|^2); "not
+    clear" rather than "inside", so NaN counts too."""
+    with np.errstate(over="ignore"):  # |y|^2 = inf makes the band infinite
+        energy = parts * parts
+        margin = energy[:, 0] + energy[:, 1]
+    margin += 1.0
+    margin *= _SLICER_MARGIN
+    return np.flatnonzero(np.logical_not(near > margin))
+
+
 def demodulate(block: SymbolBlock, modulation: str) -> BitStream:
     """Minimum-distance hard decisions; ties pick the smallest bit pattern.
 
@@ -147,32 +175,42 @@ def demodulate(block: SymbolBlock, modulation: str) -> BitStream:
     of a threshold, or non-finite, is decided by the full minimum-distance
     search instead, which settles exact and rounding-made ties the same way
     for every symbol.
+
+    The margin test runs only on candidates: the symbols no farther from a
+    threshold than _SLICER_MARGIN * (1 + 2 * max|v|^2), one bound for the
+    block over its real and imaginary parts v. Rounding is monotone, so the
+    bound is at least every symbol's own margin, and a symbol outside it is
+    clear. A block with a non-finite part runs the test on every symbol.
     """
     points, bps = constellation(modulation)
     y = np.ascontiguousarray(block.symbols)
     v = y.view(np.float64)  # real and imaginary parts, interleaved
     a = np.abs(v)
+    peak = float(a.max(initial=0.0))  # NaN when a part is NaN
     if modulation == QPSK:
         bits = v < 0.0
-        near = a
     else:
         t = 2.0 / math.sqrt(10.0)
         bits = np.empty((v.size, 2), dtype=bool)
         np.greater(v, 0.0, out=bits[:, 0])
         np.less(a, t, out=bits[:, 1])
-        near = np.minimum(a, np.abs(a - t))
-    with np.errstate(over="ignore"):  # |y|^2 = inf puts the symbol in the suspect set
-        energy = v * v
-        margin = energy[0::2] + energy[1::2]
-        margin += 1.0
-        margin *= _SLICER_MARGIN
-        # "not clear of the band" rather than "inside it", so NaN is suspect too
-        clear = np.minimum(near[0::2], near[1::2]) > margin
-        suspect = np.flatnonzero(np.logical_not(clear, out=clear))
-        if suspect.size:
+        off_t = np.subtract(a, t)
+        np.minimum(a, np.abs(off_t, out=off_t), out=a)  # each part's distance to 0 or +-t
+        del off_t
+    near = np.minimum(a[0::2], a[1::2])  # distance to the nearest threshold, per symbol
+    del a  # the search below then holds only symbol-sized arrays besides `bits`
+    pairs = v.reshape(-1, 2)
+    if math.isfinite(peak):
+        square = peak * peak  # at least every part's rounded square; inf past 1.3e154
+        candidates = np.flatnonzero(near <= (square + square + 1.0) * _SLICER_MARGIN)
+        suspect = candidates[_not_clear(pairs[candidates], near[candidates])]
+    else:
+        suspect = _not_clear(pairs, near)
+    if suspect.size:
+        with np.errstate(over="ignore"):
             codes = _min_distance_codes(y[suspect], points)
-            shifts = np.arange(bps - 1, -1, -1)
-            bits.reshape(-1, bps)[suspect] = (codes[:, None] >> shifts) & 1
+        shifts = np.arange(bps - 1, -1, -1)
+        bits.reshape(-1, bps)[suspect] = (codes[:, None] >> shifts) & 1
     n_bits = min(block.bit_count, y.size * bps)
     return BitStream(n_bits, np.packbits(bits.reshape(-1))[: (n_bits + 7) // 8])
 

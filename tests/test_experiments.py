@@ -6,6 +6,7 @@ import os
 import re
 import tracemalloc
 import xml.etree.ElementTree as ET
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -381,6 +382,124 @@ class TestSweep:
         spec = small_spec(dataset=str(tmp_path / "data"), num_images=2)
         with pytest.raises(ValueError, match="does not match config"):
             E.sweep(spec)
+
+
+def replay_trial(spec, weights, pair, key, pipeline):
+    """One trial rebuilt from its seed with every receive half run:
+    trial_seed -> phy.transmit -> decode -> inference. Returns the
+    (mIoU, flips, channel bits, bits sent) that the sweep must report."""
+    cfg, (raster, ground_truth) = spec.model, pair
+    m, s, i = key
+    seed = E.trial_seed(spec.master_seed, m, s, i, pipeline)
+    channel = ChannelConfig(spec.modulations[m], spec.snr_db[s], seed)
+    h, w, k = cfg.input_height, cfg.input_width, cfg.num_classes
+    tensor = dataio.raster_to_tensor(raster)
+    side_bits = 0
+    if pipeline == "traditional":
+        sent = codec.encode_image(raster)
+        received = phy.transmit(sent, channel)
+        _, seg = M.forward_full(dataio.raster_to_tensor(codec.decode_image(received, h, w)), weights)
+    elif pipeline == "full_tx":
+        sent = codec.encode_labelmap(M.forward_full(tensor, weights)[1], k)
+        received = phy.transmit(sent, channel)
+        seg = codec.decode_labelmap(received, h, w, k)
+    else:
+        payload = codec.quantize_features(M.forward_transmitter(tensor, weights), spec.quant_bits)
+        header, sent = codec.serialize_payload(payload)
+        received = phy.transmit(sent, channel)
+        features = codec.dequantize_features(codec.deserialize_payload(header, received))
+        _, seg = M.forward_receiver(features, weights)
+        side_bits = header.n_bits
+    noiseless = spec.reference_mode == "noiseless_output"
+    reference = M.forward_full(tensor, weights)[1] if noiseless else ground_truth
+    _, mean_iou = metrics.miou(metrics.confusion(reference, seg, k))
+    return mean_iou, unpacked_flip_count(sent, received), sent.n_bits, sent.n_bits + side_bits
+
+
+def recorded_sweep(spec, workers, monkeypatch):
+    """Run a sweep and keep every trial's outcomes, as its loop or its pool
+    hands them back: {(m, s, i): {pipeline: outcome tuple}}."""
+    seen = {}
+    run_trial = E._run_trial
+
+    def recording_trial(ctx, *key):
+        seen[key] = run_trial(ctx, *key)
+        return seen[key]
+
+    class RecordingPool(ProcessPoolExecutor):
+        def map(self, fn, *iterables, **kwargs):
+            for key, out in super().map(fn, *iterables, **kwargs):
+                seen[key] = out
+                yield key, out
+
+    monkeypatch.setattr(E, "_run_trial", recording_trial)
+    monkeypatch.setattr(E, "ProcessPoolExecutor", RecordingPool)
+    E.sweep(spec, workers=workers)
+    return seen
+
+
+def flip_free_spec(reference_mode):
+    # 30 dB QPSK delivers a 128x128 image without a flip, 5 dB never does
+    return small_spec(modulations=(phy.QPSK,), snr_db=(5.0, 30.0), reference_mode=reference_mode)
+
+
+class TestFlipFreeReceive:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("reference_mode", E.REFERENCE_MODES)
+    def test_every_trial_equals_its_replay(self, monkeypatch, tiny_weights, reference_mode, workers):
+        spec = flip_free_spec(reference_mode)
+        pairs = dataio.generate_synthetic(spec.num_images, TINY.num_classes, 128, 128,
+                                          E.derive_seed(spec.master_seed, 0))
+        outcomes = recorded_sweep(spec, workers, monkeypatch)
+        assert sorted(outcomes) == [(0, s, i) for s in range(2) for i in range(spec.num_images)]
+        flip_free = set()
+        for key, out in outcomes.items():
+            assert list(out) == list(spec.pipelines)
+            for pipeline, outcome in out.items():
+                want = replay_trial(spec, tiny_weights, pairs[key[2]], key, pipeline)
+                assert tuple(outcome) == want, (key, pipeline)
+                if want[1] == 0:
+                    flip_free.add((key[1], pipeline))
+        # the shortcut had trials to take, and trials to leave alone
+        assert flip_free == {(1, p) for p in spec.pipelines}
+
+    @pytest.mark.parametrize("reference_mode", E.REFERENCE_MODES)
+    def test_receive_half_runs_only_on_flipped_streams(self, monkeypatch, reference_mode):
+        calls = {"forward_full": 0, "decode_labelmap": 0}
+        per_run = {"traditional": [], "full_tx": []}
+
+        def counting(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        def recording(pipeline, name):
+            fn = getattr(E, f"run_{pipeline}")
+
+            def recorded(*args, **kwargs):
+                before = calls[name]
+                res = fn(*args, **kwargs)
+                per_run[pipeline].append((res.bit_flips, calls[name] - before))
+                return res
+            monkeypatch.setattr(E, f"run_{pipeline}", recorded)
+
+        counting(M, "forward_full")
+        counting(codec, "decode_labelmap")
+        recording("traditional", "forward_full")
+        recording("full_tx", "decode_labelmap")
+        spec = flip_free_spec(reference_mode)
+        E.sweep(spec, workers=1)
+        # with ground-truth references the sweep holds no clean label map,
+        # so every traditional trial runs its receiver
+        noiseless = reference_mode == "noiseless_output"
+        assert [n for _, n in per_run["traditional"]] == [
+            int(flips > 0 or not noiseless) for flips, _ in per_run["traditional"]]
+        assert [n for _, n in per_run["full_tx"]] == [int(flips > 0) for flips, _ in per_run["full_tx"]]
+        flips = [f for f, _ in per_run["traditional"] + per_run["full_tx"]]
+        assert len(flips) == 2 * 2 * spec.num_images and 0 in flips and max(flips) > 0
 
 
 class TestSpecConfig:
