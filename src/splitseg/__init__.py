@@ -63,6 +63,7 @@ from .experiments import (
     SweepResult,
     load_spec,
     read_csv,
+    run,
     run_full_tx,
     run_split,
     run_traditional,

@@ -65,14 +65,10 @@ def _cmd_report(args) -> int:
         out = _out_dir(args)
         atomic.write_text_atomic(out / "rate_report.json", rate.to_json() + "\n")
         atomic.write_text_atomic(out / "compute_report.json", compute.to_json() + "\n")
-        plotting.render_bars(
-            [(p, rate.bits_per_image[p]) for p in metrics.PIPELINES],
-            out / "bits_per_image.svg", ylabel="bits per image",
-        )
-        plotting.render_bars(
-            [(p, compute.tx_macs[p]) for p in metrics.PIPELINES],
-            out / "tx_macs.svg", ylabel="transmitter MACs",
-        )
+        # both reports key their values by pipeline in PIPELINE_TABLE order
+        for name, values, ylabel in (("bits_per_image", rate.bits_per_image, "bits per image"),
+                                     ("tx_macs", compute.tx_macs, "transmitter MACs")):
+            plotting.render_bars(values.items(), out / f"{name}.svg", ylabel=ylabel)
     return EXIT_OK
 
 

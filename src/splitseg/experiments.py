@@ -7,11 +7,13 @@ Three pipelines share one trained-once weight set per spec:
   split:       transmitter half, quantized features over the channel (range
                header error-free), receiver half completes inference.
 
-A pipeline whose stream arrives without a flip skips its receive half when
-the result is already in hand: full_tx returns the map it sent, and
-traditional returns the image's clean label map, which the sweep holds as
-the reference in `noiseless_output` mode. Both are what the receive half
-would compute. Split always runs its receiver.
+Each pipeline is a send half and a receive half on its `metrics.PIPELINE_TABLE`
+row, and `run` drives all three: send, `phy.transmit`, count flips, receive.
+A stream that arrives without a flip is the stream sent, so the receive half
+is skipped when the send half already holds its result: full_tx holds the map
+it sent, and traditional the image's clean label map when the caller passes
+it (the sweep does in `noiseless_output` mode, where that map is the
+reference). Split holds none and always runs its receiver.
 
 Every trial derives its own noise substream from (master seed, modulation
 index, SNR index, image index, pipeline index), so sweep output is a pure
@@ -74,18 +76,17 @@ class ExperimentSpec:
         snrs = tuple(as_scalar("snr_db", s, float) for s in as_list("snr_db", self.snr_db))
         object.__setattr__(self, "snr_db", snrs)
         object.__setattr__(self, "pipelines", as_list("pipelines", self.pipelines))
-        for m in self.modulations:
-            for s in self.snr_db:
-                try:
-                    ChannelConfig(m, s)  # the link's own modulation and SNR checks
-                except ValueError as exc:
-                    raise ConfigError(str(exc)) from None
+        try:  # the link's own modulation and SNR checks, and the pipeline table's
+            for m in self.modulations:
+                for s in self.snr_db:
+                    ChannelConfig(m, s)
+            for p in self.pipelines:
+                metrics.pipeline_index(p)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         _reject_duplicates("modulations", self.modulations)
         if any(a >= b for a, b in zip(self.snr_db, self.snr_db[1:])):
             raise ConfigError(f"snr_db must be strictly increasing, got {self.snr_db}")
-        for p in self.pipelines:
-            if p not in metrics.PIPELINES:
-                raise ConfigError(f"unknown pipeline {p!r}")
         _reject_duplicates("pipelines", self.pipelines)
         if self.num_images < 1:
             raise ConfigError(f"num_images must be >= 1, got {self.num_images}")
@@ -175,7 +176,7 @@ def derive_seed(master_seed: int, *key: int) -> int:
 
 
 def trial_seed(master_seed: int, mod_idx: int, snr_idx: int, image_idx: int, pipeline: str) -> int:
-    return derive_seed(master_seed, 1, mod_idx, snr_idx, image_idx, metrics.PIPELINES.index(pipeline))
+    return derive_seed(master_seed, 1, mod_idx, snr_idx, image_idx, metrics.pipeline_index(pipeline))
 
 
 @dataclass
@@ -198,56 +199,40 @@ def _count_flips(sent: codec.BitStream, received: codec.BitStream) -> int:
     return int(_POPCOUNT[np.bitwise_xor(sent.data, received.data)].sum(dtype=np.int64))
 
 
-def run_traditional(raster, weights: WeightSet, channel: ChannelConfig,
-                    clean: SegmentationMap | None = None) -> PipelineResult:
-    """Raw 24 bpp image over the channel; all inference at the receiver.
+def run(pipeline: str, raster, weights: WeightSet, channel: ChannelConfig,
+        quant_bits: int = 8, clean: SegmentationMap | None = None) -> PipelineResult:
+    """One image through one pipeline: its send half, the channel, then its
+    receive half, which is skipped when the stream arrives without a flip
+    and the send half already holds the result.
 
     `clean` is the raster's own label map, `forward_full` of the raster,
-    when the caller has it. A stream that arrives without a flip returns it:
-    the decoded raster would be the raster itself, and `forward_full` is
-    deterministic, so decoding and inference would give the same labels.
+    when the caller has it; traditional holds it as its result. `bits_sent`
+    adds the side stream (split's range header, which crosses error-free) to
+    `channel_bits`, the bits exposed to noise.
     """
-    cfg = weights.config
-    stream = codec.encode_image(raster)
-    received = phy.transmit(stream, channel)
-    flips = _count_flips(stream, received)
-    seg = clean
+    row = metrics.PIPELINE_TABLE[metrics.pipeline_index(pipeline)]
+    sent, side, seg = row.send(raster, weights, quant_bits, clean)
+    received = phy.transmit(sent, channel)
+    flips = _count_flips(sent, received)
     if flips or seg is None:
-        decoded = codec.decode_image(received, cfg.input_height, cfg.input_width)
-        _, seg = model.forward_full(dataio.raster_to_tensor(decoded), weights)
-    return PipelineResult(seg, stream.n_bits, flips, stream.n_bits)
+        seg = row.receive(received, side, weights)
+    side_bits = 0 if side is None else side.n_bits
+    return PipelineResult(seg, sent.n_bits + side_bits, flips, sent.n_bits)
 
 
-def run_full_tx(raster, weights: WeightSet, channel: ChannelConfig) -> PipelineResult:
-    """Full inference at the transmitter; packed label map over the channel.
-
-    A stream that arrives without a flip returns the transmitted map, which
-    is what decoding it would give.
-    """
-    cfg = weights.config
-    _, seg = model.forward_full(dataio.raster_to_tensor(raster), weights)
-    stream = codec.encode_labelmap(seg, cfg.num_classes)
-    received = phy.transmit(stream, channel)
-    flips = _count_flips(stream, received)
-    if flips:
-        seg = codec.decode_labelmap(received, cfg.input_height, cfg.input_width, cfg.num_classes)
-    return PipelineResult(seg, stream.n_bits, flips, stream.n_bits)
+def run_traditional(raster, weights, channel, quant_bits=8, clean=None) -> PipelineResult:
+    """Raw 24 bpp image over the channel; all inference at the receiver."""
+    return run("traditional", raster, weights, channel, quant_bits, clean)
 
 
-def run_split(raster, weights: WeightSet, channel: ChannelConfig, quant_bits: int = 8) -> PipelineResult:
-    """Split inference: the quantized split-boundary tensor over the channel.
+def run_full_tx(raster, weights, channel, quant_bits=8, clean=None) -> PipelineResult:
+    """Full inference at the transmitter; packed label map over the channel."""
+    return run("full_tx", raster, weights, channel, quant_bits, clean)
 
-    The per-channel range header traverses the channel error-free; only the
-    packed code body is exposed to noise.
-    """
-    features = model.forward_transmitter(dataio.raster_to_tensor(raster), weights)
-    payload = codec.quantize_features(features, quant_bits)
-    header, body = codec.serialize_payload(payload)
-    received_body = phy.transmit(body, channel)
-    received = codec.deserialize_payload(header, received_body)
-    _, seg = model.forward_receiver(codec.dequantize_features(received), weights)
-    bits_sent = header.n_bits + body.n_bits
-    return PipelineResult(seg, bits_sent, _count_flips(body, received_body), body.n_bits)
+
+def run_split(raster, weights, channel, quant_bits=8, clean=None) -> PipelineResult:
+    """Split inference: the quantized split-boundary tensor over the channel."""
+    return run("split", raster, weights, channel, quant_bits, clean)
 
 
 @dataclass
@@ -300,12 +285,10 @@ def _run_trial(ctx: _SweepContext, mod_idx: int, snr_idx: int, image_idx: int) -
             spec.modulations[mod_idx], spec.snr_db[snr_idx],
             trial_seed(spec.master_seed, mod_idx, snr_idx, image_idx, pipeline),
         )
-        if pipeline == "traditional":
-            res = run_traditional(raster, ctx.weights, channel, clean)
-        elif pipeline == "full_tx":
-            res = run_full_tx(raster, ctx.weights, channel)
-        else:
-            res = run_split(raster, ctx.weights, channel, spec.quant_bits)
+        # looked up as a module attribute, not a direct call of `run`: the
+        # benchmark's tracer, its self-tests and TestFlipFreeReceive replace
+        # run_<pipeline> on the module to count trials by pipeline
+        res = globals()[f"run_{pipeline}"](raster, ctx.weights, channel, spec.quant_bits, clean)
         _, mean_iou = metrics.miou(metrics.confusion(reference, res.label_map, spec.model.num_classes))
         out[pipeline] = (mean_iou, res.bit_flips, res.channel_bits, res.bits_sent)
     return out

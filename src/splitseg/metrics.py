@@ -1,32 +1,86 @@
-"""Segmentation accuracy (IoU/mIoU), payload accounting, and reduction reports."""
+"""Segmentation accuracy (IoU/mIoU), payload accounting, reduction reports,
+and the table of pipelines with their send and receive halves."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import model as M
-from .codec import label_bits_per_pixel, payload_header_bits
+from . import codec, dataio, model as M
 from .model import ModelConfig, SegmentationMap
+
+
+# Each pipeline is a send half and a receive half, which `experiments.run`
+# joins across the channel. send(raster, weights, quant_bits, clean) returns
+# (stream exposed to noise, side stream that crosses error-free or None,
+# label map already in hand or None); receive(received, side, weights)
+# returns the label map. A stream that arrives without a flip is the stream
+# sent, so the map in hand is what the receive half would compute. The halves
+# call `codec`, `dataio` and `model` through module attributes, so a tracer
+# that replaces those attributes sees every layer.
+
+def _send_raster(raster, weights, quant_bits, clean):
+    # `clean` is the raster's own label map when the caller holds one
+    return codec.encode_image(raster), None, clean
+
+
+def _receive_raster(received, side, weights):
+    cfg = weights.config
+    decoded = codec.decode_image(received, cfg.input_height, cfg.input_width)
+    return M.forward_full(dataio.raster_to_tensor(decoded), weights)[1]
+
+
+def _send_labels(raster, weights, quant_bits, clean):
+    _, seg = M.forward_full(dataio.raster_to_tensor(raster), weights)
+    return codec.encode_labelmap(seg, weights.config.num_classes), None, seg
+
+
+def _receive_labels(received, side, weights):
+    cfg = weights.config
+    return codec.decode_labelmap(received, cfg.input_height, cfg.input_width, cfg.num_classes)
+
+
+def _send_features(raster, weights, quant_bits, clean):
+    # the range header is the side stream; no map is in hand, because the
+    # clean labels would take the receiver on the un-noised payload
+    features = M.forward_transmitter(dataio.raster_to_tensor(raster), weights)
+    header, body = codec.serialize_payload(codec.quantize_features(features, quant_bits))
+    return body, header, None
+
+
+def _receive_features(received, side, weights):
+    payload = codec.deserialize_payload(side, received)
+    return M.forward_receiver(codec.dequantize_features(payload), weights)[1]
 
 
 class Pipeline(NamedTuple):
     name: str
     column: str  # sweep CSV column holding its median mIoU
     tx_last_stage: int  # last network stage run at the transmitter; -1 for none
+    send: Callable
+    receive: Callable
 
 
 # The only description of the pipelines. Row order is each pipeline's index
 # in its trials' noise substream key, so reordering rows changes every sweep.
 PIPELINE_TABLE = (
-    Pipeline("traditional", "miou_n", -1),
-    Pipeline("full_tx", "miou_f", M.TOTAL_STAGES - 1),
-    Pipeline("split", "miou_s", M.SPLIT_BOUNDARY),
+    Pipeline("traditional", "miou_n", -1, _send_raster, _receive_raster),
+    Pipeline("full_tx", "miou_f", M.TOTAL_STAGES - 1, _send_labels, _receive_labels),
+    Pipeline("split", "miou_s", M.SPLIT_BOUNDARY, _send_features, _receive_features),
 )
 PIPELINES = tuple(p.name for p in PIPELINE_TABLE)
+
+
+def pipeline_index(pipeline: str) -> int:
+    """The row of a pipeline name in PIPELINE_TABLE, which is also its index in
+    trial noise keys; an unknown name raises ValueError."""
+    if pipeline not in PIPELINES:
+        raise ValueError(f"unknown pipeline {pipeline!r}, expected one of {PIPELINES}")
+    return PIPELINES.index(pipeline)
+
 
 # External reference operating point shown next to the measured
 # transmitter-compute reduction in ComputeReport.
@@ -75,20 +129,19 @@ def bits_per_image(pipeline: str, config: ModelConfig, quant_bits: int = 8) -> i
     split: the quantized body of the tensor at the model's split boundary plus
     its range header.
     """
+    pipeline_index(pipeline)  # an unknown name raises here
     h, w = config.input_height, config.input_width
     if pipeline == "traditional":
         return 24 * h * w
     if pipeline == "full_tx":
-        return label_bits_per_pixel(config.num_classes) * h * w
-    if pipeline == "split":
-        cut = M.describe(config)[M.SPLIT_BOUNDARY]
-        return cut.cout * cut.out_h * cut.out_w * quant_bits + payload_header_bits(cut.cout)
-    raise ValueError(f"unknown pipeline {pipeline!r}, expected one of {PIPELINES}")
+        return codec.label_bits_per_pixel(config.num_classes) * h * w
+    cut = M.describe(config)[M.SPLIT_BOUNDARY]
+    return cut.cout * cut.out_h * cut.out_w * quant_bits + codec.payload_header_bits(cut.cout)
 
 
 def pipeline_macs(pipeline: str, config: ModelConfig) -> tuple[int, int]:
     """Convolution MACs (transmitter, receiver) of one pipeline."""
-    return M.mac_count(config, PIPELINE_TABLE[PIPELINES.index(pipeline)].tx_last_stage)
+    return M.mac_count(config, PIPELINE_TABLE[pipeline_index(pipeline)].tx_last_stage)
 
 
 def bitrate_mbps(bits: int, frames_per_second: float) -> float:

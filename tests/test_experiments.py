@@ -210,13 +210,26 @@ class TestPipelines:
         assert res.label_map.same_as(clean)
         assert res.bits_sent == codec.label_bits_per_pixel(TINY.num_classes) * 128 * 128
 
-    def test_split_bits_formula(self, tiny_weights, tiny_pair):
+    @pytest.mark.parametrize("quant_bits", codec.STANDARD_QUANT_BITS)
+    @pytest.mark.parametrize("pipeline", metrics.PIPELINES)
+    def test_bits_formula(self, tiny_weights, tiny_pair, pipeline, quant_bits):
         raster, _ = tiny_pair
-        res = E.run_split(raster, tiny_weights, noiseless(), quant_bits=8)
+        res = E.run(pipeline, raster, tiny_weights, noiseless(), quant_bits)
         c5 = TINY.feature_channels
-        assert res.bits_sent == c5 * 2 * 2 * 8 + 96 + 64 * c5
-        assert res.bits_sent == metrics.bits_per_image("split", TINY, 8)
-        assert res.channel_bits == c5 * 2 * 2 * 8
+        # only the stream exposed to noise counts as channel bits: split's
+        # 96 + 64 * C range header crosses error-free
+        exposed = {"traditional": 24 * 128 * 128,
+                   "full_tx": codec.label_bits_per_pixel(TINY.num_classes) * 128 * 128,
+                   "split": c5 * 2 * 2 * quant_bits}[pipeline]
+        side = 96 + 64 * c5 if pipeline == "split" else 0
+        assert res.bits_sent == exposed + side == metrics.bits_per_image(pipeline, TINY, quant_bits)
+        assert res.channel_bits == exposed
+        assert res.bit_flips == 0
+        if pipeline != "split":  # every row receives quant_bits; only split reads it
+            base = E.run(pipeline, raster, tiny_weights, noiseless(), 8)
+            assert res.label_map.same_as(base.label_map)
+            assert (res.bits_sent, res.bit_flips, res.channel_bits) == (
+                base.bits_sent, base.bit_flips, base.channel_bits)
 
     def test_split_noiseless_high_precision_agreement(self, tiny_weights, tiny_pair):
         raster, _ = tiny_pair
@@ -273,6 +286,19 @@ class TestPipelineTable:
         }
         assert sorted(p.column for p in metrics.PIPELINE_TABLE) == sorted(E.COLUMNS)
         assert E.CSV_HEADER == "snr," + ",".join(E.COLUMNS)
+
+    @pytest.mark.parametrize("entry_point", ["bits_per_image", "pipeline_macs", "trial_seed", "run", "spec"])
+    def test_unknown_name_raises_the_table_message(self, tiny_weights, tiny_pair, entry_point):
+        calls = {
+            "bits_per_image": lambda: metrics.bits_per_image("bogus", TINY),
+            "pipeline_macs": lambda: metrics.pipeline_macs("bogus", TINY),
+            "trial_seed": lambda: E.trial_seed(7, 0, 0, 0, "bogus"),
+            "run": lambda: E.run("bogus", tiny_pair[0], tiny_weights, noiseless()),
+            "spec": lambda: E.ExperimentSpec(model=TINY, pipelines=("split", "bogus")),
+        }
+        message = f"unknown pipeline 'bogus', expected one of {metrics.PIPELINES}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            calls[entry_point]()
 
     def test_spec_defaults_to_every_pipeline(self):
         assert E.ExperimentSpec(model=TINY).pipelines == metrics.PIPELINES
@@ -465,8 +491,8 @@ class TestFlipFreeReceive:
 
     @pytest.mark.parametrize("reference_mode", E.REFERENCE_MODES)
     def test_receive_half_runs_only_on_flipped_streams(self, monkeypatch, reference_mode):
-        calls = {"forward_full": 0, "decode_labelmap": 0}
-        per_run = {"traditional": [], "full_tx": []}
+        calls = {"forward_full": 0, "decode_labelmap": 0, "forward_receiver": 0}
+        per_run = {"traditional": [], "full_tx": [], "split": []}
 
         def counting(module, name):
             fn = getattr(module, name)
@@ -488,8 +514,10 @@ class TestFlipFreeReceive:
 
         counting(M, "forward_full")
         counting(codec, "decode_labelmap")
+        counting(M, "forward_receiver")
         recording("traditional", "forward_full")
         recording("full_tx", "decode_labelmap")
+        recording("split", "forward_receiver")
         spec = flip_free_spec(reference_mode)
         E.sweep(spec, workers=1)
         # with ground-truth references the sweep holds no clean label map,
@@ -498,8 +526,11 @@ class TestFlipFreeReceive:
         assert [n for _, n in per_run["traditional"]] == [
             int(flips > 0 or not noiseless) for flips, _ in per_run["traditional"]]
         assert [n for _, n in per_run["full_tx"]] == [int(flips > 0) for flips, _ in per_run["full_tx"]]
-        flips = [f for f, _ in per_run["traditional"] + per_run["full_tx"]]
-        assert len(flips) == 2 * 2 * spec.num_images and 0 in flips and max(flips) > 0
+        # split holds no result before its receiver, so every trial runs it
+        assert [n for _, n in per_run["split"]] == [1] * len(per_run["split"])
+        for pipeline, runs in per_run.items():
+            flips = [f for f, _ in runs]
+            assert len(flips) == 2 * spec.num_images and 0 in flips and max(flips) > 0, pipeline
 
 
 class TestSpecConfig:
