@@ -56,21 +56,22 @@ def conv2d(x, kernels, bias, stride: int = 1, padding: int = 0) -> np.ndarray:
     acc = np.zeros(conv.shape, dtype=np.float32)
     for r0, r1 in conv.chunks:
         conv.add_taps(r0, r1, acc[:, r0:r1])
-    acc += conv.bias[:, None, None]
     return acc
 
 
 class _Conv:
     """One conv2d call, run by output row chunks: for each (r0, r1) of
-    `chunks`, add_taps(r0, r1, dst) adds the taps of output rows r0..r1-1
-    into zeroed `dst`, of shape (out_ch, r1 - r0, out_w). Adding `bias` is
-    left to the caller.
+    `chunks`, add_taps(r0, r1, dst) adds the taps of output rows r0..r1-1,
+    then the bias, into zeroed `dst`, of shape (out_ch, r1 - r0, out_w).
 
     Arithmetic contract: acc starts at zero, each tap (dy, dx) in order adds
     one product (out_ch x in_ch) @ (in_ch x pixels), the bias is added last.
-    The two regimes below differ only in the bytes they move. Both read the
-    zero-padded input through _span, and both take a tap's weights from one
-    contiguous (k, k, out_ch, in_ch) copy outside a unit dimension.
+    Both regimes run one tap loop over a slab of images of the zero-padded
+    input, q per row phase (_fill_phase_slab), and differ only in its layout,
+    so only in the bytes they move. Each tap's operand is a flat view of one
+    image, whose row stride np.matmul hands to sgemm (np.dot would copy it);
+    the weights come from one contiguous (k, k, out_ch, in_ch) copy outside
+    a unit dimension.
     """
 
     def __init__(self, x, kernels, bias, stride: int, padding: int):
@@ -84,7 +85,7 @@ class _Conv:
             raise ValueError(f"kernel size must be odd, got {k}")
         if in_ch != x.shape[0]:
             raise ValueError(f"channel mismatch: input has {x.shape[0]} channels, kernels expect {in_ch}")
-        b = np.asarray(bias, dtype=np.float32).reshape(-1)
+        b = np.asarray(bias, dtype=np.float32).reshape(-1, 1, 1)
         if b.size != out_ch:
             raise ValueError(f"bias length {b.size} != out_ch {out_ch}")
         if stride < 1:
@@ -99,78 +100,74 @@ class _Conv:
             raise ValueError(
                 f"empty output: input {h}x{wd}, kernel {k}, stride {stride}, padding {padding}"
             )
-        self.shape, self.bias, self.stride, self.padding = (out_ch, out_h, out_w), b, stride, padding
-        self._w, self._wt, self._slab = w, None, None
+        self.shape, self.stride, self.padding = (out_ch, out_h, out_w), stride, padding
+        self._w, self._bias, self._buf = w, b, None
         chunks = _row_chunks(k, in_ch, out_ch, stride, out_h, out_w)
         if chunks == 1:
             # Small layer, single tap, or a unit dimension: one call per tap of
             # the full width out_h*out_w, because small sgemm calls may round a
-            # column differently when their width changes. The input is copied
-            # once per row phase and column tap (_shifted_copies); each tap's
-            # operand is a strided view of one copy, which np.matmul hands to
-            # sgemm with a plain tap-by-tap tensordot's M, N, K and values (only
-            # ldb differs; np.dot would copy the view). At a unit dimension
-            # np.dot takes gemv, whose bits depend on operand strides, so there
-            # it gets that tensordot's operands: the weight view and a
-            # contiguous copy of the tap.
+            # column differently when their width changes. The slab holds one
+            # image per row phase and column tap, of pitch out_w, so a tap's
+            # operand has a plain tap-by-tap tensordot's M, N, K and values
+            # (only ldb differs). At a unit dimension np.dot takes gemv, whose
+            # bits depend on operand strides, so there it gets that tensordot's
+            # operands: the weight view and a contiguous copy of the tap. A 1x1,
+            # stride-1, unpadded layer on C-contiguous `x` reads `x` itself.
             if lazy:
                 raise ValueError("a row source is read only by conv2d's chunked regime")
-            self._x, self.chunks = x, [(0, out_h)]
+            self.chunks, self._q, self._pitch = [(0, out_h)], k, out_w
+            if k == 1 and stride == 1 and padding == 0 and x.flags.c_contiguous:
+                self._flat, self._x = x.reshape(1, 1, in_ch, -1), None
+                return
         else:
             # Larger layer: balanced row chunks. Per chunk, one reused slab holds
-            # the rows of the stride-phase images that the chunk's taps read; each
-            # tap's operand is a flat view of it, whose row stride np.matmul hands
-            # to sgemm (np.dot would copy it). The `reach` extra columns of each
-            # row are computed and dropped. A chunk's rows are cut into row parts,
-            # one per thread, each with its own stretch of the product buffer.
-            self._x = x if lazy else _Rows(x)
+            # the rows of the stride-phase images that the chunk's taps read.
+            # The `reach` extra columns of each row are computed and dropped. A
+            # chunk's rows are cut into row parts, one per thread, each with its
+            # own stretch of the product buffer.
             bounds = [out_h * i // chunks for i in range(chunks + 1)]
             self.chunks = list(zip(bounds, bounds[1:]))
+            self._q, self._pitch = min(k, stride), out_w + (k - 1) // stride
+        self._x = x if lazy else _Rows(x)
 
     def add_taps(self, r0: int, r1: int, dst: np.ndarray) -> None:
         # Buffers are allocated here, after the caller's output: freed, they
         # leave no hole under a longer-lived array in malloc's heap.
-        (out_ch, out_h, out_w), stride, padding, w = self.shape, self.stride, self.padding, self._w
+        (out_ch, out_h, out_w), stride, w, q, pitch = self.shape, self.stride, self._w, self._q, self._pitch
         in_ch, k = w.shape[1], w.shape[2]
+        m, reach = min(k, stride), (k - 1) // stride  # reach: how far, in output pixels, a tap reaches
         unit = min(out_ch, in_ch) == 1 or out_h * out_w == 1
-        if self._wt is None and not unit:
-            self._wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))  # (k, k, out_ch, in_ch)
-        if len(self.chunks) == 1:
-            copies = _shifted_copies(self._x, k, stride, padding, out_h, out_w)
-            prod = np.empty((out_ch, out_h * out_w), dtype=np.float32)
-            for dy in range(k):
-                top = dy // stride
-                for dx in range(k):
-                    tap = copies[dy % stride, dx][:, top:top + out_h].reshape(in_ch, -1)
-                    if unit:
-                        np.dot(w[:, :, dy, dx], np.ascontiguousarray(tap), out=prod)
-                    else:
-                        np.matmul(self._wt[dy, dx], tap, out=prod)
-                    dst += prod.reshape(dst.shape)
-            return
-        reach = (k - 1) // stride  # how far, in output pixels, a tap reaches
-        pitch = out_w + reach
-        if self._slab is None:
-            most, m = max(z - a for a, z in self.chunks), min(k, stride)
-            self._slab = np.zeros((m, m, in_ch, most + reach + 1, pitch), dtype=np.float32)
+        fresh = self._buf is None
+        if fresh:
+            self._wt = None if unit else np.ascontiguousarray(w.transpose(2, 3, 0, 1))  # (k, k, out_ch, in_ch)
+            most = -(-out_h // len(self.chunks))  # rows of the longest chunk
+            if self._x is not None:  # a window past a row's end reads one more row
+                rows = most + reach + (q < k)
+                self._flat = np.zeros((m, q, in_ch, rows * pitch), dtype=np.float32)
+                self._slab = self._flat.reshape(m, q, in_ch, rows, pitch)
             self._buf = np.empty(out_ch * most * pitch, dtype=np.float32)
-        wt, buf = self._wt, self._buf
-        _fill_phase_slab(self._slab, self._x, stride, padding, r0, r1 - r0 + reach)
-        flat = self._slab.reshape(*self._slab.shape[:3], -1)
-        parts = _row_parts(r1 - r0, 4 * out_ch * pitch)
+        if self._x is not None:
+            _fill_phase_slab(self._slab, self._x, stride, self.padding, r0, r1 - r0 + reach, fresh)
+        flat, wt, buf = self._flat, self._wt, self._buf
+        parts = [(0, out_h)] if len(self.chunks) == 1 else _row_parts(r1 - r0, 4 * out_ch * pitch)
 
         def taps(t: int) -> None:
             a, z = parts[t]  # rows of this chunk
             n = (z - a) * pitch
             prod = buf[out_ch * a * pitch:out_ch * z * pitch].reshape(out_ch, n)
-            part = dst[:, a:z]
+            part, kept = dst[:, a:z], prod.reshape(out_ch, z - a, pitch)[:, :, :out_w]
             for dy in range(k):
                 for dx in range(k):
-                    start = (dy // stride + a) * pitch + dx // stride
-                    np.matmul(wt[dy, dx], flat[dy % stride, dx % stride, :, start:start + n], out=prod)
-                    part += prod.reshape(out_ch, z - a, pitch)[:, :, :out_w]
+                    start = (dy // m + a) * pitch + dx // q
+                    tap = flat[dy % m, dx % q, :, start:start + n]
+                    if unit:
+                        np.dot(w[:, :, dy, dx], np.ascontiguousarray(tap), out=prod)
+                    else:
+                        np.matmul(wt[dy, dx], tap, out=prod)
+                    part += kept
 
         _on_threads(taps, len(parts))
+        dst += self._bias
 
 
 # Bytes of one tap's product that conv2d keeps live: about half a 2-4 MiB L2.
@@ -231,49 +228,32 @@ def _on_threads(fn, n: int) -> None:
         raise errors[0]
 
 
-def _fill_phase_slab(slab: np.ndarray, src: _Rows, stride: int, padding: int, row0: int, rows: int) -> None:
-    """Write rows row0..row0+rows-1 of the stride-phase images of zero-padded
-    `src` into `slab`, of shape (m, m, c, more than rows, cols).
+def _fill_phase_slab(slab: np.ndarray, src: _Rows, stride: int, padding: int, row0: int, rows: int,
+                     fresh: bool = False) -> None:
+    """Write rows row0..row0+rows-1 of the phase images of zero-padded `src`
+    into `slab`, of shape (m, q, c, more than rows, cols) with m = min(k,
+    stride), and q = m (one image per stride phase) or k (one per column tap).
 
-    Phase (py, px) holds padded pixel (i*stride + py, j*stride + px) at slab
+    Image (py, px) holds padded pixel (i*stride + py, j*stride + px) at slab
     row i - row0, column j. Slab rows that hold no input pixel, from row
-    `rows` on included, are zeroed here, so a flat window may run past the
-    last row; columns that hold none are never written and must be zero.
-    No input row before row0*stride - padding is read.
+    `rows` on included, are zeroed here unless the slab is `fresh` (all
+    zero), so a flat window may run past the last row; columns that hold
+    none are never written and must be zero. No input row before
+    row0*stride - padding is read.
     """
     _, h, w = src.shape
-    m, cols = slab.shape[0], slab.shape[4]
+    cols = slab.shape[4]
     src.drop(max(0, row0 * stride - padding))
-    for py in range(m):
+    for py in range(slab.shape[0]):
         lo, hi, src_r = _span(py, h, row0, rows, stride, padding)
-        for px in range(m):
+        images = slab[py]
+        if not fresh:
+            images[:, :, :lo] = 0.0
+            images[:, :, hi:] = 0.0
+        for px in range(slab.shape[1]):
             c_lo, c_hi, src_c = _span(px, w, 0, cols, stride, padding)
-            phase = slab[py, px]
-            phase[:, :lo] = 0.0
             if hi > lo and c_hi > c_lo:
-                src.read(phase[:, lo:hi, c_lo:c_hi], src_r, src_c)
-            phase[:, hi:] = 0.0
-
-
-def _shifted_copies(x: np.ndarray, k: int, stride: int, padding: int, out_h: int, out_w: int) -> np.ndarray:
-    """The operands of conv2d's one-call regime, shape (m, k, c, rows, out_w)
-    with m = min(k, stride) and rows = out_h + (k-1)//stride: per row phase
-    py and column tap dx, a C-contiguous image of zero-padded `x` that holds
-    padded pixel (py + i*stride, dx + j*stride) at [py, dx, :, i, j]. Tap
-    (dy, dx) reads rows dy//stride.. of copy (dy % stride, dx). A 1x1,
-    stride-1, unpadded layer on C-contiguous `x` reads `x` itself."""
-    if k == 1 and stride == 1 and padding == 0 and x.flags.c_contiguous:
-        return x[None, None]
-    c, h, w = x.shape
-    m, rows = min(k, stride), out_h + (k - 1) // stride
-    copies = np.zeros((m, k, c, rows, out_w), dtype=np.float32)
-    for py in range(m):
-        lo, hi, src_r = _span(py, h, 0, rows, stride, padding)
-        for dx in range(k):
-            c_lo, c_hi, src_c = _span(dx, w, 0, out_w, stride, padding)
-            if hi > lo and c_hi > c_lo:
-                np.copyto(copies[py, dx, :, lo:hi, c_lo:c_hi], x[:, src_r, src_c])
-    return copies
+                src.read(images[px, :, lo:hi, c_lo:c_hi], src_r, src_c)
 
 
 def _span(phase: int, size: int, first: int, n: int, stride: int, padding: int):
@@ -288,13 +268,14 @@ def _span(phase: int, size: int, first: int, n: int, stride: int, padding: int):
 
 
 class _Rows:
-    """A (c, h, w) tensor as conv2d's chunked regime reads it; this one is
-    an array. Per row chunk, conv2d calls drop(row), after which no read
-    reaches a row before `row`, then read(dst, rows, cols) once per stride
-    phase, which writes rows `rows` and columns `cols` (slices with the conv's
-    stride) of the tensor into `dst`. The subclasses make their rows when a
-    read needs them instead, so that the tensor never exists whole. They run
-    on the calling thread, which allocates every buffer, as conv2d does."""
+    """A (c, h, w) tensor as conv2d's slab fill reads it; this one is an
+    array. Per row chunk, conv2d calls drop(row), after which no read
+    reaches a row before `row`, then read(dst, rows, cols) once per slab
+    image, which writes rows `rows` and columns `cols` (slices with the conv's
+    stride) of the tensor into `dst`. The subclasses, which only the chunked
+    regime reads, make their rows when a read needs them instead, so that
+    the tensor never exists whole. They run on the calling thread, which
+    allocates every buffer, as conv2d does."""
 
     def __init__(self, x: np.ndarray):
         self.x, self.shape = x, x.shape
@@ -330,7 +311,6 @@ class _ConvRows(_Rows):
             r0, r1 = next(self._todo)
             out = np.zeros((self.shape[0], r1 - r0, self.shape[2]), dtype=np.float32)
             self._conv.add_taps(r0, r1, out)
-            out += self._conv.bias[:, None, None]
             _affine(out, self._scale, self._shift, out)
             np.maximum(out, np.float32(0.0), out=out)
             self._made.append((r0, r1, out))

@@ -413,7 +413,8 @@ class TestSweep:
 def replay_trial(spec, weights, pair, key, pipeline):
     """One trial rebuilt from its seed with every receive half run:
     trial_seed -> phy.transmit -> decode -> inference. Returns the
-    (mIoU, flips, channel bits, bits sent) that the sweep must report."""
+    (mIoU, flips, channel bits, bits sent) that the sweep must report, and
+    the label map its pipeline must deliver."""
     cfg, (raster, ground_truth) = spec.model, pair
     m, s, i = key
     seed = E.trial_seed(spec.master_seed, m, s, i, pipeline)
@@ -439,7 +440,7 @@ def replay_trial(spec, weights, pair, key, pipeline):
     noiseless = spec.reference_mode == "noiseless_output"
     reference = M.forward_full(tensor, weights)[1] if noiseless else ground_truth
     _, mean_iou = metrics.miou(metrics.confusion(reference, seg, k))
-    return mean_iou, unpacked_flip_count(sent, received), sent.n_bits, sent.n_bits + side_bits
+    return (mean_iou, unpacked_flip_count(sent, received), sent.n_bits, sent.n_bits + side_bits), seg
 
 
 def recorded_sweep(spec, workers, monkeypatch):
@@ -464,26 +465,51 @@ def recorded_sweep(spec, workers, monkeypatch):
     return seen
 
 
-def flip_free_spec(reference_mode):
+def flip_free_spec(reference_mode, quant_bits=8):
     # 30 dB QPSK delivers a 128x128 image without a flip, 5 dB never does
-    return small_spec(modulations=(phy.QPSK,), snr_db=(5.0, 30.0), reference_mode=reference_mode)
+    return small_spec(modulations=(phy.QPSK,), snr_db=(5.0, 30.0), reference_mode=reference_mode,
+                      quant_bits=quant_bits)
 
 
 class TestFlipFreeReceive:
+    # at 8 bits split's clean labels equal the reference on these images, at
+    # 4 bits they do not, so a split shortcut that delivered the reference shows
+    @pytest.mark.parametrize("quant_bits", [8, 4])
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("reference_mode", E.REFERENCE_MODES)
-    def test_every_trial_equals_its_replay(self, monkeypatch, tiny_weights, reference_mode, workers):
-        spec = flip_free_spec(reference_mode)
+    def test_every_trial_equals_its_replay(self, monkeypatch, tiny_weights, reference_mode, workers, quant_bits):
+        # the outcome tuple alone cannot tell a wrong label map whose mIoU
+        # happens to match, so each trial's map is kept too, by trial seed;
+        # a pool worker's records stay in its own process
+        label_maps = {}
+
+        def recording(pipeline):
+            fn = getattr(E, f"run_{pipeline}")
+
+            def recorded(raster, weights, channel, *args):
+                res = fn(raster, weights, channel, *args)
+                label_maps[pipeline, channel.seed] = res.label_map
+                return res
+            monkeypatch.setattr(E, f"run_{pipeline}", recorded)
+
+        spec = flip_free_spec(reference_mode, quant_bits)
+        for pipeline in spec.pipelines:
+            recording(pipeline)
         pairs = dataio.generate_synthetic(spec.num_images, TINY.num_classes, 128, 128,
                                           E.derive_seed(spec.master_seed, 0))
         outcomes = recorded_sweep(spec, workers, monkeypatch)
         assert sorted(outcomes) == [(0, s, i) for s in range(2) for i in range(spec.num_images)]
+        if workers == 1:
+            assert len(label_maps) == len(outcomes) * len(spec.pipelines)
         flip_free = set()
         for key, out in outcomes.items():
             assert list(out) == list(spec.pipelines)
             for pipeline, outcome in out.items():
-                want = replay_trial(spec, tiny_weights, pairs[key[2]], key, pipeline)
+                want, seg = replay_trial(spec, tiny_weights, pairs[key[2]], key, pipeline)
                 assert tuple(outcome) == want, (key, pipeline)
+                if workers == 1:
+                    seed = E.trial_seed(spec.master_seed, *key, pipeline)
+                    assert label_maps[pipeline, seed].same_as(seg), (key, pipeline)
                 if want[1] == 0:
                     flip_free.add((key[1], pipeline))
         # the shortcut had trials to take, and trials to leave alone

@@ -351,9 +351,12 @@ class TestConv2dExact:
         assert ((shape[1] + 2 * padding - k) // stride + 1) % 2 == 1
 
     def test_edge_cases_cover_a_shifted_copy_without_input(self):
+        # the one-call regime's slab: one image per row phase and column tap
         in_shape, (_, k), stride, padding = CONV_EDGE_CASES[-2]
-        out = [(n + 2 * padding - k) // stride + 1 for n in in_shape[1:]]
-        copies = T._shifted_copies(np.ones(in_shape, dtype=np.float32), k, stride, padding, *out)
+        out_h, out_w = [(n + 2 * padding - k) // stride + 1 for n in in_shape[1:]]
+        rows = out_h + (k - 1) // stride
+        copies = np.zeros((min(k, stride), k, in_shape[0], rows, out_w), dtype=np.float32)
+        T._fill_phase_slab(copies, T._Rows(np.ones(in_shape, dtype=np.float32)), stride, padding, 0, rows)
         held = copies.reshape(min(k, stride) * k, -1).any(axis=1)
         assert held.any() and not held.all()
 
@@ -376,16 +379,18 @@ class TestConv2dExact:
         x, kernels, bias = random_conv(rng, in_shape, (out_ch, in_shape[0], k, k))
         assert_conv_matches_tensordot(x, kernels, bias, stride, padding)
 
+    @pytest.mark.parametrize("per_tap", [False, True], ids=["q=m", "q=k"])
     @pytest.mark.parametrize("k,stride,padding", [(3, 1, 1), (5, 2, 4), (7, 3, 5)])
-    def test_phase_slab_does_not_depend_on_earlier_fills(self, k, stride, padding):
+    def test_phase_slab_does_not_depend_on_earlier_fills(self, k, stride, padding, per_tap):
         # conv2d fills one slab chunk after chunk; a fill must not keep any
-        # row of an earlier one, whatever rows that earlier fill wrote
+        # row of an earlier one, whatever rows that earlier fill wrote. The
+        # slab holds one image per stride phase, or per column tap (q = k).
         x = np.random.default_rng(k).normal(size=(3, 7, 9)).astype(np.float32)
         m, rows, cols = min(k, stride), 4, 6
         total = (7 + 2 * padding - k) // stride + 1 + (k - 1) // stride  # phase rows conv2d reads
 
         def filled(*row0s):
-            slab = np.zeros((m, m, 3, rows + 2, cols), dtype=np.float32)
+            slab = np.zeros((m, k if per_tap else m, 3, rows + 2, cols), dtype=np.float32)
             for row0 in row0s:
                 T._fill_phase_slab(slab, T._Rows(x), stride, padding, row0, min(rows, total - row0))
             return slab
@@ -1027,21 +1032,24 @@ class TestThreads:
         model.forward_full(image, weights)
         assert thread_parts and set(thread_parts) == {1}
 
-    @pytest.mark.parametrize("failing", [0, 1, 2])
-    def test_an_exception_on_any_thread_reaches_the_caller(self, failing):
+    @pytest.mark.parametrize("n,failing", [(3, 0), (3, 1), (3, 2), (1, 0)])
+    def test_an_exception_on_any_thread_reaches_the_caller(self, n, failing):
         before = threading.active_count()
-        done = []
+        done, counts = [], []
 
         def part(t):
+            counts.append(threading.active_count())
             if t == failing:
                 raise ValueError(f"part {t}")
             time.sleep(0.05)  # still running when the failing part raises
             done.append(t)
 
         with pytest.raises(ValueError, match=f"part {failing}"):
-            T._on_threads(part, 3)
-        assert sorted(done) == [t for t in range(3) if t != failing]
+            T._on_threads(part, n)
+        assert sorted(done) == [t for t in range(n) if t != failing]
         assert threading.active_count() == before
+        if n == 1:  # one part runs inline and starts no thread
+            assert counts == [before]
 
     def test_more_threads_than_cores_with_frequent_switches(self, monkeypatch, thread_parts):
         # the threads write disjoint rows of shared buffers: an overlap or a
