@@ -163,8 +163,9 @@ def load_spec(path) -> ExperimentSpec:
     if not p.exists():
         raise FileNotFoundError(str(p))
     try:
-        raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+        raw = json.loads(p.read_text(encoding="utf-8"))
+    # RecursionError: JSON nested deeper than the decoder's recursion limit
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"{p}: not valid JSON ({exc})") from exc
     return spec_from_dict(raw)
 

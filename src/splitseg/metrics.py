@@ -59,17 +59,18 @@ def _receive_features(received, side, weights):
 class Pipeline(NamedTuple):
     name: str
     column: str  # sweep CSV column holding its median mIoU
-    tx_last_stage: int  # last network stage run at the transmitter; -1 for none
+    tx_last_stage: Callable[[], int]  # last network stage run at the transmitter, -1 for none
     send: Callable
     receive: Callable
 
 
 # The only description of the pipelines. Row order is each pipeline's index
 # in its trials' noise substream key, so reordering rows changes every sweep.
+# The split row reads model.SPLIT_BOUNDARY when called, as its halves do.
 PIPELINE_TABLE = (
-    Pipeline("traditional", "miou_n", -1, _send_raster, _receive_raster),
-    Pipeline("full_tx", "miou_f", M.TOTAL_STAGES - 1, _send_labels, _receive_labels),
-    Pipeline("split", "miou_s", M.SPLIT_BOUNDARY, _send_features, _receive_features),
+    Pipeline("traditional", "miou_n", lambda: -1, _send_raster, _receive_raster),
+    Pipeline("full_tx", "miou_f", lambda: M.TOTAL_STAGES - 1, _send_labels, _receive_labels),
+    Pipeline("split", "miou_s", lambda: M.SPLIT_BOUNDARY, _send_features, _receive_features),
 )
 PIPELINES = tuple(p.name for p in PIPELINE_TABLE)
 
@@ -141,7 +142,7 @@ def bits_per_image(pipeline: str, config: ModelConfig, quant_bits: int = 8) -> i
 
 def pipeline_macs(pipeline: str, config: ModelConfig) -> tuple[int, int]:
     """Convolution MACs (transmitter, receiver) of one pipeline."""
-    return M.mac_count(config, PIPELINE_TABLE[pipeline_index(pipeline)].tx_last_stage)
+    return M.mac_count(config, PIPELINE_TABLE[pipeline_index(pipeline)].tx_last_stage())
 
 
 def bitrate_mbps(bits: int, frames_per_second: float) -> float:

@@ -161,7 +161,8 @@ class SegmentationMap:
 
 @dataclass(frozen=True)
 class ConvPlan:
-    """One convolution unit in the execution plan (conv + optional affine)."""
+    """One convolution unit in the execution plan: the conv, then the affine
+    map if `affine`, then ReLU if `relu`."""
 
     name: str
     stage: int
@@ -172,6 +173,7 @@ class ConvPlan:
     out_h: int
     out_w: int
     affine: bool = True
+    relu: bool = True
 
     @property
     def macs(self) -> int:
@@ -183,7 +185,10 @@ def layer_plan(config: ModelConfig) -> list[ConvPlan]:
 
     This single table drives weight construction, the weight-file layout,
     MAC accounting, `describe`, and the executor's units, strides, padding,
-    affine layers and residual projections.
+    affine layers, ReLUs and residual projections. A residual block's last
+    unit and its projection end without ReLU, as in PIDNet's blocks: the
+    block applies one after adding them. So do `comp`, whose output is added
+    onto the detail branch, the fused map `s5.fuse` and the logits `s6.head2`.
     """
     c0, c5, k = config.base_channels, config.feature_channels, config.num_classes
     h, w = config.input_height, config.input_width
@@ -195,22 +200,22 @@ def layer_plan(config: ModelConfig) -> list[ConvPlan]:
 
     plans: list[ConvPlan] = []
 
-    def conv(name, stage, ksize, cin, cout, stride, oh, ow, affine=True):
-        plans.append(ConvPlan(name, stage, ksize, cin, cout, stride, oh, ow, affine))
+    def conv(*args, **flags):
+        plans.append(ConvPlan(*args, **flags))
 
     def rb(prefix, stage, cin, cout, stride, oh, ow):
         conv(f"{prefix}.conv1", stage, 3, cin, cout, stride, oh, ow)
-        conv(f"{prefix}.conv2", stage, 3, cout, cout, 1, oh, ow)
+        conv(f"{prefix}.conv2", stage, 3, cout, cout, 1, oh, ow, relu=False)
         if stride != 1 or cin != cout:
-            conv(f"{prefix}.proj", stage, 1, cin, cout, stride, oh, ow)
+            conv(f"{prefix}.proj", stage, 1, cin, cout, stride, oh, ow, relu=False)
 
     def rbb(prefix, stage, cin, cout, stride, ih, iw, oh, ow):
         mid = max(cout // 4, 4)
         conv(f"{prefix}.reduce", stage, 1, cin, mid, 1, ih, iw)
         conv(f"{prefix}.conv", stage, 3, mid, mid, stride, oh, ow)
-        conv(f"{prefix}.expand", stage, 1, mid, cout, 1, oh, ow)
+        conv(f"{prefix}.expand", stage, 1, mid, cout, 1, oh, ow, relu=False)
         if stride != 1 or cin != cout:
-            conv(f"{prefix}.proj", stage, 1, cin, cout, stride, oh, ow)
+            conv(f"{prefix}.proj", stage, 1, cin, cout, stride, oh, ow, relu=False)
 
     conv("s0.conv1", 0, 3, 3, c0, 2, h // 2, w // 2)
     conv("s0.conv2", 0, 3, c0, c0, 2, h4, w4)
@@ -220,17 +225,17 @@ def layer_plan(config: ModelConfig) -> list[ConvPlan]:
     rb("s3.p", 3, 2 * c0, 2 * c0, 1, h8, w8)
     rb("s3.i", 3, 2 * c0, 4 * c0, 2, h16, w16)
     rb("s3.d", 3, 2 * c0, c0, 1, h8, w8)
-    conv("s3.comp", 3, 1, 4 * c0, 2 * c0, 1, h16, w16)
+    conv("s3.comp", 3, 1, 4 * c0, 2 * c0, 1, h16, w16, relu=False)
 
     rb("s4.p", 4, 2 * c0, 2 * c0, 1, h8, w8)
     rb("s4.i", 4, 4 * c0, 8 * c0, 2, h32, w32)
     rb("s4.d", 4, c0, c0, 1, h8, w8)
-    conv("s4.comp", 4, 1, 8 * c0, 2 * c0, 1, h32, w32)
+    conv("s4.comp", 4, 1, 8 * c0, 2 * c0, 1, h32, w32, relu=False)
 
     rbb("s5.p", 5, 2 * c0, 2 * c0, 1, h8, w8, h8, w8)
     rbb("s5.i", 5, 8 * c0, 8 * c0, 2, h32, w32, h64, w64)
     rbb("s5.d", 5, c0, c0, 1, h8, w8, h8, w8)
-    conv("s5.fuse", 5, 1, 11 * c0, c5, 1, h64, w64)
+    conv("s5.fuse", 5, 1, 11 * c0, c5, 1, h64, w64, relu=False)
 
     cb = max(c5 // len(config.ppm_bins), 1)
     for b in config.ppm_bins:
@@ -238,7 +243,7 @@ def layer_plan(config: ModelConfig) -> list[ConvPlan]:
     conv("s6.ppm.fuse", 6, 1, c5 + cb * len(config.ppm_bins), c5, 1, h64, w64)
     mid = max(c5 // 4, k)
     conv("s6.head1", 6, 3, c5, mid, 1, h8, w8)
-    conv("s6.head2", 6, 1, mid, k, 1, h8, w8, affine=False)
+    conv("s6.head2", 6, 1, mid, k, 1, h8, w8, affine=False, relu=False)
     return plans
 
 
@@ -289,25 +294,36 @@ def _plans(config: ModelConfig) -> dict[str, ConvPlan]:
     return {p.name: p for p in layer_plan(config)}
 
 
-def _unit(weights: WeightSet, name: str, x, act: bool = True) -> np.ndarray:
+def _epilogue(weights: WeightSet, name: str, out: np.ndarray) -> np.ndarray:
+    """Unit `name`'s affine map and ReLU where its plan entry has them, in
+    place on `out`: the unit's fresh conv output, or rows of it."""
     plan = _plans(weights.config)[name]
     p = weights.params
-    out = T.conv2d(x, p[name + ".kernel"], p[name + ".bias"], stride=plan.stride, padding=plan.k // 2)
-    # the conv output is fresh and ours: the epilogue runs on it in place
     if plan.affine:
         T.affine_norm(out, p[name + ".scale"], p[name + ".shift"], out=out)
-    if act:
+    if plan.relu:
         T.relu(out, out=out)
     return out
 
 
-def _unit_rows(weights: WeightSet, name: str, x) -> T._ConvRows:
-    """_unit(weights, name, x), an affine unit with ReLU, as rows that the
-    next conv makes as it reads them (see T._ConvRows)."""
+def _conv_args(weights: WeightSet, name: str) -> tuple:
+    """Unit `name`'s conv2d arguments after the input: kernels, bias, stride
+    and padding."""
     plan = _plans(weights.config)[name]
-    p = weights.params
-    return T._ConvRows(x, p[name + ".kernel"], p[name + ".bias"], plan.stride, plan.k // 2,
-                       p[name + ".scale"], p[name + ".shift"])
+    return weights.params[name + ".kernel"], weights.params[name + ".bias"], plan.stride, plan.k // 2
+
+
+def _unit(weights: WeightSet, name: str, x) -> np.ndarray:
+    # the conv output is fresh and ours: the epilogue runs on it in place
+    return _epilogue(weights, name, T.conv2d(x, *_conv_args(weights, name)))
+
+
+def _unit_rows(weights: WeightSet, name: str, x) -> T._ConvRows:
+    """_unit(weights, name, x) as rows that the next conv makes as it reads
+    them: the unit's conv runs in row chunks, and _epilogue on each chunk
+    (see T._ConvRows)."""
+    conv = T._Conv(x, *_conv_args(weights, name))
+    return T._ConvRows(conv, functools.partial(_epilogue, weights, name))
 
 
 def _streams(weights: WeightSet, name: str) -> bool:
@@ -318,17 +334,15 @@ def _streams(weights: WeightSet, name: str) -> bool:
 
 
 def _block(weights: WeightSet, prefix: str, x) -> np.ndarray:
-    """Residual block: the plan's units under `prefix` in plan order, ReLU
-    after all but the last, plus the input (through the block's projection
-    conv when the plan has one)."""
+    """Residual block: the plan's units under `prefix` in plan order, plus
+    the input (through the block's projection conv when the plan has one),
+    then ReLU."""
     plans, proj = _plans(weights.config), prefix + ".proj"
-    units = [name for name in plans if name.startswith(prefix + ".") and name != proj]
     y = x
-    for name in units:
-        y = _unit(weights, name, y, act=name != units[-1])
-    skip = x
-    if proj in plans:
-        skip = _unit(weights, proj, x, act=False)
+    for name in plans:
+        if name.startswith(prefix + ".") and name != proj:
+            y = _unit(weights, name, y)
+    skip = _unit(weights, proj, x) if proj in plans else x
     return T.relu(T.add(y, skip, out=y), out=y)  # y is the fresh output of a unit
 
 
@@ -336,7 +350,7 @@ def _branches(weights: WeightSet, s: int, pid) -> tuple:
     """Stages 3-4: a residual block per branch, then the context branch's
     compensation features resized and added onto the detail branch."""
     p, i, d = (_block(weights, f"s{s}.{b}", t) for b, t in zip("pid", pid))
-    comp = _unit(weights, f"s{s}.comp", i, act=False)
+    comp = _unit(weights, f"s{s}.comp", i)
     return T.add(p, T.bilinear_resize(comp, p.shape[1], p.shape[2]), out=p), i, d
 
 
@@ -345,7 +359,7 @@ def _fuse(weights: WeightSet, pid) -> np.ndarray:
     branch's 1/64 grid fused into one map."""
     p, i, d = (_block(weights, f"s5.{b}", t) for b, t in zip("pid", pid))
     pooled = [T.avg_pool_to(t, i.shape[1], i.shape[2]) for t in (p, d)]
-    return _unit(weights, "s5.fuse", T.concat_channels([*pooled, i]), act=False)
+    return _unit(weights, "s5.fuse", T.concat_channels([*pooled, i]))
 
 
 def _stem(weights: WeightSet, x) -> np.ndarray:
@@ -369,7 +383,7 @@ def _head(weights: WeightSet, x) -> np.ndarray:
     head1 = _plans(cfg)["s6.head1"]
     resize = T._ResizeRows if _streams(weights, "s6.head1") else T.bilinear_resize
     y = _unit(weights, "s6.head1", resize(y, head1.out_h, head1.out_w))
-    return _unit(weights, "s6.head2", y, act=False)
+    return _unit(weights, "s6.head2", y)
 
 
 # The stage schedule. Per stage: its function (weights, input) -> output and
@@ -500,11 +514,13 @@ def load_weights(path) -> WeightSet:
     if not bpath.exists():
         raise FileNotFoundError(str(bpath))
     try:
-        manifest = json.loads(mpath.read_text())
+        manifest = json.loads(mpath.read_text(encoding="utf-8"))
         config = ModelConfig.from_dict(manifest["config"])
         entries = {e["name"]: (tuple(e["shape"]), e["offset"]) for e in manifest["params"]}
         total = manifest["total_bytes"]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    # ValueError includes text that is not UTF-8; RecursionError, JSON nested
+    # deeper than the decoder's recursion limit
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ValueError(f"corrupt file: unreadable manifest {mpath} ({exc})") from exc
     if len(entries) != len(manifest["params"]):
         raise ValueError(f"corrupt file: manifest {mpath} lists an entry twice")

@@ -288,18 +288,18 @@ class _Rows:
 
 
 class _ConvRows(_Rows):
-    """Rows of relu(affine_norm(conv2d(x, kernels, bias, stride, padding),
-    scale, shift)), made in that conv2d's own row chunks when a read first
-    reaches them, and let go once drop() passes them. A chunk runs the same
-    slab fill and sgemm calls as in the whole call, then the same elementwise
-    bias, affine and ReLU, so its rows have the whole call's bits."""
+    """Rows of epilogue(conv2d(...)) for the conv2d call `conv`, made in that
+    call's own row chunks when a read first reaches them, and let go once
+    drop() passes them. `epilogue(out)` must be elementwise and work in place
+    on a chunk's fresh rows. A chunk runs the same slab fill, sgemm calls and
+    bias add as in the whole call, then the epilogue, so its rows have the
+    bits of the whole call followed by the epilogue."""
 
-    def __init__(self, x, kernels, bias, stride: int, padding: int, scale, shift):
-        self._conv = _Conv(x, kernels, bias, stride, padding)
-        self.shape = self._conv.shape
-        self._scale = np.asarray(scale, dtype=np.float32).reshape(-1)
-        self._shift = np.asarray(shift, dtype=np.float32).reshape(-1)
-        self._todo = iter(self._conv.chunks)
+    def __init__(self, conv: _Conv, epilogue):
+        self._conv = conv
+        self._epilogue = epilogue
+        self.shape = conv.shape
+        self._todo = iter(conv.chunks)
         self._made: list[tuple[int, int, np.ndarray]] = []  # (r0, r1, rows r0..r1-1)
 
     def drop(self, row: int) -> None:
@@ -311,8 +311,7 @@ class _ConvRows(_Rows):
             r0, r1 = next(self._todo)
             out = np.zeros((self.shape[0], r1 - r0, self.shape[2]), dtype=np.float32)
             self._conv.add_taps(r0, r1, out)
-            _affine(out, self._scale, self._shift, out)
-            np.maximum(out, np.float32(0.0), out=out)
+            self._epilogue(out)
             self._made.append((r0, r1, out))
         for r0, r1, out in self._made:
             # reads a..z-1 fall in this chunk: r0 <= first + i * step < r1
@@ -425,10 +424,6 @@ def affine_norm(x, scale, shift, out=None) -> np.ndarray:
             f"scale/shift length ({s.size}/{t.size}) must equal channel count {x.shape[0]}"
         )
     _check_out(out, x.shape)
-    return _affine(x, s, t, out)
-
-
-def _affine(x: np.ndarray, s: np.ndarray, t: np.ndarray, out) -> np.ndarray:
     out = np.multiply(x, s[:, None, None], out=out)
     out += t[:, None, None]  # same two float32 roundings as x * s + t
     return out

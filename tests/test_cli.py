@@ -76,6 +76,16 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     assert "invalid config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [b"{not json", b"\xff\xfe{}", b"[" * 100_000],
+                         ids=["invalid", "not_utf8", "nested_too_deep"])
+def test_undecodable_config_exit_code(tmp_path, capsys, text):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(text)
+    assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert f"{cfg}: not valid JSON" in err and "Traceback" not in err
+
+
 def test_unknown_flag_exit_code(tmp_path, capsys):
     assert cli.main(["report", "--nope"]) == cli.EXIT_USAGE
     codes = {cli.EXIT_USAGE, cli.EXIT_MISSING_FILE, cli.EXIT_BAD_CONFIG}

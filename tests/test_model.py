@@ -295,15 +295,27 @@ RB = ("conv1", "conv2")
 RBB = ("reduce", "conv", "expand")
 
 
+def oracle_unit(weights, name, x, relu=True):
+    """One conv unit written out: conv2d with the plan's stride and k // 2
+    padding, the affine map where the unit has a scale, then ReLU if `relu`."""
+    plan = {q.name: q for q in M.layer_plan(weights.config)}[name]
+    p = weights.params
+    y = T.conv2d(x, p[name + ".kernel"], p[name + ".bias"], stride=plan.stride, padding=plan.k // 2)
+    if name + ".scale" in p:
+        y = T.affine_norm(y, p[name + ".scale"], p[name + ".shift"])
+    return T.relu(y) if relu else y
+
+
 def oracle_block(weights, prefix, x, units):
     """A residual block written out: `units` in sequence, ReLU after all but
-    the last, plus the input (through `prefix.proj` where the block has one)."""
+    the last, plus the input (through `prefix.proj`, without ReLU, where the
+    block has one), then ReLU."""
     y = x
     for name in units:
-        y = M._unit(weights, f"{prefix}.{name}", y, act=name != units[-1])
+        y = oracle_unit(weights, f"{prefix}.{name}", y, relu=name != units[-1])
     skip = x
     if prefix + ".proj.kernel" in weights.params:
-        skip = M._unit(weights, prefix + ".proj", x, act=False)
+        skip = oracle_unit(weights, prefix + ".proj", x, relu=False)
     return T.relu(T.add(y, skip))
 
 
@@ -312,8 +324,8 @@ def oracle_stage_outputs(image, weights):
     (stages 3-4 give the (p, i, d) branch triple, stage 6 the 1/8-scale head
     logits); the stage table must reproduce these bitwise."""
     cfg = weights.config
-    x = M._unit(weights, "s0.conv1", image)
-    outs = [M._unit(weights, "s0.conv2", x)]
+    x = oracle_unit(weights, "s0.conv1", image)
+    outs = [oracle_unit(weights, "s0.conv2", x)]
     outs.append(oracle_block(weights, "s1.rb", outs[-1], RB))
     outs.append(oracle_block(weights, "s2.rb", outs[-1], RB))
     p = i = d = outs[-1]
@@ -321,7 +333,7 @@ def oracle_stage_outputs(image, weights):
         p = oracle_block(weights, f"s{s}.p", p, RB)
         i = oracle_block(weights, f"s{s}.i", i, RB)
         d = oracle_block(weights, f"s{s}.d", d, RB)
-        comp = M._unit(weights, f"s{s}.comp", i, act=False)
+        comp = oracle_unit(weights, f"s{s}.comp", i, relu=False)
         p = T.add(p, T.bilinear_resize(comp, p.shape[1], p.shape[2]))
         outs.append((p, i, d))
     p = oracle_block(weights, "s5.p", p, RBB)
@@ -329,15 +341,15 @@ def oracle_stage_outputs(image, weights):
     d = oracle_block(weights, "s5.d", d, RBB)
     h64, w64 = cfg.input_height // 64, cfg.input_width // 64
     pooled = [T.avg_pool_to(p, h64, w64), T.avg_pool_to(d, h64, w64), i]
-    fused = M._unit(weights, "s5.fuse", T.concat_channels(pooled), act=False)
+    fused = oracle_unit(weights, "s5.fuse", T.concat_channels(pooled), relu=False)
     outs.append(fused)
     branches = [fused]
     for b in cfg.ppm_bins:
-        ppm = M._unit(weights, f"s6.ppm.bin{b}", T.avg_pool_to(fused, b, b))
+        ppm = oracle_unit(weights, f"s6.ppm.bin{b}", T.avg_pool_to(fused, b, b))
         branches.append(T.bilinear_resize(ppm, h64, w64))
-    y = M._unit(weights, "s6.ppm.fuse", T.concat_channels(branches))
-    y = M._unit(weights, "s6.head1", T.bilinear_resize(y, cfg.input_height // 8, cfg.input_width // 8))
-    outs.append(M._unit(weights, "s6.head2", y, act=False))
+    y = oracle_unit(weights, "s6.ppm.fuse", T.concat_channels(branches))
+    y = oracle_unit(weights, "s6.head1", T.bilinear_resize(y, cfg.input_height // 8, cfg.input_width // 8))
+    outs.append(oracle_unit(weights, "s6.head2", y, relu=False))
     return outs
 
 
@@ -403,6 +415,7 @@ class TestStageTable:
         c, h, w = features.shape
         for q in (4, 8):
             assert metrics.bits_per_image("split", cfg, q) == c * h * w * q + codec.payload_header_bits(c)
+        assert metrics.pipeline_macs("split", cfg) == M.mac_count(cfg, k)
 
 
 class TestMacCount:
@@ -494,6 +507,13 @@ class TestWeightIO:
         M.save_weights(M.build(cfg), tmp_path / "w")
         (tmp_path / "w.json").write_text("{not json")
         with pytest.raises(ValueError, match="corrupt file"):
+            M.load_weights(tmp_path / "w")
+
+    @pytest.mark.parametrize("text", [b"[" * 100_000, b"\xff\xfe{}"], ids=["nested_too_deep", "not_utf8"])
+    def test_undecodable_manifest_is_corrupt(self, tmp_path, text):
+        M.save_weights(M.build(tiny_config()), tmp_path / "w")
+        (tmp_path / "w.json").write_bytes(text)
+        with pytest.raises(ValueError, match="corrupt file: unreadable manifest"):
             M.load_weights(tmp_path / "w")
 
     def test_unexpected_entry_rejected(self, tmp_path):

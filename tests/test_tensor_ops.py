@@ -461,7 +461,11 @@ def conv_rows(rng, in_shape):
     scale = rng.uniform(0.5, 1.5, c).astype(np.float32)
     shift = rng.standard_normal(c, dtype=np.float32)
     whole = T.relu(T.affine_norm(T.conv2d(x, kernels, bias, stride=2, padding=1), scale, shift))
-    return T._ConvRows(x, kernels, bias, 2, 1, scale, shift), whole
+
+    def epilogue(out):
+        T.relu(T.affine_norm(out, scale, shift, out=out), out=out)
+
+    return T._ConvRows(T._Conv(x, kernels, bias, 2, 1), epilogue), whole
 
 
 def resize_rows(rng, in_shape):
