@@ -300,7 +300,8 @@ _WORKER_CTX: _SweepContext | None = None
 
 def _init_worker(spec: ExperimentSpec) -> None:
     global _WORKER_CTX
-    tensor_ops.threads = 1  # the pool already runs one worker per core
+    # changes no bit: the pool already runs one worker per core, and more threads would oversubscribe them
+    tensor_ops.threads = 1
     _WORKER_CTX = _build_context(spec)
 
 
@@ -427,8 +428,10 @@ def read_csv(path) -> SweepResult:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
-    text = path.read_text()
-    lines = text.splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
     if not lines:
         raise ValueError(f"{path}: line 1: empty file")
     if lines[0] != CSV_HEADER:

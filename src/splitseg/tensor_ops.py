@@ -7,18 +7,19 @@ give bitwise-identical outputs.
 
 Work that already runs in more than one block (a conv2d with more than one
 row chunk, a resize with more than one block of output rows) splits each
-chunk or block into balanced row parts, one per thread in `threads`, none
-smaller than _BLOCK_BYTES // 4. Every thread calls only numpy and BLAS,
-which release the GIL, and writes disjoint rows of buffers that the calling
-thread allocated, so memory is that of the one-thread form. All threads are
-joined before the call returns, so every function stays pure. The bits do
-not depend on the thread count: chunk bounds, block steps, tap order and
-accumulation are the same, a resize row is elementwise, and a conv part only
-narrows an sgemm call that stays in OpenBLAS's packed kernel, where a
-column's value does not depend on the call width. Work within one block,
-which is every desk-scale layer, starts no thread. Every resize, the row
-source a conv reads included, is one _ResizeRows run through its one block
-loop, in which each thread takes the same row part of every block.
+chunk or block into at most two balanced row parts, none smaller than
+_BLOCK_BYTES // 4. The parts are a function of the shape alone; the thread
+count in `threads` decides only how many threads run them. Every thread
+calls only numpy and BLAS, which release the GIL, and writes disjoint rows
+of buffers that the calling thread allocated, so memory is that of the
+one-thread form. All threads are joined before the call returns, so every
+function stays pure. The bits depend on the shape and on the sgemm kernel
+that OpenBLAS picks for the CPU, never on the thread count: chunk bounds,
+row parts, block steps, tap order and accumulation, and so every sgemm
+call, are the same at any thread count. Work within one block, which is
+every desk-scale layer, starts no thread. Every resize, the row source a
+conv reads included, is one _ResizeRows run through its one block loop, in
+which each thread takes the same row parts of every block.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ import threading
 
 import numpy as np
 
-# Threads a split chunk or block runs on: the cores this process may run on.
-# A process-pool worker sets it to 1, so that a pool uses one core per worker.
+# Threads that run the row parts of a chunk or block: the cores this process
+# may run on. It changes no bit. A process-pool worker sets it to 1, so that a
+# pool uses one core per worker.
 threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
@@ -123,7 +125,7 @@ class _Conv:
             # Larger layer: balanced row chunks. Per chunk, one reused slab holds
             # the rows of the stride-phase images that the chunk's taps read.
             # The `reach` extra columns of each row are computed and dropped. A
-            # chunk's rows are cut into row parts, one per thread, each with its
+            # chunk's rows are cut into row parts by its shape, each with its
             # own stretch of the product buffer.
             bounds = [out_h * i // chunks for i in range(chunks + 1)]
             self.chunks = list(zip(bounds, bounds[1:]))
@@ -191,41 +193,41 @@ def _row_chunks(k: int, in_ch: int, out_ch: int, stride: int, out_h: int, out_w:
 
 
 def _row_parts(rows: int, row_bytes: int) -> list[tuple[int, int]]:
-    """Balanced parts [a, z) of `rows` rows of `row_bytes` bytes each: one
-    per thread, but fewer where a part would hold under _BLOCK_BYTES // 4.
-    That floor keeps a conv part's sgemm call past the small-matrix kernel
-    wherever that kernel's rounding depends on the call width (K >= 32 makes
-    M*N*K over 4e6), and makes a part worth a thread's start-up."""
-    n = min(threads, rows)
-    while n > 1 and rows // n * row_bytes < _BLOCK_BYTES // 4:
-        n -= 1
+    """Balanced parts [a, z) of `rows` rows of `row_bytes` bytes each: two,
+    or one where a part would hold under _BLOCK_BYTES // 4. They depend on the
+    shape alone, so every sgemm call does too, at any thread count. The floor
+    makes a part worth a thread's start-up and, on OpenBLAS's SkylakeX kernel,
+    keeps a conv part's sgemm call past the small-matrix kernel, whose
+    rounding depends on the call width from K >= 32 (M*N*K over 4e6)."""
+    n = 2 if rows // 2 * row_bytes >= _BLOCK_BYTES // 4 else 1
     cuts = [rows * i // n for i in range(n + 1)]
     return list(zip(cuts, cuts[1:]))
 
 
 def _on_threads(fn, n: int) -> None:
-    """Run fn(0) on this thread and fn(1), ..., fn(n - 1) on a new thread
-    each, in a copy of this thread's context (numpy's errstate lives there).
-    All are joined before return; an exception raised by any of them is
-    raised here, the caller's own first."""
-    errors = []
+    """Run parts fn(0), ..., fn(n - 1) on m = min(threads, n) threads,
+    round-robin: thread t runs parts t, t + m, ... in turn. Thread 0 is this
+    one; each other is a new thread in a copy of this thread's context
+    (numpy's errstate lives there). Every part runs even where another
+    raises; once all are joined, the exception of the lowest-numbered part
+    that raised is raised here."""
+    m, errors = min(threads, n), {}
 
     def run(t):
-        try:
-            fn(t)
-        except BaseException as exc:  # re-raised on the calling thread
-            errors.append(exc)
+        for part in range(t, n, m):
+            try:
+                fn(part)
+            except BaseException as exc:  # re-raised on the calling thread
+                errors[part] = exc
 
-    others = [threading.Thread(target=contextvars.copy_context().run, args=(run, t)) for t in range(1, n)]
+    others = [threading.Thread(target=contextvars.copy_context().run, args=(run, t)) for t in range(1, m)]
     for th in others:
         th.start()
-    try:
-        fn(0)
-    finally:
-        for th in others:
-            th.join()
+    run(0)
+    for th in others:
+        th.join()
     if errors:
-        raise errors[0]
+        raise errors[min(errors)]
 
 
 def _fill_phase_slab(slab: np.ndarray, src: _Rows, stride: int, padding: int, row0: int, rows: int,
@@ -377,7 +379,7 @@ class _ResizeRows(_Rows):
         """Call fn(r0, r1, at) on output rows 0..n-1 by blocks of _block_rows
         rows: rows r0..r1-1, held at rows at.. of a block buffer. A resize
         whose output fits in one block runs on this thread; otherwise a block
-        is cut into row parts, and thread t runs part t of every block. One
+        is cut into row parts, and one thread runs part p of every block. One
         join per call: a join after each block measured slower."""
         c, out_h, out_w = self.shape
         step = _block_rows(c, out_w)

@@ -135,6 +135,14 @@ def test_plot_command(tmp_path, capsys):
     assert b"polyline" in svg.read_bytes()
 
 
+def test_plot_names_an_undecodable_csv(tmp_path, capsys):
+    csv = tmp_path / "sweep_qpsk.csv"
+    csv.write_bytes(b"\xff\xfe")
+    assert cli.main(["plot", str(csv), "-o", str(tmp_path / "curves.svg")]) == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert f"{csv}: not UTF-8 text" in err and "Traceback" not in err
+
+
 def test_gen_data_writes_pairs(tmp_path, capsys):
     out = tmp_path / "data"
     code = cli.main([

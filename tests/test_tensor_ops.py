@@ -1,10 +1,12 @@
 """Tensor primitive tests against brute-force scalar oracles."""
 
 import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -928,16 +930,22 @@ THREAD_COUNTS = (1, 2, 3, 4)
 
 @pytest.fixture
 def thread_parts(monkeypatch):
-    """The thread count of every `_on_threads` call from here on; each call
-    must leave no thread of its own running."""
+    """The number of threads that ran the parts of every `_on_threads` call
+    from here on; each call must leave no thread of its own running."""
     seen = []
     run = T._on_threads
 
     def recording(fn, n):
         before = threading.active_count()
-        run(fn, n)
+        used = set()  # the Thread objects themselves: an ident may be reused
+
+        def part(t):
+            used.add(threading.current_thread())
+            fn(t)
+
+        run(part, n)
         assert threading.active_count() == before
-        seen.append(n)
+        seen.append(len(used))
 
     monkeypatch.setattr(T, "_on_threads", recording)
     return seen
@@ -1037,23 +1045,61 @@ class TestThreads:
         assert thread_parts and set(thread_parts) == {1}
 
     @pytest.mark.parametrize("n,failing", [(3, 0), (3, 1), (3, 2), (1, 0)])
-    def test_an_exception_on_any_thread_reaches_the_caller(self, n, failing):
-        before = threading.active_count()
-        done, counts = [], []
+    def test_an_exception_on_any_thread_reaches_the_caller(self, monkeypatch, n, failing):
+        for threads in (1, 2, 3):  # at 2, this thread runs parts 0 and 2
+            monkeypatch.setattr(T, "threads", threads)
+            before = threading.active_count()
+            done, counts = [], []
+
+            def part(t):
+                counts.append(threading.active_count())
+                if t == failing:
+                    raise ValueError(f"part {t}")
+                time.sleep(0.05)  # still running when the failing part raises
+                done.append(t)
+
+            with pytest.raises(ValueError, match=f"part {failing}"):
+                T._on_threads(part, n)
+            assert sorted(done) == [t for t in range(n) if t != failing]
+            assert threading.active_count() == before
+            assert max(counts) <= before + min(threads, n) - 1
+            if n == 1:  # one part runs inline and starts no thread
+                assert counts == [before]
+
+    def test_lowest_failing_part_is_raised(self, monkeypatch):
+        monkeypatch.setattr(T, "threads", 3)
 
         def part(t):
-            counts.append(threading.active_count())
-            if t == failing:
+            time.sleep(0.05 * (3 - t))  # part 2 raises first
+            if t:
                 raise ValueError(f"part {t}")
-            time.sleep(0.05)  # still running when the failing part raises
-            done.append(t)
 
-        with pytest.raises(ValueError, match=f"part {failing}"):
-            T._on_threads(part, n)
-        assert sorted(done) == [t for t in range(n) if t != failing]
-        assert threading.active_count() == before
-        if n == 1:  # one part runs inline and starts no thread
-            assert counts == [before]
+        with pytest.raises(ValueError, match="part 1"):
+            T._on_threads(part, 3)
+
+    def test_conv2d_bits_do_not_depend_on_threads_on_the_haswell_kernel(self):
+        # OpenBLAS's Haswell sgemm, which a CPU without AVX-512 loads, rounds
+        # some columns differently when a call narrows, so there this chunked
+        # full-scale layer keeps its bits only if its row parts, and so its
+        # sgemm calls, do not follow the thread count. OpenBLAS picks its
+        # kernel when numpy loads, so the conv runs in a new process.
+        code = (
+            "import hashlib, numpy as np\n"
+            "from splitseg import model, tensor_ops as T\n"
+            "p = {q.name: q for q in model.layer_plan(model.ModelConfig.full_scale())}['s1.rb.conv1']\n"
+            "rng = np.random.default_rng(1039)\n"
+            "x = rng.normal(size=(p.cin, p.out_h * p.stride, p.out_w * p.stride)).astype(np.float32)\n"
+            "w = (rng.normal(size=(p.cout, p.cin, p.k, p.k)) / (3 * p.k)).astype(np.float32)\n"
+            "b = rng.normal(size=p.cout).astype(np.float32)\n"
+            "for T.threads in (1, 2, 3):\n"
+            "    y = T.conv2d(x, w, b, stride=p.stride, padding=p.k // 2)\n"
+            "    print(hashlib.sha256(y.tobytes()).hexdigest())\n"
+        )
+        path = os.pathsep.join([str(Path(T.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=300,
+                             capture_output=True, text=True).stdout.split()
+        assert len(out) == 3 and len(set(out)) == 1
 
     def test_more_threads_than_cores_with_frequent_switches(self, monkeypatch, thread_parts):
         # the threads write disjoint rows of shared buffers: an overlap or a
@@ -1071,7 +1117,7 @@ class TestThreads:
                 assert np.array_equal(T.resize_argmax(y, 512, 512), want[1])
         finally:
             sys.setswitchinterval(interval)
-        assert max(thread_parts) > 2
+        assert max(thread_parts) > 1  # row parts are at most two, whatever the thread count
 
     def test_threads_keep_the_callers_errstate(self):
         seen = []
@@ -1081,18 +1127,22 @@ class TestThreads:
 
     @pytest.mark.parametrize("n", THREAD_COUNTS)
     def test_row_parts_are_balanced_and_never_below_the_floor(self, monkeypatch, n):
-        monkeypatch.setattr(T, "threads", n)
+        # the parts are a function of the shape alone: the same at every thread count
         floor = T._BLOCK_BYTES // 4
-        for rows in range(1, 70):
-            for row_bytes in (1, 4096, 19 * 1024 * 4, floor // 3, floor, 3 * floor):
-                parts = T._row_parts(rows, row_bytes)
-                assert [a for a, _ in parts] == [0] + [z for _, z in parts[:-1]] and parts[-1][1] == rows
-                sizes = [z - a for a, z in parts]
-                assert len(parts) <= n and max(sizes) - min(sizes) <= 1
-                if len(parts) > 1:
-                    assert min(sizes) * row_bytes >= floor
-                if len(parts) < min(n, rows):  # one more part would fall below the floor
-                    assert rows // (len(parts) + 1) * row_bytes < floor
+        cases = [(rows, row_bytes) for rows in range(1, 70)
+                 for row_bytes in (1, 4096, 19 * 1024 * 4, floor // 3, floor, 3 * floor)]
+        monkeypatch.setattr(T, "threads", 1)
+        want = [T._row_parts(*case) for case in cases]
+        monkeypatch.setattr(T, "threads", n)
+        for (rows, row_bytes), parts in zip(cases, want):
+            assert T._row_parts(rows, row_bytes) == parts
+            assert [a for a, _ in parts] == [0] + [z for _, z in parts[:-1]] and parts[-1][1] == rows
+            sizes = [z - a for a, z in parts]
+            assert len(parts) <= 2 and max(sizes) - min(sizes) <= 1
+            if len(parts) > 1:
+                assert min(sizes) * row_bytes >= floor
+            if len(parts) < min(2, rows):  # one more part would fall below the floor
+                assert rows // (len(parts) + 1) * row_bytes < floor
 
     @pytest.mark.parametrize("op", ["conv2d", "bilinear_resize", "resize_argmax"])
     def test_peak_memory_does_not_grow_with_threads(self, monkeypatch, op):
