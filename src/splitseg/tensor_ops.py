@@ -55,18 +55,22 @@ def conv2d(x, kernels, bias, stride: int = 1, padding: int = 0) -> np.ndarray:
     chunks, `x` may also be a private row source (`_Rows`).
     """
     conv = _Conv(x, kernels, bias, stride, padding)
-    acc = np.zeros(conv.shape, dtype=np.float32)
+    out = np.empty(conv.shape, dtype=np.float32)
     for r0, r1 in conv.chunks:
-        conv.add_taps(r0, r1, acc[:, r0:r1])
-    return acc
+        conv.add_taps(r0, r1, out[:, r0:r1])
+    return out
 
 
 class _Conv:
     """One conv2d call, run by output row chunks: for each (r0, r1) of
-    `chunks`, add_taps(r0, r1, dst) adds the taps of output rows r0..r1-1,
-    then the bias, into zeroed `dst`, of shape (out_ch, r1 - r0, out_w).
+    `chunks`, add_taps(r0, r1, dst) writes output rows r0..r1-1 into `dst`,
+    of shape (out_ch, r1 - r0, out_w), and returns the row parts it cut them
+    into, as (a, z, the part's rows a..z-1). Without `dst` they stay where
+    they were summed: a new array in the one-call regime, else each part's
+    contiguous accumulator stretch, whose rows keep the pitch; the bias is
+    added to every column, and the columns from out_w on are not output.
 
-    Arithmetic contract: acc starts at zero, each tap (dy, dx) in order adds
+    Arithmetic contract: acc starts at +0.0, each tap (dy, dx) in order adds
     one product (out_ch x in_ch) @ (in_ch x pixels), the bias is added last.
     Both regimes run one tap loop over a slab of images of the zero-padded
     input, q per row phase (_fill_phase_slab), and differ only in its layout,
@@ -124,15 +128,18 @@ class _Conv:
         else:
             # Larger layer: balanced row chunks. Per chunk, one reused slab holds
             # the rows of the stride-phase images that the chunk's taps read.
-            # The `reach` extra columns of each row are computed and dropped. A
-            # chunk's rows are cut into row parts by its shape, each with its
-            # own stretch of the product buffer.
+            # A chunk's rows are cut into row parts by its shape. Each part
+            # sums its taps in its own compact out_ch x rows x pitch stretch of
+            # a chunk accumulator, which stays in cache across the taps, as
+            # each product does in the part's stretch of the product buffer;
+            # then it adds the bias and keeps out_w of each row's pitch
+            # columns, dropping the `reach` extra ones.
             bounds = [out_h * i // chunks for i in range(chunks + 1)]
             self.chunks = list(zip(bounds, bounds[1:]))
             self._q, self._pitch = min(k, stride), out_w + (k - 1) // stride
         self._x = x if lazy else _Rows(x)
 
-    def add_taps(self, r0: int, r1: int, dst: np.ndarray) -> None:
+    def add_taps(self, r0: int, r1: int, dst: np.ndarray | None = None) -> list[tuple[int, int, np.ndarray]]:
         # Buffers are allocated here, after the caller's output: freed, they
         # leave no hole under a longer-lived array in malloc's heap.
         (out_ch, out_h, out_w), stride, w, q, pitch = self.shape, self.stride, self._w, self._q, self._pitch
@@ -150,14 +157,21 @@ class _Conv:
             self._buf = np.empty(out_ch * most * pitch, dtype=np.float32)
         if self._x is not None:
             _fill_phase_slab(self._slab, self._x, stride, self.padding, r0, r1 - r0 + reach, fresh)
+            self._x.drop(max(0, r1 * stride - self.padding))  # the next chunk reads from there on
         flat, wt, buf = self._flat, self._wt, self._buf
-        parts = [(0, out_h)] if len(self.chunks) == 1 else _row_parts(r1 - r0, 4 * out_ch * pitch)
+        if len(self.chunks) == 1:  # pitch is out_w: the taps sum in the output itself
+            parts = [(0, out_h)]
+            acc = (np.empty(self.shape, dtype=np.float32) if dst is None else dst).reshape(-1)
+        else:  # allocated after the fill, for which a row source may have made rows
+            parts = _row_parts(r1 - r0, 4 * out_ch * pitch)
+            acc = np.empty(out_ch * (r1 - r0) * pitch, dtype=np.float32)
+        made = [None] * len(parts)
 
         def taps(t: int) -> None:
             a, z = parts[t]  # rows of this chunk
             n = (z - a) * pitch
             prod = buf[out_ch * a * pitch:out_ch * z * pitch].reshape(out_ch, n)
-            part, kept = dst[:, a:z], prod.reshape(out_ch, z - a, pitch)[:, :, :out_w]
+            total = acc[out_ch * a * pitch:out_ch * z * pitch].reshape(out_ch, n)
             for dy in range(k):
                 for dx in range(k):
                     start = (dy // m + a) * pitch + dx // q
@@ -166,10 +180,17 @@ class _Conv:
                         np.dot(w[:, :, dy, dx], np.ascontiguousarray(tap), out=prod)
                     else:
                         np.matmul(wt[dy, dx], tap, out=prod)
-                    part += kept
+                    if dy or dx:
+                        total += prod
+                    else:  # the sum starts at +0.0: a -0.0 product adds up to +0.0
+                        np.add(prod, 0.0, out=total)
+            part = total.reshape(out_ch, z - a, pitch)
+            out = part if dst is None else dst[:, a:z]  # without dst, pitch-wide
+            np.add(part[:, :, :out.shape[2]], self._bias, out=out)
+            made[t] = a, z, out
 
         _on_threads(taps, len(parts))
-        dst += self._bias
+        return made
 
 
 # Bytes of one tap's product that conv2d keeps live: about half a 2-4 MiB L2.
@@ -245,7 +266,6 @@ def _fill_phase_slab(slab: np.ndarray, src: _Rows, stride: int, padding: int, ro
     """
     _, h, w = src.shape
     cols = slab.shape[4]
-    src.drop(max(0, row0 * stride - padding))
     for py in range(slab.shape[0]):
         lo, hi, src_r = _span(py, h, row0, rows, stride, padding)
         images = slab[py]
@@ -271,12 +291,12 @@ def _span(phase: int, size: int, first: int, n: int, stride: int, padding: int):
 
 class _Rows:
     """A (c, h, w) tensor as conv2d's slab fill reads it; this one is an
-    array. Per row chunk, conv2d calls drop(row), after which no read
-    reaches a row before `row`, then read(dst, rows, cols) once per slab
+    array. Per row chunk, conv2d calls read(dst, rows, cols) once per slab
     image, which writes rows `rows` and columns `cols` (slices with the conv's
-    stride) of the tensor into `dst`. The subclasses, which only the chunked
-    regime reads, make their rows when a read needs them instead, so that
-    the tensor never exists whole. They run on the calling thread, which
+    stride) of the tensor into `dst`, then, before the chunk's taps,
+    drop(row), after which no read reaches a row before `row`. The
+    subclasses, which only the chunked regime reads, make their rows when a
+    read needs them instead, so that the tensor never exists whole. They run on the calling thread, which
     allocates every buffer, as conv2d does."""
 
     def __init__(self, x: np.ndarray):
@@ -292,10 +312,14 @@ class _Rows:
 class _ConvRows(_Rows):
     """Rows of epilogue(conv2d(...)) for the conv2d call `conv`, made in that
     call's own row chunks when a read first reaches them, and let go once
-    drop() passes them. `epilogue(out)` must be elementwise and work in place
-    on a chunk's fresh rows. A chunk runs the same slab fill, sgemm calls and
-    bias add as in the whole call, then the epilogue, so its rows have the
-    bits of the whole call followed by the epilogue."""
+    drop() passes them. A chunk's rows are its row parts' rows where add_taps
+    summed them, with no copy. `epilogue(out)` must be elementwise and work
+    in place on a part's fresh rows, which it gets pitch-wide and contiguous
+    (on the strided view without the extra columns an affine map and ReLU
+    took 2.5 times as long); no read reaches the extra columns. A chunk runs
+    the same slab fill, sgemm calls and bias add as in the whole call, then
+    the epilogue, so its rows have the bits of the whole call followed by
+    the epilogue."""
 
     def __init__(self, conv: _Conv, epilogue):
         self._conv = conv
@@ -311,10 +335,9 @@ class _ConvRows(_Rows):
         first, step, n = rows.start, rows.step, dst.shape[1]
         while not self._made or self._made[-1][1] <= first + (n - 1) * step:
             r0, r1 = next(self._todo)
-            out = np.zeros((self.shape[0], r1 - r0, self.shape[2]), dtype=np.float32)
-            self._conv.add_taps(r0, r1, out)
-            self._epilogue(out)
-            self._made.append((r0, r1, out))
+            for a, z, out in self._conv.add_taps(r0, r1):
+                self._epilogue(out)
+                self._made.append((r0 + a, r0 + z, out))
         for r0, r1, out in self._made:
             # reads a..z-1 fall in this chunk: r0 <= first + i * step < r1
             a, z = max(0, -(-(r0 - first) // step)), min(n, -(-(r1 - first) // step))
@@ -340,7 +363,7 @@ class _ResizeRows(_Rows):
         if out_h < 1 or out_w < 1:
             raise ValueError(f"output size must be positive, got {out_h}x{out_w}")
         c, h, w = x.shape
-        self.shape, self._bufs = (c, out_h, out_w), None
+        self.shape = (c, out_h, out_w)
         ys = np.clip((np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
         xs = np.clip((np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
         self._y0 = np.floor(ys).astype(np.int64)
@@ -393,9 +416,7 @@ class _ResizeRows(_Rows):
         _on_threads(run, len(parts))
 
     def read(self, dst: np.ndarray, rows: slice, cols: slice) -> None:
-        if self._bufs is None:
-            self._bufs = self.buffer(), self.buffer()
-        top, bot = self._bufs
+        top, bot = self.buffer(), self.buffer()  # per read: freed before the reader's taps
 
         def run(r0: int, r1: int, at: int) -> None:
             sel = slice(rows.start + r0 * rows.step, rows.start + r1 * rows.step, rows.step)

@@ -238,10 +238,12 @@ class TestForward:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_full_scale_transmitter_peak_memory(self, monkeypatch, full_scale_weights, n):
-        # s0.conv2 sets it, at 28.7 MiB: its 8 MiB output, one 7 MiB phase
-        # slab and one product buffer, and the rows of s0.conv1 it reads,
-        # made in s0.conv1's own row chunks (about 9 MiB of them at once)
-        # with that conv's slab and product buffer; the epilogues run in place
+        # s0.conv2 sets it, at 29.1 MiB, while a chunk's taps run: its 8 MiB
+        # output, one 7 MiB phase slab, one product buffer and one accumulator
+        # (1.7 MiB each), and what its row source holds, about 11 MiB: the
+        # rows of s0.conv1 from the next chunk's first input row on, made in
+        # s0.conv1's own row chunks, with that conv's slab and product buffer;
+        # the epilogues run in place
         monkeypatch.setattr(T, "threads", n)
         cfg = full_scale_weights.config
         image = random_image(cfg, 12)
@@ -250,11 +252,12 @@ class TestForward:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_full_scale_receiver_peak_memory(self, monkeypatch, full_scale_weights, n):
-        # s6.head1 sets it, at 28.5 MiB: its 8 MiB output, one 7.4 MiB phase
-        # slab, one product buffer and its reordered kernels, and the 4 MiB
-        # row lerp of the 16x16 map with two 2 MiB blocks, from which the
-        # rows each chunk reads are resized; the final resize is reduced to
-        # labels block by block, so no full-resolution logits exist
+        # s6.head1 sets it, at 28.3 MiB, while a chunk's input rows are
+        # resized: its 8 MiB output, one 7.4 MiB phase slab, one product
+        # buffer and its reordered kernels, and the 4 MiB row lerp of the
+        # 16x16 map with the two 2 MiB blocks of one read, which are freed
+        # before the chunk's accumulator is allocated; the final resize is
+        # reduced to labels block by block, so no full-resolution logits exist
         monkeypatch.setattr(T, "threads", n)
         cfg = full_scale_weights.config
         feats = np.random.default_rng(11).normal(size=(cfg.feature_channels, 16, 16)).astype(np.float32)

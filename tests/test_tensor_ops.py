@@ -401,9 +401,10 @@ class TestConv2dExact:
             for earlier in range(total):
                 assert_bitwise_equal(filled(earlier, row0), filled(row0))
 
-    def test_full_scale_peak_memory_is_output_one_slab_and_one_product(self):
+    def test_full_scale_peak_memory_is_output_one_slab_one_product_and_one_accumulator(self):
         # s0.conv2, the transmitter's largest conv: a whole-input set of phase
-        # images would be 34 MiB; one chunk's slab is under 7 MiB
+        # images would be 34 MiB; one chunk's slab is under 7 MiB, and its
+        # product buffer and accumulator 1.7 MiB each
         p = {q.name: q for q in model.layer_plan(model.ModelConfig.full_scale())}["s0.conv2"]
         in_shape = (p.cin, p.out_h * p.stride, p.out_w * p.stride)
         x, kernels, bias = random_conv(np.random.default_rng(41), in_shape, (p.cout, p.cin, p.k, p.k))
@@ -413,9 +414,9 @@ class TestConv2dExact:
         m, reach = min(p.k, p.stride), (p.k - 1) // p.stride
         out_bytes = 4 * p.cout * p.out_h * p.out_w
         slab_bytes = 4 * m * m * p.cin * (most + reach + 1) * pitch
-        product_bytes = 4 * p.cout * most * pitch
+        product_bytes = accumulator_bytes = 4 * p.cout * most * pitch
         peak = traced_peak(lambda: T.conv2d(x, kernels, bias, stride=p.stride, padding=p.k // 2))
-        assert peak <= out_bytes + slab_bytes + product_bytes + kernels.nbytes + (64 << 10)
+        assert peak <= out_bytes + slab_bytes + product_bytes + accumulator_bytes + kernels.nbytes + (64 << 10)
 
     @pytest.mark.parametrize("name", ["s0.conv1", "s1.rb.conv1"])
     def test_desk_peak_memory_is_output_product_shifted_copies_and_weights(self, name):
@@ -501,6 +502,40 @@ class TestRowSources:
             assert rows.shape == whole.shape
             want = T.conv2d(whole, kernels, bias, stride=stride, padding=padding)
             assert_bitwise_equal(T.conv2d(rows, kernels, bias, stride=stride, padding=padding), want)
+
+    def test_row_sources_cover_a_conv_that_runs_as_one_chunk(self):
+        # such a source makes every row at its first read, in the one-call
+        # regime's own output array, not in a chunk accumulator; the default
+        # block size leaves the conv_rows source of every SLAB_PAD_CASES
+        # shape in one chunk, and test_conv_on_rows_matches_conv_on_the_tensor
+        # runs those shapes at that size
+        for in_shape, *_ in SLAB_PAD_CASES:
+            c, h, w = in_shape
+            assert T._row_chunks(3, 3, c, 2, h, w) == 1
+
+    def test_a_chunk_lets_go_of_the_rows_it_has_read_before_its_taps(self, monkeypatch):
+        # full-scale s0.conv2 reading s0.conv1 as rows made in s0.conv1's own
+        # chunks: while a chunk's taps run, the source holds no row below the
+        # next chunk's first input row, so the rows it read are freed first
+        plans = {q.name: q for q in model.layer_plan(model.ModelConfig.full_scale())}
+        p1, p2 = plans["s0.conv1"], plans["s0.conv2"]
+        rng = np.random.default_rng(1041)
+        x, k1, b1 = random_conv(rng, (p1.cin, p1.out_h * p1.stride, p1.out_w * p1.stride), (p1.cout, p1.cin, 3, 3))
+        _, k2, b2 = random_conv(rng, (1, 1, 1), (p2.cout, p2.cin, 3, 3))
+        rows = T._ConvRows(T._Conv(x, k1, b1, p1.stride, 1), lambda out: out)
+        conv = T._Conv(rows, k2, b2, p2.stride, 1)
+        held, run = [], T._on_threads
+
+        def recording(fn, n):  # the last call of a chunk runs its taps
+            held.append([made[:2] for made in rows._made])
+            run(fn, n)
+
+        monkeypatch.setattr(T, "_on_threads", recording)
+        out = np.empty(conv.shape, dtype=np.float32)
+        assert len(conv.chunks) > 2
+        for r0, r1 in conv.chunks:
+            conv.add_taps(r0, r1, out[:, r0:r1])
+            assert held[-1] and min(end for _, end in held[-1]) > r1 * p2.stride - 1
 
     @pytest.mark.parametrize("source", ROW_SOURCES)
     @pytest.mark.parametrize("in_shape,out,stride,padding",
@@ -1081,8 +1116,10 @@ class TestThreads:
         # OpenBLAS's Haswell sgemm, which a CPU without AVX-512 loads, rounds
         # some columns differently when a call narrows, so there this chunked
         # full-scale layer keeps its bits only if its row parts, and so its
-        # sgemm calls, do not follow the thread count. OpenBLAS picks its
-        # kernel when numpy loads, so the conv runs in a new process.
+        # sgemm calls, do not follow the thread count; so must s0.conv2 on
+        # s0.conv1's rows made on demand, which also equals s0.conv2 on the
+        # whole s0.conv1 output. OpenBLAS picks its kernel when numpy loads,
+        # so the convs run in a new process.
         code = (
             "import hashlib, numpy as np\n"
             "from splitseg import model, tensor_ops as T\n"
@@ -1094,12 +1131,24 @@ class TestThreads:
             "for T.threads in (1, 2, 3):\n"
             "    y = T.conv2d(x, w, b, stride=p.stride, padding=p.k // 2)\n"
             "    print(hashlib.sha256(y.tobytes()).hexdigest())\n"
+            # streamed: s0.conv2 reading s0.conv1 as rows made in its own chunks
+            "plans = {q.name: q for q in model.layer_plan(model.ModelConfig.full_scale())}\n"
+            "p1, p2 = plans['s0.conv1'], plans['s0.conv2']\n"
+            "x = rng.random((p1.cin, 2 * p1.out_h, 2 * p1.out_w), dtype=np.float32)\n"
+            "w1, w2 = ((rng.normal(size=(p.cout, p.cin, 3, 3)) / (3 * p.cin)).astype(np.float32) for p in (p1, p2))\n"
+            "b1, b2 = (rng.normal(size=p.cout).astype(np.float32) for p in (p1, p2))\n"
+            "relu = lambda out: T.relu(out, out=out)\n"
+            "for T.threads in (1, 2, 3):\n"
+            "    y = T.conv2d(T._ConvRows(T._Conv(x, w1, b1, 2, 1), relu), w2, b2, stride=2, padding=1)\n"
+            "    print(hashlib.sha256(y.tobytes()).hexdigest())\n"
+            "y = T.conv2d(relu(T.conv2d(x, w1, b1, stride=2, padding=1)), w2, b2, stride=2, padding=1)\n"
+            "print(hashlib.sha256(y.tobytes()).hexdigest())\n"
         )
         path = os.pathsep.join([str(Path(T.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
         env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=300,
                              capture_output=True, text=True).stdout.split()
-        assert len(out) == 3 and len(set(out)) == 1
+        assert len(out) == 7 and len(set(out[:3])) == 1 and len(set(out[3:])) == 1
 
     def test_more_threads_than_cores_with_frequent_switches(self, monkeypatch, thread_parts):
         # the threads write disjoint rows of shared buffers: an overlap or a
