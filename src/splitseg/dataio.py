@@ -112,19 +112,25 @@ def save_pgm(path, labels: np.ndarray) -> None:
 def _read_pnm_header(f, magic: bytes) -> tuple[int, int]:
     if f.read(2) != magic:
         raise ValueError(f"not a {magic.decode()} file")
+
+    def char() -> bytes:
+        # a comment runs from "#" to the line's end (CR or LF), anywhere in the
+        # header, even right after a number's digits; it reads as that end
+        ch = f.read(1)
+        if ch == b"#":
+            while ch not in (b"\n", b"\r", b""):
+                ch = f.read(1)
+        return ch
+
     fields = []
     while len(fields) < 3:
         tok = b""
-        ch = f.read(1)
+        ch = char()
         while ch.isspace():
-            ch = f.read(1)
-        if ch == b"#":
-            while ch not in (b"\n", b""):
-                ch = f.read(1)
-            continue
+            ch = char()
         while ch and not ch.isspace():
             tok += ch
-            ch = f.read(1)
+            ch = char()
         if not tok:
             raise ValueError("truncated header")
         fields.append(int(tok))

@@ -72,12 +72,13 @@ class _Conv:
 
     Arithmetic contract: acc starts at +0.0, each tap (dy, dx) in order adds
     one product (out_ch x in_ch) @ (in_ch x pixels), the bias is added last.
-    Both regimes run one tap loop over a slab of images of the zero-padded
-    input, q per row phase (_fill_phase_slab), and differ only in its layout,
-    so only in the bytes they move. Each tap's operand is a flat view of one
-    image, whose row stride np.matmul hands to sgemm (np.dot would copy it);
-    the weights come from one contiguous (k, k, out_ch, in_ch) copy outside
-    a unit dimension.
+    Both regimes fill a slab of images of the zero-padded input, q per row
+    phase, from the input as a row source (_Rows, _fill_phase_slab), run one
+    tap loop over it, and differ only in the slab's layout, so only in the
+    bytes they move. Each tap's operand is a flat view of one image, whose
+    row stride np.matmul hands to sgemm (np.dot would copy it); the weights
+    come from one contiguous (k, k, out_ch, in_ch) copy outside a unit
+    dimension.
     """
 
     def __init__(self, x, kernels, bias, stride: int, padding: int):
@@ -117,14 +118,10 @@ class _Conv:
             # operand has a plain tap-by-tap tensordot's M, N, K and values
             # (only ldb differs). At a unit dimension np.dot takes gemv, whose
             # bits depend on operand strides, so there it gets that tensordot's
-            # operands: the weight view and a contiguous copy of the tap. A 1x1,
-            # stride-1, unpadded layer on C-contiguous `x` reads `x` itself.
+            # operands: the weight view and a contiguous copy of the tap.
             if lazy:
                 raise ValueError("a row source is read only by conv2d's chunked regime")
             self.chunks, self._q, self._pitch = [(0, out_h)], k, out_w
-            if k == 1 and stride == 1 and padding == 0 and x.flags.c_contiguous:
-                self._flat, self._x = x.reshape(1, 1, in_ch, -1), None
-                return
         else:
             # Larger layer: balanced row chunks. Per chunk, one reused slab holds
             # the rows of the stride-phase images that the chunk's taps read.
@@ -146,18 +143,15 @@ class _Conv:
         in_ch, k = w.shape[1], w.shape[2]
         m, reach = min(k, stride), (k - 1) // stride  # reach: how far, in output pixels, a tap reaches
         unit = min(out_ch, in_ch) == 1 or out_h * out_w == 1
-        fresh = self._buf is None
-        if fresh:
+        if self._buf is None:
             self._wt = None if unit else np.ascontiguousarray(w.transpose(2, 3, 0, 1))  # (k, k, out_ch, in_ch)
             most = -(-out_h // len(self.chunks))  # rows of the longest chunk
-            if self._x is not None:  # a window past a row's end reads one more row
-                rows = most + reach + (q < k)
-                self._flat = np.zeros((m, q, in_ch, rows * pitch), dtype=np.float32)
-                self._slab = self._flat.reshape(m, q, in_ch, rows, pitch)
+            rows = most + reach + (q < k)  # a window past a row's end reads one more row
+            self._flat = np.zeros((m, q, in_ch, rows * pitch), dtype=np.float32)
+            self._slab = self._flat.reshape(m, q, in_ch, rows, pitch)
             self._buf = np.empty(out_ch * most * pitch, dtype=np.float32)
-        if self._x is not None:
-            _fill_phase_slab(self._slab, self._x, stride, self.padding, r0, r1 - r0 + reach, fresh)
-            self._x.drop(max(0, r1 * stride - self.padding))  # the next chunk reads from there on
+        _fill_phase_slab(self._slab, self._x, stride, self.padding, r0, r1 - r0 + reach)
+        self._x.drop(max(0, r1 * stride - self.padding))  # the next chunk reads from there on
         flat, wt, buf = self._flat, self._wt, self._buf
         if len(self.chunks) == 1:  # pitch is out_w: the taps sum in the output itself
             parts = [(0, out_h)]
@@ -251,27 +245,24 @@ def _on_threads(fn, n: int) -> None:
         raise errors[min(errors)]
 
 
-def _fill_phase_slab(slab: np.ndarray, src: _Rows, stride: int, padding: int, row0: int, rows: int,
-                     fresh: bool = False) -> None:
+def _fill_phase_slab(slab: np.ndarray, src: _Rows, stride: int, padding: int, row0: int, rows: int) -> None:
     """Write rows row0..row0+rows-1 of the phase images of zero-padded `src`
     into `slab`, of shape (m, q, c, more than rows, cols) with m = min(k,
     stride), and q = m (one image per stride phase) or k (one per column tap).
 
     Image (py, px) holds padded pixel (i*stride + py, j*stride + px) at slab
     row i - row0, column j. Slab rows that hold no input pixel, from row
-    `rows` on included, are zeroed here unless the slab is `fresh` (all
-    zero), so a flat window may run past the last row; columns that hold
-    none are never written and must be zero. No input row before
-    row0*stride - padding is read.
+    `rows` on included, are zeroed here on every fill, so a flat window may
+    run past the last row; columns that hold none are never written and must
+    be zero. No input row before row0*stride - padding is read.
     """
     _, h, w = src.shape
     cols = slab.shape[4]
     for py in range(slab.shape[0]):
         lo, hi, src_r = _span(py, h, row0, rows, stride, padding)
         images = slab[py]
-        if not fresh:
-            images[:, :, :lo] = 0.0
-            images[:, :, hi:] = 0.0
+        images[:, :, :lo] = 0.0
+        images[:, :, hi:] = 0.0
         for px in range(slab.shape[1]):
             c_lo, c_hi, src_c = _span(px, w, 0, cols, stride, padding)
             if hi > lo and c_hi > c_lo:

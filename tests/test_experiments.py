@@ -193,6 +193,25 @@ class TestDatasetFiles:
         with pytest.raises(ValueError, match=f"img_0000.ppm: .*{problem}"):  # problems are named per image
             dataio.load_dataset_dir(tmp_path)
 
+    @pytest.mark.parametrize("magic,load,channels", [
+        ("P6", dataio.load_ppm, 3), ("P5", dataio.load_pgm, 1),
+    ], ids=["ppm", "pgm"])
+    @pytest.mark.parametrize("header", [
+        "{magic}\n3#w\n2\n255\n",  # a comment glued to the width
+        "{magic}\n3 2#c\n255\n",  # to the height
+        "{magic}\n3 2\n255#c\n",  # to the maxval: its newline ends the header
+        "{magic}#c\n3#a\n2#b\n255\n",  # to the magic number and every field
+        "{magic}\n# made by hand\n3 2\n#\n  # indented\n255\n",  # comment-only lines
+        "{magic}\r\n3 2#c\r255\r",  # a carriage return ends a line too
+    ], ids=["width", "height", "maxval", "every_field", "comment_lines", "carriage_return"])
+    def test_header_comments(self, tmp_path, magic, load, channels, header):
+        # netpbm: everything from "#" to the line's end is a comment, also
+        # right after a number's digits
+        pixels = np.arange(2 * 3 * channels, dtype=np.uint8).reshape(2, 3, channels)
+        path = tmp_path / "img"
+        path.write_bytes(header.format(magic=magic).encode() + pixels.tobytes())
+        assert np.array_equal(load(path), pixels if channels == 3 else pixels[:, :, 0])
+
 
 class TestPipelines:
     def test_traditional_noiseless_matches_clean_inference(self, tiny_weights, tiny_pair):
@@ -387,6 +406,16 @@ class TestSweep:
         (result,) = E.sweep(spec)
         for p in spec.pipelines:
             assert result.bits_per_image[p] == metrics.bits_per_image(p, TINY, spec.quant_bits)
+
+    def test_bit_accounting_mismatch_is_an_error(self, monkeypatch):
+        # a trial that sends other than the formula's bits stops the sweep,
+        # naming the pipeline
+        formula = metrics.bits_per_image
+        monkeypatch.setattr(metrics, "bits_per_image",
+                            lambda p, *args: formula(p, *args) + (p == "split"))
+        spec = small_spec(num_images=1, snr_db=(10.0,), modulations=(phy.QPSK,))
+        with pytest.raises(RuntimeError, match=r"bit accounting mismatch for split: trial sent \d+, formula"):
+            E.sweep(spec)
 
     def test_ground_truth_reference_mode(self):
         spec = small_spec(reference_mode="ground_truth", num_images=1,

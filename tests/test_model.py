@@ -391,6 +391,30 @@ class TestStageTable:
             assert same_tensors(M._forward(x, full_scale_weights, k, k + 1), want), f"stage {k}"
             x = want
 
+    def test_each_stage_runs_the_units_its_macs_count(self, monkeypatch):
+        # mac_count, and through it pipeline_macs and compute_report, split the
+        # plan by ConvPlan.stage: stage k must run each unit of stage k once,
+        # and no other unit
+        cfg = tiny_config()
+        weights = M.build(cfg)
+        plans = M.layer_plan(cfg)
+        assert not any(M._streams(weights, p.name) for p in plans)  # every unit calls conv2d
+        by_kernel = {id(weights.params[p.name + ".kernel"]): p for p in plans}
+        ran = []
+        conv = T.conv2d
+
+        def recording(x, kernels, *args, **kwargs):
+            ran.append(by_kernel[id(kernels)])
+            return conv(x, kernels, *args, **kwargs)
+
+        monkeypatch.setattr(T, "conv2d", recording)
+        x = random_image(cfg, 5)
+        for k in range(M.TOTAL_STAGES):
+            first = len(ran)
+            x = M._forward(x, weights, k, k + 1)
+            assert [p.name for p in ran[first:] if p.stage != k] == [], f"stage {k}"
+        assert sorted(p.name for p in ran) == sorted(p.name for p in plans)
+
     @pytest.mark.parametrize("k", range(M.TOTAL_STAGES + 1))
     def test_any_cut_composes_bitwise(self, k):
         cfg = tiny_config()

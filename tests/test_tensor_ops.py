@@ -455,6 +455,20 @@ class TestConv2dExact:
         for a, b in zip((x, kernels, bias), before):
             assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_sum_starts_at_positive_zero(self, k):
+        # one input and output channel and one output pixel: np.dot's gemv of
+        # a 1x1 by a 1x1 is a plain product, so every tap's product is
+        # -1 * +0.0 = -0.0. A sum that starts at +0.0, as in a zeroed
+        # accumulator, stays +0.0 through the taps and the -0.0 bias; one that
+        # stored tap 0's product would end at -0.0
+        x = np.zeros((1, 1, 1), dtype=np.float32)
+        kernels = -np.ones((1, 1, k, k), dtype=np.float32)
+        bias = np.array([-0.0], dtype=np.float32)
+        out = T.conv2d(x, kernels, bias, stride=1, padding=k // 2)
+        assert_bitwise_equal(out, tensordot_conv2d(x, kernels, bias, 1, k // 2))
+        assert_bitwise_equal(out, np.zeros((1, 1, 1), dtype=np.float32))
+
 
 def conv_rows(rng, in_shape):
     """A row source of shape in_shape made by a unit like s0.conv1 (3x3,
