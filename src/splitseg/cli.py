@@ -115,7 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--workers", type=positive_int, default=1, help="parallel worker processes")
-    p.add_argument("--seed", type=int, default=None, help="override the config master seed")
+    # the config's master_seed rule: np.random.SeedSequence takes [0, 2**64)
+    p.add_argument("--seed", type=_int_in(0, 2**64 - 1), default=None, help="override the config master seed")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("report", help="emit rate and compute reports as JSON")

@@ -22,6 +22,7 @@ import numbers
 from collections.abc import Iterable, Mapping
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -258,12 +259,27 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeightSet:
-    """All layer parameters, keyed "<layer>.<kernel|bias|scale|shift>"."""
+    """All layer parameters, keyed "<layer>.<kernel|bias|scale|shift>". The
+    mapping is read-only, so no entry is swapped under `units`; the arrays
+    are not, and an in-place edit reaches the next pass."""
 
     config: ModelConfig
-    params: dict[str, np.ndarray]
+    params: Mapping[str, np.ndarray]
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+
+    @functools.cached_property
+    def units(self) -> dict[str, tuple]:
+        """Per plan entry, as the executor runs it: its conv2d arguments after
+        the input (kernels, bias, stride, padding), its affine map's (scale,
+        shift) or None, and whether it ends in ReLU."""
+        p = self.params
+        return {u.name: ((p[u.name + ".kernel"], p[u.name + ".bias"], u.stride, u.k // 2),
+                         (p[u.name + ".scale"], p[u.name + ".shift"]) if u.affine else None, u.relu)
+                for u in layer_plan(self.config)}
 
     def same_as(self, other: "WeightSet") -> bool:
         if self.config != other.config or self.params.keys() != other.params.keys():
@@ -297,32 +313,24 @@ def _plans(config: ModelConfig) -> dict[str, ConvPlan]:
 def _epilogue(weights: WeightSet, name: str, out: np.ndarray) -> np.ndarray:
     """Unit `name`'s affine map and ReLU where its plan entry has them, in
     place on `out`: the unit's fresh conv output, or rows of it."""
-    plan = _plans(weights.config)[name]
-    p = weights.params
-    if plan.affine:
-        T.affine_norm(out, p[name + ".scale"], p[name + ".shift"], out=out)
-    if plan.relu:
+    _, affine, relu = weights.units[name]
+    if affine:
+        T.affine_norm(out, *affine, out=out)
+    if relu:
         T.relu(out, out=out)
     return out
 
 
-def _conv_args(weights: WeightSet, name: str) -> tuple:
-    """Unit `name`'s conv2d arguments after the input: kernels, bias, stride
-    and padding."""
-    plan = _plans(weights.config)[name]
-    return weights.params[name + ".kernel"], weights.params[name + ".bias"], plan.stride, plan.k // 2
-
-
 def _unit(weights: WeightSet, name: str, x) -> np.ndarray:
     # the conv output is fresh and ours: the epilogue runs on it in place
-    return _epilogue(weights, name, T.conv2d(x, *_conv_args(weights, name)))
+    return _epilogue(weights, name, T.conv2d(x, *weights.units[name][0]))
 
 
 def _unit_rows(weights: WeightSet, name: str, x) -> T._ConvRows:
     """_unit(weights, name, x) as rows that the next conv makes as it reads
     them: the unit's conv runs in row chunks, and _epilogue on each chunk
     (see T._ConvRows)."""
-    conv = T._Conv(x, *_conv_args(weights, name))
+    conv = T._Conv(x, *weights.units[name][0])
     return T._ConvRows(conv, functools.partial(_epilogue, weights, name))
 
 
@@ -330,19 +338,19 @@ def _streams(weights: WeightSet, name: str) -> bool:
     """Whether conv `name` runs in row chunks, and so may read its input as
     rows made on demand. conv2d reads such rows only in that regime."""
     p = _plans(weights.config)[name]
-    return T._row_chunks(p.k, p.cin, p.cout, p.stride, p.out_h, p.out_w) > 1
+    return T._row_chunks(p.k, p.cin, p.cout, p.stride, p.out_h, p.out_w, T._BLOCK_BYTES) > 1
 
 
 def _block(weights: WeightSet, prefix: str, x) -> np.ndarray:
     """Residual block: the plan's units under `prefix` in plan order, plus
     the input (through the block's projection conv when the plan has one),
     then ReLU."""
-    plans, proj = _plans(weights.config), prefix + ".proj"
+    units, proj = weights.units, prefix + ".proj"
     y = x
-    for name in plans:
+    for name in units:
         if name.startswith(prefix + ".") and name != proj:
             y = _unit(weights, name, y)
-    skip = _unit(weights, proj, x) if proj in plans else x
+    skip = _unit(weights, proj, x) if proj in units else x
     return T.relu(T.add(y, skip, out=y), out=y)  # y is the fresh output of a unit
 
 

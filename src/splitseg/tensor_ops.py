@@ -19,12 +19,18 @@ row parts, block steps, tap order and accumulation, and so every sgemm
 call, are the same at any thread count. Work within one block, which is
 every desk-scale layer, starts no thread. Every resize, the row source a
 conv reads included, is one _ResizeRows run through its one block loop, in
-which each thread takes the same row parts of every block.
+which each thread takes the same row parts of every block, in steps of at
+most _BLOCK_BYTES // 4 bytes that stay in a core's L2.
+
+What a call derives from shapes alone is derived once per shape: a conv2d
+call takes its checks, chunks, slab layout and slab fill from one cached
+_ConvPlan, and a resize its index and weight tables from _resize_tables.
 """
 
 from __future__ import annotations
 
 import contextvars
+import functools
 import os
 import threading
 
@@ -78,80 +84,32 @@ class _Conv:
     bytes they move. Each tap's operand is a flat view of one image, whose
     row stride np.matmul hands to sgemm (np.dot would copy it); the weights
     come from one contiguous (k, k, out_ch, in_ch) copy outside a unit
-    dimension.
+    dimension. Everything the call derives from its shapes, stride and
+    padding comes from one _ConvPlan, made once per key.
     """
 
     def __init__(self, x, kernels, bias, stride: int, padding: int):
         lazy = isinstance(x, _Rows)
         x = x if lazy else as_tensor(x)
-        w = np.asarray(kernels, dtype=np.float32)
-        if w.ndim != 4 or w.shape[2] != w.shape[3]:
-            raise ValueError(f"kernels must have shape (out_ch, in_ch, k, k), got {w.shape}")
-        out_ch, in_ch, k, _ = w.shape
-        if k % 2 != 1:
-            raise ValueError(f"kernel size must be odd, got {k}")
-        if in_ch != x.shape[0]:
-            raise ValueError(f"channel mismatch: input has {x.shape[0]} channels, kernels expect {in_ch}")
-        b = np.asarray(bias, dtype=np.float32).reshape(-1, 1, 1)
-        if b.size != out_ch:
-            raise ValueError(f"bias length {b.size} != out_ch {out_ch}")
-        if stride < 1:
-            raise ValueError(f"stride must be >= 1, got {stride}")
-        if padding < 0:
-            raise ValueError(f"padding must be >= 0, got {padding}")
-
-        _, h, wd = x.shape
-        out_h = (h + 2 * padding - k) // stride + 1
-        out_w = (wd + 2 * padding - k) // stride + 1
-        if out_h < 1 or out_w < 1:
-            raise ValueError(
-                f"empty output: input {h}x{wd}, kernel {k}, stride {stride}, padding {padding}"
-            )
-        self.shape, self.stride, self.padding = (out_ch, out_h, out_w), stride, padding
-        self._w, self._bias, self._buf = w, b, None
-        chunks = _row_chunks(k, in_ch, out_ch, stride, out_h, out_w)
-        if chunks == 1:
-            # Small layer, single tap, or a unit dimension: one call per tap of
-            # the full width out_h*out_w, because small sgemm calls may round a
-            # column differently when their width changes. The slab holds one
-            # image per row phase and column tap, of pitch out_w, so a tap's
-            # operand has a plain tap-by-tap tensordot's M, N, K and values
-            # (only ldb differs). At a unit dimension np.dot takes gemv, whose
-            # bits depend on operand strides, so there it gets that tensordot's
-            # operands: the weight view and a contiguous copy of the tap.
-            if lazy:
-                raise ValueError("a row source is read only by conv2d's chunked regime")
-            self.chunks, self._q, self._pitch = [(0, out_h)], k, out_w
-        else:
-            # Larger layer: balanced row chunks. Per chunk, one reused slab holds
-            # the rows of the stride-phase images that the chunk's taps read.
-            # A chunk's rows are cut into row parts by its shape. Each part
-            # sums its taps in its own compact out_ch x rows x pitch stretch of
-            # a chunk accumulator, which stays in cache across the taps, as
-            # each product does in the part's stretch of the product buffer;
-            # then it adds the bias and keeps out_w of each row's pitch
-            # columns, dropping the `reach` extra ones.
-            bounds = [out_h * i // chunks for i in range(chunks + 1)]
-            self.chunks = list(zip(bounds, bounds[1:]))
-            self._q, self._pitch = min(k, stride), out_w + (k - 1) // stride
-        self._x = x if lazy else _Rows(x)
+        w, b = np.asarray(kernels, dtype=np.float32), np.asarray(bias, dtype=np.float32)
+        self.plan = plan = _conv_plan(x.shape, w.shape, b.size, stride, padding, _BLOCK_BYTES)
+        if lazy and len(plan.chunks) == 1:
+            raise ValueError("a row source is read only by conv2d's chunked regime")
+        self.shape, self.chunks = plan.shape, plan.chunks
+        self._w, self._bias, self._buf, self._x = w, b.reshape(-1, 1, 1), None, x if lazy else _Rows(x)
 
     def add_taps(self, r0: int, r1: int, dst: np.ndarray | None = None) -> list[tuple[int, int, np.ndarray]]:
         # Buffers are allocated here, after the caller's output: freed, they
         # leave no hole under a longer-lived array in malloc's heap.
-        (out_ch, out_h, out_w), stride, w, q, pitch = self.shape, self.stride, self._w, self._q, self._pitch
-        in_ch, k = w.shape[1], w.shape[2]
-        m, reach = min(k, stride), (k - 1) // stride  # reach: how far, in output pixels, a tap reaches
-        unit = min(out_ch, in_ch) == 1 or out_h * out_w == 1
+        plan, w, k = self.plan, self._w, self._w.shape[2]
+        (out_ch, out_h, out_w), m, q, pitch, unit = plan.shape, plan.m, plan.q, plan.pitch, plan.unit
         if self._buf is None:
             self._wt = None if unit else np.ascontiguousarray(w.transpose(2, 3, 0, 1))  # (k, k, out_ch, in_ch)
-            most = -(-out_h // len(self.chunks))  # rows of the longest chunk
-            rows = most + reach + (q < k)  # a window past a row's end reads one more row
-            self._flat = np.zeros((m, q, in_ch, rows * pitch), dtype=np.float32)
-            self._slab = self._flat.reshape(m, q, in_ch, rows, pitch)
-            self._buf = np.empty(out_ch * most * pitch, dtype=np.float32)
-        _fill_phase_slab(self._slab, self._x, stride, self.padding, r0, r1 - r0 + reach)
-        self._x.drop(max(0, r1 * stride - self.padding))  # the next chunk reads from there on
+            self._slab = np.zeros(plan.slab, dtype=np.float32)
+            self._flat = self._slab.reshape(m, q, plan.slab[2], -1)
+            self._buf = np.empty(plan.buf, dtype=np.float32)
+        _fill_phase_slab(self._slab, self._x, plan.fills[r0])
+        self._x.drop(max(0, r1 * plan.stride - plan.padding))  # the next chunk reads from there on
         flat, wt, buf = self._flat, self._wt, self._buf
         if len(self.chunks) == 1:  # pitch is out_w: the taps sum in the output itself
             parts = [(0, out_h)]
@@ -194,17 +152,22 @@ class _Conv:
 # there a 1 MiB product is past that size, in the packed kernel, where a
 # column's value does not depend on the call width. bilinear_resize's second
 # pass and resize_argmax work on blocks of at most this many bytes across all
-# channels.
+# channels, which a part lerps in steps of at most a quarter of it: a step's
+# rows and its lerp scratch, 1 MiB, stay in half of a 2 MiB per-core L2.
+# resize_argmax of the desk head, one 2 MiB block, took 1.7 ms in 512 KiB
+# steps and 2.8-2.9 ms in one step (medians of 400 alternating calls, one
+# thread, 2 vCPUs with AVX-512).
 _BLOCK_BYTES = 2 << 20
 
 
-def _row_chunks(k: int, in_ch: int, out_ch: int, stride: int, out_h: int, out_w: int) -> int:
-    """Output row chunks conv2d runs a layer in. 1 is its one-call regime:
-    a tap product within _BLOCK_BYTES, a single tap or a unit channel count."""
+def _row_chunks(k: int, in_ch: int, out_ch: int, stride: int, out_h: int, out_w: int, block_bytes: int) -> int:
+    """Output row chunks conv2d runs a layer in, for a tap product budget
+    of `block_bytes` (_BLOCK_BYTES in a conv2d call). 1 is its one-call
+    regime: a product within it, a single tap or a unit channel count."""
     if k == 1 or min(out_ch, in_ch) == 1:
         return 1
     pitch = out_w + (k - 1) // stride
-    return min(out_h, -(-4 * out_ch * out_h * pitch // _BLOCK_BYTES))
+    return min(out_h, -(-4 * out_ch * out_h * pitch // block_bytes))
 
 
 def _row_parts(rows: int, row_bytes: int) -> list[tuple[int, int]]:
@@ -245,39 +208,118 @@ def _on_threads(fn, n: int) -> None:
         raise errors[min(errors)]
 
 
-def _fill_phase_slab(slab: np.ndarray, src: _Rows, stride: int, padding: int, row0: int, rows: int) -> None:
-    """Write rows row0..row0+rows-1 of the phase images of zero-padded `src`
-    into `slab`, of shape (m, q, c, more than rows, cols) with m = min(k,
-    stride), and q = m (one image per stride phase) or k (one per column tap).
+class _ConvPlan:
+    """What a conv2d call derives from its input shape, kernel shape, bias
+    size, stride and padding: the argument checks, the output `shape`, the
+    row `chunks`, the slab's layout (`slab`: its shape (m, q, in_ch, rows,
+    pitch); `buf`: the product buffer's length), whether a unit dimension
+    sends the taps to gemv (`unit`), and per chunk's first row r0 the slab
+    fill `fills[r0]` (see _slab_fill). `block_bytes` sizes the chunks (see
+    _row_chunks); a conv2d call passes _BLOCK_BYTES. _conv_plan makes one
+    per key, which every call of that key shares and only reads."""
+
+    def __init__(self, in_shape, w_shape, bias_size: int, stride: int, padding: int, block_bytes: int):
+        if len(w_shape) != 4 or w_shape[2] != w_shape[3]:
+            raise ValueError(f"kernels must have shape (out_ch, in_ch, k, k), got {w_shape}")
+        out_ch, in_ch, k, _ = w_shape
+        if k % 2 != 1:
+            raise ValueError(f"kernel size must be odd, got {k}")
+        if in_ch != in_shape[0]:
+            raise ValueError(f"channel mismatch: input has {in_shape[0]} channels, kernels expect {in_ch}")
+        if bias_size != out_ch:
+            raise ValueError(f"bias length {bias_size} != out_ch {out_ch}")
+        if stride < 1:
+            raise ValueError(f"stride must be >= 1, got {stride}")
+        if padding < 0:
+            raise ValueError(f"padding must be >= 0, got {padding}")
+
+        _, h, wd = in_shape
+        out_h, out_w = ((n + 2 * padding - k) // stride + 1 for n in (h, wd))
+        if out_h < 1 or out_w < 1:
+            raise ValueError(
+                f"empty output: input {h}x{wd}, kernel {k}, stride {stride}, padding {padding}"
+            )
+        self.shape, self.stride, self.padding = (out_ch, out_h, out_w), stride, padding
+        self.m, reach = min(k, stride), (k - 1) // stride  # reach: how far, in output pixels, a tap reaches
+        self.unit = min(out_ch, in_ch) == 1 or out_h * out_w == 1
+        chunks = _row_chunks(k, in_ch, out_ch, stride, out_h, out_w, block_bytes)
+        if chunks == 1:
+            # Small layer, single tap, or a unit dimension: one call per tap of
+            # the full width out_h*out_w, because small sgemm calls may round a
+            # column differently when their width changes. The slab holds one
+            # image per row phase and column tap, of pitch out_w, so a tap's
+            # operand has a plain tap-by-tap tensordot's M, N, K and values
+            # (only ldb differs). At a unit dimension np.dot takes gemv, whose
+            # bits depend on operand strides, so there it gets that tensordot's
+            # operands: the weight view and a contiguous copy of the tap.
+            self.chunks, self.q, self.pitch = ((0, out_h),), k, out_w
+        else:
+            # Larger layer: balanced row chunks. Per chunk, one reused slab holds
+            # the rows of the stride-phase images that the chunk's taps read.
+            # A chunk's rows are cut into row parts by its shape. Each part
+            # sums its taps in its own compact out_ch x rows x pitch stretch of
+            # a chunk accumulator, which stays in cache across the taps, as
+            # each product does in the part's stretch of the product buffer;
+            # then it adds the bias and keeps out_w of each row's pitch
+            # columns, dropping the `reach` extra ones.
+            bounds = [out_h * i // chunks for i in range(chunks + 1)]
+            self.chunks, self.q, self.pitch = tuple(zip(bounds, bounds[1:])), min(k, stride), out_w + reach
+        most = -(-out_h // len(self.chunks))  # rows of the longest chunk
+        # a window past a row's end reads one more row
+        self.slab = (self.m, self.q, in_ch, most + reach + (self.q < k), self.pitch)
+        self.buf = out_ch * most * self.pitch
+        self.fills = {r0: _slab_fill(self.slab, in_shape, stride, padding, r0, r1 - r0 + reach)
+                      for r0, r1 in self.chunks}
+
+
+_conv_plan = functools.lru_cache(maxsize=256)(_ConvPlan)
+
+
+def _slab_fill(slab_shape, in_shape, stride: int, padding: int, row0: int, rows: int) -> tuple:
+    """How _fill_phase_slab writes rows row0..row0+rows-1 of the phase images
+    of a zero-padded (c, h, w) input into a slab of `slab_shape` (m, q, c,
+    more than rows, cols), m = min(k, stride), and q = m (one image per
+    stride phase) or k (one per column tap): (zeros, reads), the slab regions
+    to zero, and per image that holds input pixels, (its region, the input
+    rows, the input columns) to read into it, as slices with the stride.
 
     Image (py, px) holds padded pixel (i*stride + py, j*stride + px) at slab
     row i - row0, column j. Slab rows that hold no input pixel, from row
-    `rows` on included, are zeroed here on every fill, so a flat window may
-    run past the last row; columns that hold none are never written and must
-    be zero. No input row before row0*stride - padding is read.
+    `rows` on included, are zeroed on every fill, so a flat window may run
+    past the last row; columns that hold none are never written and must be
+    zero. No input row before row0*stride - padding is read.
     """
-    _, h, w = src.shape
-    cols = slab.shape[4]
-    for py in range(slab.shape[0]):
-        lo, hi, src_r = _span(py, h, row0, rows, stride, padding)
-        images = slab[py]
-        images[:, :, :lo] = 0.0
-        images[:, :, hi:] = 0.0
-        for px in range(slab.shape[1]):
-            c_lo, c_hi, src_c = _span(px, w, 0, cols, stride, padding)
+    (m, q, _, height, cols), every, zeros, reads = slab_shape, slice(None), [], []
+    for py in range(m):
+        first, end = _held(py, in_shape[1], stride, padding)
+        lo, hi = max(first - row0, 0), max(first - row0, 0, min(rows, end - row0))
+        zeros += [(py, every, every, at) for at in (slice(0, lo), slice(hi, height)) if at.start < at.stop]
+        at = (row0 + lo) * stride + py - padding
+        src_r = slice(at, at + (hi - lo) * stride, stride)
+        for px in range(q):
+            c_first, c_end = _held(px, in_shape[2], stride, padding)
+            c_lo, c_hi = max(c_first, 0), max(c_first, 0, min(cols, c_end))
             if hi > lo and c_hi > c_lo:
-                src.read(images[px, :, lo:hi, c_lo:c_hi], src_r, src_c)
+                at = c_lo * stride + px - padding
+                src_c = slice(at, at + (c_hi - c_lo) * stride, stride)
+                reads.append(((py, px, every, slice(lo, hi), slice(c_lo, c_hi)), src_r, src_c))
+    return tuple(zeros), tuple(reads)
 
 
-def _span(phase: int, size: int, first: int, n: int, stride: int, padding: int):
-    """Of the n indices first..first+n-1 of a stride phase of an axis of
-    `size` input pixels zero-padded by `padding` (phase index i holds padded
-    pixel i*stride + phase), those [lo, hi) that hold an input pixel, counted
-    from `first`, and the slice of input pixels they hold."""
-    lo = max(first, -(-(padding - phase) // stride))
-    hi = max(lo, min(first + n, (size - 1 + padding - phase) // stride + 1))
-    at = lo * stride + phase - padding
-    return lo - first, hi - first, slice(at, at + (hi - lo) * stride, stride)
+def _held(phase: int, size: int, stride: int, padding: int) -> tuple[int, int]:
+    """The indices [first, end) of a stride phase of an axis of `size` input
+    pixels zero-padded by `padding` that hold an input pixel: phase index i
+    holds padded pixel i*stride + phase. end may be below first."""
+    return -(-(padding - phase) // stride), (size - 1 + padding - phase) // stride + 1
+
+
+def _fill_phase_slab(slab: np.ndarray, src: _Rows, fill: tuple) -> None:
+    """Fill `slab` from row source `src` as _slab_fill's `fill` (zeros,
+    reads) says."""
+    for at in fill[0]:
+        slab[at] = 0.0
+    for at, rows, cols in fill[1]:
+        src.read(slab[at], rows, cols)
 
 
 class _Rows:
@@ -341,7 +383,8 @@ class _ResizeRows(_Rows):
     """bilinear_resize(x, out_h, out_w), run by blocks of output rows; as a
     row source, the rows a read asks for, so the resize never exists whole.
 
-    The constructor runs the first pass, the lerp along each source row.
+    The constructor runs the first pass, the lerp along each source row,
+    with index and weight tables that _resize_tables makes once per shape.
     For the output rows in slice `sel`, gather(sel, top) writes the first of
     the two row-lerped rows they lerp between into C-contiguous `top`, and
     lerp(sel, top, bot) lerps `top` toward the second in place, with
@@ -355,18 +398,12 @@ class _ResizeRows(_Rows):
             raise ValueError(f"output size must be positive, got {out_h}x{out_w}")
         c, h, w = x.shape
         self.shape = (c, out_h, out_w)
-        ys = np.clip((np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
-        xs = np.clip((np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
-        self._y0 = np.floor(ys).astype(np.int64)
-        x0 = np.floor(xs).astype(np.int64)
-        self._y1 = np.minimum(self._y0 + 1, h - 1)
-        self._wy = (ys - self._y0).astype(np.float32)[None, :, None]
-        wx = (xs - x0).astype(np.float32)
+        self._y0, self._y1, self._wy, x0, x1, wx = _resize_tables(h, w, out_h, out_w)
 
         # separable lerp: along each source row once, then between the two rows;
         # every output element sees the same float32 operations as the 2-D form
         self._rows = np.take(x, x0, axis=2)
-        right = np.take(x, np.minimum(x0 + 1, w - 1), axis=2)
+        right = np.take(x, x1, axis=2)
         right -= self._rows
         right *= wx
         self._rows += right
@@ -382,32 +419,45 @@ class _ResizeRows(_Rows):
         bot *= self._wy[:, sel]
         top += bot  # lerp form keeps constant inputs exactly constant
 
-    def buffer(self):
-        """One block of output rows of every channel, as a function: rows(at, n)
-        is a C-contiguous (c, n, out_w) view of its rows at..at+n-1."""
+    def _layout(self, n: int):
+        """How `blocks` runs output rows 0..n-1: rows per block, the row parts
+        [a, z) of a block, and rows per step of a part."""
         c, out_h, out_w = self.shape
-        flat = np.empty(c * min(_block_rows(c, out_w), out_h) * out_w, dtype=np.float32)
-        return lambda at, n: flat[c * at * out_w:c * (at + n) * out_w].reshape(c, n, out_w)
+        block = _block_rows(c, out_w)
+        parts = [(0, block)] if block >= out_h else _row_parts(min(block, n), 4 * c * out_w)
+        return block, parts, min(_block_rows(c, out_w, 4), max(z - a for a, z in parts), n)
+
+    def buffer(self, n: int):
+        """Room for one step of output rows of every channel per row part of
+        blocks(n, ...), as a function: rows(at, k) is a C-contiguous
+        (c, k, out_w) view of its rows at..at+k-1."""
+        c, _, out_w = self.shape
+        _, parts, step = self._layout(n)
+        flat = np.empty(c * len(parts) * step * out_w, dtype=np.float32)
+        return lambda at, k: flat[c * at * out_w:c * (at + k) * out_w].reshape(c, k, out_w)
 
     def blocks(self, n: int, fn) -> None:
         """Call fn(r0, r1, at) on output rows 0..n-1 by blocks of _block_rows
-        rows: rows r0..r1-1, held at rows at.. of a block buffer. A resize
-        whose output fits in one block runs on this thread; otherwise a block
-        is cut into row parts, and one thread runs part p of every block. One
-        join per call: a join after each block measured slower."""
-        c, out_h, out_w = self.shape
-        step = _block_rows(c, out_w)
-        parts = [(0, step)] if step >= out_h else _row_parts(min(step, n), 4 * c * out_w)
+        rows. A resize whose output fits in one block runs on this thread;
+        otherwise a block is cut into row parts, and one thread runs part p
+        of every block. fn gets a part's rows in steps of at most
+        _BLOCK_BYTES // 4 bytes across all channels (at least one row), so
+        that a step's rows and its lerp scratch stay in a core's L2: rows
+        r0..r1-1, held at rows at = p * step of a buffer(n). One join per
+        call: a join after each block measured slower."""
+        block, parts, step = self._layout(n)
 
         def run(t: int) -> None:
             a, z = parts[t]
-            for b0 in range(0, n - a, step):
-                fn(b0 + a, min(b0 + z, n), a)
+            for b0 in range(0, n - a, block):
+                for r0 in range(b0 + a, min(b0 + z, n), step):
+                    fn(r0, min(r0 + step, b0 + z, n), t * step)
 
         _on_threads(run, len(parts))
 
     def read(self, dst: np.ndarray, rows: slice, cols: slice) -> None:
-        top, bot = self.buffer(), self.buffer()  # per read: freed before the reader's taps
+        # per read: freed before the reader's taps
+        top, bot = self.buffer(dst.shape[1]), self.buffer(dst.shape[1])
 
         def run(r0: int, r1: int, at: int) -> None:
             sel = slice(rows.start + r0 * rows.step, rows.start + r1 * rows.step, rows.step)
@@ -417,6 +467,21 @@ class _ResizeRows(_Rows):
             np.copyto(dst[:, r0:r1], block[:, :, cols])
 
         self.blocks(dst.shape[1], run)
+
+
+@functools.lru_cache(maxsize=64)
+def _resize_tables(h: int, w: int, out_h: int, out_w: int) -> tuple[np.ndarray, ...]:
+    """Read-only index and weight tables of a resize from h x w to out_h x
+    out_w: the first and second source row of each output row, its float32
+    weight shaped (1, out_h, 1), and the same three per output column."""
+    ys = np.clip((np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
+    xs = np.clip((np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
+    y0, x0 = np.floor(ys).astype(np.int64), np.floor(xs).astype(np.int64)
+    tables = (y0, np.minimum(y0 + 1, h - 1), (ys - y0).astype(np.float32)[None, :, None],
+              x0, np.minimum(x0 + 1, w - 1), (xs - x0).astype(np.float32))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _check_out(out, shape) -> None:
@@ -478,19 +543,19 @@ def bilinear_resize(x, out_h: int, out_w: int) -> np.ndarray:
     rs = _ResizeRows(x, out_h, out_w)
     out = np.empty(rs.shape, dtype=np.float32)
     rs.gather(slice(0, out_h), out)
-    bot = rs.buffer()
+    bot = rs.buffer(out_h)
     rs.blocks(out_h, lambda r0, r1, at: rs.lerp(slice(r0, r1), out[:, r0:r1], bot(at, r1 - r0)))
     return out
 
 
 def resize_argmax(x, out_h: int, out_w: int) -> np.ndarray:
     """np.argmax(bilinear_resize(x, out_h, out_w), axis=0), bit for bit, as
-    int32 (out_h, out_w) labels. Each block of output rows is resized into
+    int32 (out_h, out_w) labels. Each step of output rows is resized into
     one reused buffer and reduced to labels, so the resized array never
     exists whole."""
     rs = _ResizeRows(x, out_h, out_w)
     labels = np.zeros((out_h, out_w), dtype=np.int32)
-    top, bot = rs.buffer(), rs.buffer()
+    top, bot = rs.buffer(out_h), rs.buffer(out_h)
 
     def run(r0: int, r1: int, at: int) -> None:
         block, scratch = top(at, r1 - r0), bot(at, r1 - r0)
@@ -503,10 +568,10 @@ def resize_argmax(x, out_h: int, out_w: int) -> np.ndarray:
     return labels
 
 
-def _block_rows(c: int, out_w: int) -> int:
-    """Output rows per block of a resize: at most _BLOCK_BYTES across all
-    channels, and at least one."""
-    return max(1, _BLOCK_BYTES // (4 * c * out_w))
+def _block_rows(c: int, out_w: int, share: int = 1) -> int:
+    """Output rows per block of a resize (per step, with share 4): at most
+    _BLOCK_BYTES // share bytes across all channels, and at least one."""
+    return max(1, _BLOCK_BYTES // share // (4 * c * out_w))
 
 
 def _argmax_into(flat: np.ndarray, lab: np.ndarray, best: np.ndarray) -> None:

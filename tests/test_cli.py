@@ -245,6 +245,25 @@ def test_workers_below_one_is_a_usage_error(tmp_path, capsys, workers):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--seed", "-1"), ("--seed", str(2 ** 64)), ("--seed", "1.5"), ("--workers", "two"),
+])
+def test_sweep_bad_argument_is_a_usage_error(tmp_path, capsys, flag, value):
+    # a seed that no config could hold is the flag's fault, not the config's
+    cfg = write_config(tmp_path)
+    argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"), flag, value]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_takes_the_largest_seed(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--seed", str(2 ** 64 - 1)]) == cli.EXIT_OK
+    assert json.loads((out / "sweep_qpsk.meta.json").read_text())["spec"]["master_seed"] == 2 ** 64 - 1
+
+
 @pytest.mark.parametrize("exc", [
     RuntimeError("bit accounting mismatch"), BrokenProcessPool("worker died"),
     MemoryError("Unable to allocate 96.0 GiB for an array"),

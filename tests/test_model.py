@@ -1,8 +1,12 @@
 """Network construction, split execution, MAC accounting, and weight i/o."""
 
+import dataclasses
+import hashlib
+import importlib.util
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,6 +133,24 @@ class TestBuild:
         ends = np.cumsum([4 * math.prod(shape) for shape in expected.values()]).tolist()
         assert [e["offset"] for e in manifest["params"]] == [0] + ends[:-1]
         assert manifest["total_bytes"] == ends[-1]
+
+    def test_params_are_read_only_and_an_in_place_edit_reaches_the_next_pass(self):
+        # the executor's unit table holds the params' arrays: no entry can be
+        # swapped under it, and an edit made after a pass built it is seen
+        cfg = tiny_config()
+        weights = M.build(cfg)
+        with pytest.raises(TypeError):
+            weights.params["s6.head2.bias"] = np.ones(cfg.num_classes, dtype=np.float32)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            weights.params = {}
+        feats = np.random.default_rng(12).normal(size=(cfg.feature_channels, 2, 2)).astype(np.float32)
+        before, _ = M.forward_receiver(feats, weights)
+        weights.params["s6.ppm.fuse.kernel"][:] *= np.float32(0.5)
+        weights.params["s6.head2.bias"][:] += np.float32(1.0)
+        after, _ = M.forward_receiver(feats, weights)
+        fresh = M.WeightSet(cfg, {name: a.copy() for name, a in weights.params.items()})
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, M.forward_receiver(feats, fresh)[0])
 
     def test_kernel_init_range(self):
         cfg = tiny_config()
@@ -627,10 +649,10 @@ class TestWeightIO:
     ], ids=["shape", "missing", "unexpected"])
     def test_save_rejects_parameters_off_the_plan(self, tmp_path, defect):
         # written as the plan lays them out, they would make a corrupt file
-        weights = M.build(tiny_config())
-        defect(weights.params)
+        params = dict(M.build(tiny_config()).params)
+        defect(params)
         with pytest.raises(ValueError, match="do not match param_shapes"):
-            M.save_weights(weights, tmp_path / "w")
+            M.save_weights(M.WeightSet(tiny_config(), params), tmp_path / "w")
         assert not list(tmp_path.iterdir())
 
     def test_missing_files_reported(self, tmp_path):
@@ -655,3 +677,56 @@ def test_split_equivalence_across_configs():
         b_logits, b_map = M.forward_receiver(M.forward_transmitter(img, weights), weights)
         assert np.array_equal(a_logits, b_logits)
         assert a_map.same_as(b_map)
+
+
+def openblas_core():
+    """tools/pass_ms.py's openblas_core(): the sgemm kernel set of numpy's
+    OpenBLAS, or None."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "pass_ms.py"
+    spec = importlib.util.spec_from_file_location("pass_ms", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool.openblas_core()
+
+
+# sha256 of forward_transmitter's features, and of forward_receiver's logits
+# and labels, for the inputs of test_forward_tensors_match_the_pins, per
+# OpenBLAS sgemm kernel and scale. The kernels round some sums differently,
+# so each has its own pins; the labels happen to agree.
+TENSOR_PINS = {
+    "SkylakeX": {
+        "desk": ("23dfcce7b51d4c096ab829bcd419c241a17429240f489b6ebae41df665e501f2",
+                 "aaa4fa57458d9b2e44c191e521b2f3f373120de6f7653309fc3d0ba69c323e34",
+                 "42017a60807b02d01af1a6f4b9b69814c95a32583736e5b69196bfffff5823ee"),
+        "full_scale": ("678d6cadbaad7edd821a69b6474d31a9610567e6247d1f83434838df05862704",
+                       "dae6fcdc74568fa8830e88d13f04c5462edc2752649ad4e7681c3592c457e9b9",
+                       "7b94eea67c6ec054fab1e3d02f5af10a3ee71af5131b41c3c982a9cddee80786"),
+    },
+    "Haswell": {
+        "desk": ("2be4646fc6412334a490b89e4d477384358b26886582ed14094d2ada5e73af92",
+                 "407860875c2e0c75cc68b9d2c51dbdc09b91794038c40d4f74cd08f6c415a50f",
+                 "42017a60807b02d01af1a6f4b9b69814c95a32583736e5b69196bfffff5823ee"),
+        "full_scale": ("3a978743159beaf936e5f567e8558c99ab99c713bed625f628bc41d87be4b60c",
+                       "956f70ee594ac92063ee6babc6a74168e97acbb1d5f8caddd498801599382bc0",
+                       "7b94eea67c6ec054fab1e3d02f5af10a3ee71af5131b41c3c982a9cddee80786"),
+    },
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("scale", ["desk", "full_scale"])
+def test_forward_tensors_match_the_pins(monkeypatch, full_scale_weights, scale, threads):
+    # the exact bytes of both halves, which a CSV digest of labels and mIoU
+    # may miss; the same at any thread count
+    core = openblas_core()
+    if core not in TENSOR_PINS:
+        pytest.skip(f"no tensor pins for OpenBLAS kernel {core}")
+    cfg = full_scale_weights.config if scale == "full_scale" else ModelConfig()
+    weights = full_scale_weights if scale == "full_scale" else M.build(cfg)
+    monkeypatch.setattr(T, "threads", threads)
+    cut = M.describe(cfg)[M.SPLIT_BOUNDARY]
+    feats = np.random.default_rng(2025).normal(size=(cut.cout, cut.out_h, cut.out_w)).astype(np.float32)
+    logits, seg = M.forward_receiver(feats, weights)
+    got = [hashlib.sha256(a.tobytes()).hexdigest()
+           for a in (M.forward_transmitter(random_image(cfg, 2024), weights), logits, seg.labels)]
+    assert got == list(TENSOR_PINS[core][scale])

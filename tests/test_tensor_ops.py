@@ -358,7 +358,8 @@ class TestConv2dExact:
         out_h, out_w = [(n + 2 * padding - k) // stride + 1 for n in in_shape[1:]]
         rows = out_h + (k - 1) // stride
         copies = np.zeros((min(k, stride), k, in_shape[0], rows, out_w), dtype=np.float32)
-        T._fill_phase_slab(copies, T._Rows(np.ones(in_shape, dtype=np.float32)), stride, padding, 0, rows)
+        fill = T._slab_fill(copies.shape, in_shape, stride, padding, 0, rows)
+        T._fill_phase_slab(copies, T._Rows(np.ones(in_shape, dtype=np.float32)), fill)
         held = copies.reshape(min(k, stride) * k, -1).any(axis=1)
         assert held.any() and not held.all()
 
@@ -394,7 +395,8 @@ class TestConv2dExact:
         def filled(*row0s):
             slab = np.zeros((m, k if per_tap else m, 3, rows + 2, cols), dtype=np.float32)
             for row0 in row0s:
-                T._fill_phase_slab(slab, T._Rows(x), stride, padding, row0, min(rows, total - row0))
+                fill = T._slab_fill(slab.shape, x.shape, stride, padding, row0, min(rows, total - row0))
+                T._fill_phase_slab(slab, T._Rows(x), fill)
             return slab
 
         for row0 in range(total):
@@ -470,6 +472,78 @@ class TestConv2dExact:
         assert_bitwise_equal(out, np.zeros((1, 1, 1), dtype=np.float32))
 
 
+def span(phase, size, first, n, stride, padding):
+    """Of the n indices first..first+n-1 of a stride phase of an axis of
+    `size` input pixels zero-padded by `padding` (phase index i holds padded
+    pixel i*stride + phase), those [lo, hi) that hold an input pixel, counted
+    from `first`, and the slice of input pixels they hold."""
+    lo = max(first, -(-(padding - phase) // stride))
+    hi = max(lo, min(first + n, (size - 1 + padding - phase) // stride + 1))
+    at = lo * stride + phase - padding
+    return lo - first, hi - first, slice(at, at + (hi - lo) * stride, stride)
+
+
+def fill_phase_slab_oracle(slab, src, stride, padding, row0, rows):
+    """The slab fill walked out per call: T._fill_phase_slab with
+    T._slab_fill's plan must write the same slab and read the same rows."""
+    _, h, w = src.shape
+    cols = slab.shape[4]
+    for py in range(slab.shape[0]):
+        lo, hi, src_r = span(py, h, row0, rows, stride, padding)
+        images = slab[py]
+        images[:, :, :lo] = 0.0
+        images[:, :, hi:] = 0.0
+        for px in range(slab.shape[1]):
+            c_lo, c_hi, src_c = span(px, w, 0, cols, stride, padding)
+            if hi > lo and c_hi > c_lo:
+                src.read(images[px, :, lo:hi, c_lo:c_hi], src_r, src_c)
+
+
+class RecordingRows(T._Rows):
+    """An array row source that records the rows and columns of every read."""
+
+    def __init__(self, x):
+        super().__init__(x)
+        self.reads = []
+
+    def read(self, dst, rows, cols):
+        self.reads.append((rows, cols))
+        super().read(dst, rows, cols)
+
+
+class TestConvPlan:
+    @pytest.mark.parametrize("in_shape,out,stride,padding", CONV_EDGE_CASES + SLAB_PAD_CASES)
+    def test_one_plan_per_shape_equal_to_the_per_call_fill(self, in_shape, out, stride, padding):
+        out_ch, k = out
+        rng = np.random.default_rng(sum(in_shape) + out_ch * k + stride + padding)
+        x, kernels, bias = random_conv(rng, in_shape, (out_ch, in_shape[0], k, k))
+        plan = T._Conv(x, kernels, bias, stride, padding).plan
+        assert T._Conv(x[::-1], kernels.copy(), list(bias), stride, padding).plan is plan
+        assert len(plan.chunks) > 1 or not is_chunked(in_shape, out_ch, k, stride, padding)
+        for r0, r1 in plan.chunks:
+            got, want = np.full(plan.slab, np.nan, np.float32), np.full(plan.slab, np.nan, np.float32)
+            got_src, want_src = RecordingRows(x), RecordingRows(x)
+            T._fill_phase_slab(got, got_src, plan.fills[r0])
+            fill_phase_slab_oracle(want, want_src, stride, padding, r0, r1 - r0 + (k - 1) // stride)
+            assert_bitwise_equal(got, want)
+            assert got_src.reads == want_src.reads
+
+    def test_a_plan_is_keyed_by_the_block_size(self, monkeypatch):
+        in_shape, (out_ch, k), stride, padding = CONV_EDGE_CASES[0]
+        x, kernels, bias = random_conv(np.random.default_rng(3), in_shape, (out_ch, in_shape[0], k, k))
+        chunks = T._Conv(x, kernels, bias, stride, padding).chunks
+        monkeypatch.setattr(T, "_BLOCK_BYTES", T._BLOCK_BYTES // 4)
+        assert len(T._Conv(x, kernels, bias, stride, padding).chunks) > len(chunks)
+
+    def test_a_bad_argument_is_still_rejected_after_a_good_call(self):
+        x, kernels, bias = random_conv(np.random.default_rng(4), (4, 9, 9), (6, 4, 3, 3))
+        T.conv2d(x, kernels, bias, stride=1, padding=1)
+        with pytest.raises(ValueError, match="bias length 5 != out_ch 6"):
+            T.conv2d(x, kernels, bias[:5], stride=1, padding=1)
+        with pytest.raises(ValueError, match="channel mismatch"):
+            T.conv2d(x[:3], kernels, bias, stride=1, padding=1)
+
+
 def conv_rows(rng, in_shape):
     """A row source of shape in_shape made by a unit like s0.conv1 (3x3,
     stride 2, affine and ReLU on a 3-channel input), and that tensor whole."""
@@ -525,7 +599,7 @@ class TestRowSources:
         # runs those shapes at that size
         for in_shape, *_ in SLAB_PAD_CASES:
             c, h, w = in_shape
-            assert T._row_chunks(3, 3, c, 2, h, w) == 1
+            assert T._row_chunks(3, 3, c, 2, h, w, T._BLOCK_BYTES) == 1
 
     def test_a_chunk_lets_go_of_the_rows_it_has_read_before_its_taps(self, monkeypatch):
         # full-scale s0.conv2 reading s0.conv1 as rows made in s0.conv1's own
@@ -763,7 +837,7 @@ class TestBilinearResizeExact:
             out = T.bilinear_resize(x, out_h, out_w)
             for c0 in range(0, c, 8):
                 assert_bitwise_equal(out[c0:c0 + 8], gather4_resize(x[c0:c0 + 8], out_h, out_w))
-            steps.append((out_h, max(1, T._BLOCK_BYTES // (4 * c * out_w))))
+            steps.append((out_h, T._block_rows(c, out_w)))
         assert any(step < out_h and out_h % step for out_h, step in steps)  # a partial last block
         assert (1024, 26) in steps  # the 19-class logits: 39 blocks of 26 rows, then 10
 
@@ -784,6 +858,14 @@ class TestBilinearResizeExact:
         out_bytes, row_lerp_bytes = 4 * c * out_h * out_w, 4 * c * h * out_w
         peak = traced_peak(lambda: T.bilinear_resize(x, out_h, out_w))
         assert peak <= out_bytes + row_lerp_bytes + T._BLOCK_BYTES + 64 * (out_h + out_w)
+
+    def test_tables_are_made_once_per_shape_and_read_only(self):
+        rng = np.random.default_rng(22)
+        a, b = (T._ResizeRows(rng.normal(size=(c, 5, 7)).astype(np.float32), 13, 11) for c in (2, 3))
+        assert T._ResizeRows(np.zeros((2, 5, 8), dtype=np.float32), 13, 11)._y0 is not a._y0
+        for table in (a._y0, a._y1, a._wy):
+            assert not table.flags.writeable
+        assert all(u is v for u, v in zip((b._y0, b._y1, b._wy), (a._y0, a._y1, a._wy)))
 
     def test_input_not_mutated(self):
         x = np.random.default_rng(18).normal(size=(2, 4, 6)).astype(np.float32)
@@ -962,6 +1044,38 @@ class TestResizeArgmax:
         peak = traced_peak(lambda: T.resize_argmax(x, out_h, out_w))
         assert peak <= labels_bytes + 2 * row_lerp_bytes + 2 * T._BLOCK_BYTES + 64 * (out_h + out_w)
         assert peak < 4 * c * out_h * out_w
+
+    @pytest.mark.parametrize("shape,out_h,out_w", [
+        ((8, 32, 32), 256, 256),  # the desk head: one block of 4 steps
+        ((19, 64, 64), 512, 512),  # 10 blocks of 53 rows, each cut into 2 parts; steps of 13 rows
+        ((7, 900, 11), 700, 300),  # blocks of 249 rows, the last of 202
+        ((3, 5, 7), 13, 11),  # one step
+    ])
+    @pytest.mark.parametrize("share", [1, 8])  # 8: a row source's read of part of the rows
+    def test_blocks_hand_fn_steps_within_a_quarter_block_at_any_thread_count(
+            self, monkeypatch, shape, out_h, out_w, share):
+        rs = T._ResizeRows(np.zeros(shape, dtype=np.float32), out_h, out_w)
+        n_rows, seen = -(-out_h // share), []
+        for n in (1, 2, 3):
+            monkeypatch.setattr(T, "threads", n)
+            steps, room = [], rs.buffer(n_rows)
+            rs.blocks(n_rows, lambda r0, r1, at: steps.append((r0, r1, at)))
+            for r0, r1, at in steps:
+                assert 0 < 4 * shape[0] * (r1 - r0) * out_w <= T._BLOCK_BYTES // 4
+                assert room(at, r1 - r0).shape == (shape[0], r1 - r0, out_w)  # the buffer holds the step
+            rows = sorted(steps)
+            assert [r0 for r0, _, _ in rows] == [0] + [r1 for _, r1, _ in rows[:-1]] and rows[-1][1] == n_rows
+            seen.append(rows)
+        assert seen[0] == seen[1] == seen[2]
+
+    def test_desk_head_starts_no_thread(self, monkeypatch, thread_parts):
+        (c, h, w), (out_h, out_w) = model_resize_shapes(model.ModelConfig())[-1]
+        x = np.random.default_rng(1036).normal(size=(c, h, w)).astype(np.float32)
+        monkeypatch.setattr(T, "threads", 4)
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda th: started.append(th))
+        assert np.array_equal(T.resize_argmax(x, out_h, out_w), argmax_oracle(gather4_resize(x, out_h, out_w)))
+        assert thread_parts == [1] and not started
 
     def test_rejects_empty_output(self):
         with pytest.raises(ValueError, match="output size must be positive"):
