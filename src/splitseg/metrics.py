@@ -136,7 +136,7 @@ def bits_per_image(pipeline: str, config: ModelConfig, quant_bits: int = 8) -> i
         return 24 * h * w
     if pipeline == "full_tx":
         return codec.label_bits_per_pixel(config.num_classes) * h * w
-    cut = M.describe(config)[M.SPLIT_BOUNDARY]
+    cut = M.split_cut(config)
     return cut.cout * cut.out_h * cut.out_w * quant_bits + codec.payload_header_bits(cut.cout)
 
 

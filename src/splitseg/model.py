@@ -408,6 +408,8 @@ _STAGES = (
 TOTAL_STAGES = len(_STAGES)
 # The transmitter runs stages 0..SPLIT_BOUNDARY and sends that stage's output.
 SPLIT_BOUNDARY = 5
+# The stages whose output is one tensor: stages 3-4 output the (p, i, d) branches.
+_ONE_TENSOR_STAGES = (0, 1, 2, 5, 6)
 
 
 def describe(config: ModelConfig) -> list[ConvPlan]:
@@ -415,6 +417,15 @@ def describe(config: ModelConfig) -> list[ConvPlan]:
     branch's): its channels `cout` and resolution `out_h` x `out_w`."""
     plans = _plans(config)
     return [plans[name] for _, name in _STAGES]
+
+
+def split_cut(config: ModelConfig) -> ConvPlan:
+    """The plan entry of the tensor sent at SPLIT_BOUNDARY. A boundary whose
+    stage does not output one tensor raises ValueError."""
+    if SPLIT_BOUNDARY not in _ONE_TENSOR_STAGES:
+        raise ValueError(f"SPLIT_BOUNDARY {SPLIT_BOUNDARY} does not cut after a single-tensor stage; "
+                         f"the boundaries that do are {', '.join(map(str, _ONE_TENSOR_STAGES))}")
+    return describe(config)[SPLIT_BOUNDARY]
 
 
 def _forward(x, weights: WeightSet, start: int, stop: int):
@@ -430,6 +441,7 @@ def forward_transmitter(image, weights: WeightSet) -> np.ndarray:
     x = np.asarray(image, dtype=np.float32)
     if x.shape != (3, cfg.input_height, cfg.input_width):
         raise ValueError(f"image shape {x.shape} != (3, {cfg.input_height}, {cfg.input_width})")
+    split_cut(cfg)  # a boundary with no one tensor to send raises here
     return _forward(x, weights, 0, SPLIT_BOUNDARY + 1)
 
 
@@ -438,7 +450,7 @@ def forward_receiver(features, weights: WeightSet) -> tuple[np.ndarray, Segmenta
     logits and the labels of their bilinear resize to the input size (argmax
     ties go to the lowest class). The full-resolution logits are never built."""
     cfg = weights.config
-    cut = describe(cfg)[SPLIT_BOUNDARY]
+    cut = split_cut(cfg)
     x = np.asarray(features, dtype=np.float32)
     if x.shape != (cut.cout, cut.out_h, cut.out_w):
         raise ValueError(f"feature shape {x.shape} != ({cut.cout}, {cut.out_h}, {cut.out_w})")

@@ -18,7 +18,7 @@ that OpenBLAS picks for the CPU, never on the thread count: chunk bounds,
 row parts, block steps, tap order and accumulation, and so every sgemm
 call, are the same at any thread count. Work within one block, which is
 every desk-scale layer, starts no thread. Every resize, the row source a
-conv reads included, is one _ResizeRows run through its one block loop, in
+conv reads included, is one _ResizeRows run through its one step loop, in
 which each thread takes the same row parts of every block, in steps of at
 most _BLOCK_BYTES // 4 bytes that stay in a core's L2.
 
@@ -150,8 +150,8 @@ class _Conv:
 # chunks of more than half of it. OpenBLAS's small-matrix sgemm kernel
 # (M*N*K <= 1e6 on SkylakeX) rounds some columns by call width once K >= 32;
 # there a 1 MiB product is past that size, in the packed kernel, where a
-# column's value does not depend on the call width. bilinear_resize's second
-# pass and resize_argmax work on blocks of at most this many bytes across all
+# column's value does not depend on the call width. Every resize's second
+# pass, _ResizeRows.steps, runs blocks of at most this many bytes across all
 # channels, which a part lerps in steps of at most a quarter of it: a step's
 # rows and its lerp scratch, 1 MiB, stay in half of a 2 MiB per-core L2.
 # resize_argmax of the desk head, one 2 MiB block, took 1.7 ms in 512 KiB
@@ -380,17 +380,15 @@ class _ConvRows(_Rows):
 
 
 class _ResizeRows(_Rows):
-    """bilinear_resize(x, out_h, out_w), run by blocks of output rows; as a
+    """bilinear_resize(x, out_h, out_w), run by steps of output rows; as a
     row source, the rows a read asks for, so the resize never exists whole.
 
     The constructor runs the first pass, the lerp along each source row,
     with index and weight tables that _resize_tables makes once per shape.
-    For the output rows in slice `sel`, gather(sel, top) writes the first of
-    the two row-lerped rows they lerp between into C-contiguous `top`, and
-    lerp(sel, top, bot) lerps `top` toward the second in place, with
-    C-contiguous `bot` of its shape as scratch. A resized row is elementwise
-    in the row-lerped input, so a row made on its own has the whole
-    resize's bits."""
+    steps() runs the second pass, the lerp between two row-lerped rows per
+    output row, in steps, and hands each step's resized rows to a sink. A
+    resized row is elementwise in the row-lerped input, so a row made on
+    its own has the whole resize's bits."""
 
     def __init__(self, x, out_h: int, out_w: int):
         x = as_tensor(x)
@@ -408,65 +406,47 @@ class _ResizeRows(_Rows):
         right *= wx
         self._rows += right
 
-    # Every index is in range. With mode "clip" np.take writes straight into
-    # a C-contiguous `out`; with "raise" it would fill a copy of it first.
-    def gather(self, sel: slice, top: np.ndarray) -> None:
-        np.take(self._rows, self._y0[sel], axis=1, out=top, mode="clip")
-
-    def lerp(self, sel: slice, top: np.ndarray, bot: np.ndarray) -> None:
-        np.take(self._rows, self._y1[sel], axis=1, out=bot, mode="clip")
-        bot -= top
-        bot *= self._wy[:, sel]
-        top += bot  # lerp form keeps constant inputs exactly constant
-
-    def _layout(self, n: int):
-        """How `blocks` runs output rows 0..n-1: rows per block, the row parts
-        [a, z) of a block, and rows per step of a part."""
+    def steps(self, n: int, first: int, stride: int, fn) -> None:
+        """Resize output rows first, first + stride, ... (n of them) and call
+        fn(r0, r1, rows, scratch) on their rows r0..r1-1 of this run: `rows`
+        holds them resized and `scratch`, which fn may overwrite, is of the
+        same shape; both are C-contiguous (c, r1 - r0, out_w) steps of two
+        buffers of this call. The run goes by blocks of _block_rows rows. A
+        resize whose output fits in one block runs on this thread; otherwise
+        a block is cut into row parts, and one thread runs part p of every
+        block. A part's rows go in steps of at most _BLOCK_BYTES // 4 bytes
+        across all channels (at least one row), so that a step's rows and
+        its scratch stay in a core's L2. One join per call: a join after
+        each block measured slower."""
         c, out_h, out_w = self.shape
         block = _block_rows(c, out_w)
         parts = [(0, block)] if block >= out_h else _row_parts(min(block, n), 4 * c * out_w)
-        return block, parts, min(_block_rows(c, out_w, 4), max(z - a for a, z in parts), n)
-
-    def buffer(self, n: int):
-        """Room for one step of output rows of every channel per row part of
-        blocks(n, ...), as a function: rows(at, k) is a C-contiguous
-        (c, k, out_w) view of its rows at..at+k-1."""
-        c, _, out_w = self.shape
-        _, parts, step = self._layout(n)
-        flat = np.empty(c * len(parts) * step * out_w, dtype=np.float32)
-        return lambda at, k: flat[c * at * out_w:c * (at + k) * out_w].reshape(c, k, out_w)
-
-    def blocks(self, n: int, fn) -> None:
-        """Call fn(r0, r1, at) on output rows 0..n-1 by blocks of _block_rows
-        rows. A resize whose output fits in one block runs on this thread;
-        otherwise a block is cut into row parts, and one thread runs part p
-        of every block. fn gets a part's rows in steps of at most
-        _BLOCK_BYTES // 4 bytes across all channels (at least one row), so
-        that a step's rows and its lerp scratch stay in a core's L2: rows
-        r0..r1-1, held at rows at = p * step of a buffer(n). One join per
-        call: a join after each block measured slower."""
-        block, parts, step = self._layout(n)
+        step = min(_block_rows(c, out_w, 4), max(z - a for a, z in parts), n)
+        # one step per row part; per call, so a row source's are freed before its reader's taps
+        top, bot = (np.empty(c * len(parts) * step * out_w, dtype=np.float32) for _ in range(2))
 
         def run(t: int) -> None:
             a, z = parts[t]
             for b0 in range(0, n - a, block):
                 for r0 in range(b0 + a, min(b0 + z, n), step):
-                    fn(r0, min(r0 + step, b0 + z, n), t * step)
+                    r1 = min(r0 + step, b0 + z, n)
+                    at = slice(c * t * step * out_w, c * (t * step + r1 - r0) * out_w)
+                    rows, scratch = top[at].reshape(c, -1, out_w), bot[at].reshape(c, -1, out_w)
+                    sel = slice(first + r0 * stride, first + r1 * stride, stride)
+                    # Every index is in range. With mode "clip" np.take writes straight
+                    # into a C-contiguous `out`; with "raise" it would fill a copy first.
+                    np.take(self._rows, self._y0[sel], axis=1, out=rows, mode="clip")
+                    np.take(self._rows, self._y1[sel], axis=1, out=scratch, mode="clip")
+                    scratch -= rows
+                    scratch *= self._wy[:, sel]
+                    rows += scratch  # lerp form keeps constant inputs exactly constant
+                    fn(r0, r1, rows, scratch)
 
         _on_threads(run, len(parts))
 
     def read(self, dst: np.ndarray, rows: slice, cols: slice) -> None:
-        # per read: freed before the reader's taps
-        top, bot = self.buffer(dst.shape[1]), self.buffer(dst.shape[1])
-
-        def run(r0: int, r1: int, at: int) -> None:
-            sel = slice(rows.start + r0 * rows.step, rows.start + r1 * rows.step, rows.step)
-            block = top(at, r1 - r0)
-            self.gather(sel, block)
-            self.lerp(sel, block, bot(at, r1 - r0))
-            np.copyto(dst[:, r0:r1], block[:, :, cols])
-
-        self.blocks(dst.shape[1], run)
+        self.steps(dst.shape[1], rows.start, rows.step,
+                   lambda r0, r1, out, _: np.copyto(dst[:, r0:r1], out[:, :, cols]))
 
 
 @functools.lru_cache(maxsize=64)
@@ -542,9 +522,7 @@ def bilinear_resize(x, out_h: int, out_w: int) -> np.ndarray:
     """
     rs = _ResizeRows(x, out_h, out_w)
     out = np.empty(rs.shape, dtype=np.float32)
-    rs.gather(slice(0, out_h), out)
-    bot = rs.buffer(out_h)
-    rs.blocks(out_h, lambda r0, r1, at: rs.lerp(slice(r0, r1), out[:, r0:r1], bot(at, r1 - r0)))
+    rs.read(out, slice(0, out_h, 1), slice(None))
     return out
 
 
@@ -555,16 +533,12 @@ def resize_argmax(x, out_h: int, out_w: int) -> np.ndarray:
     exists whole."""
     rs = _ResizeRows(x, out_h, out_w)
     labels = np.zeros((out_h, out_w), dtype=np.int32)
-    top, bot = rs.buffer(out_h), rs.buffer(out_h)
 
-    def run(r0: int, r1: int, at: int) -> None:
-        block, scratch = top(at, r1 - r0), bot(at, r1 - r0)
-        rs.gather(slice(r0, r1), block)
-        rs.lerp(slice(r0, r1), block, scratch)
-        # done with `scratch`: its first channel holds the running maximum
-        _argmax_into(block.reshape(rs.shape[0], -1), labels[r0:r1].reshape(-1), scratch[0].reshape(-1))
+    def reduce(r0: int, r1: int, rows: np.ndarray, scratch: np.ndarray) -> None:
+        # `scratch` is free: its first channel holds the running maximum
+        _argmax_into(rows.reshape(rs.shape[0], -1), labels[r0:r1].reshape(-1), scratch[0].reshape(-1))
 
-    rs.blocks(out_h, run)
+    rs.steps(out_h, 0, 1, reduce)
     return labels
 
 

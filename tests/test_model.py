@@ -466,6 +466,21 @@ class TestStageTable:
             assert metrics.bits_per_image("split", cfg, q) == c * h * w * q + codec.payload_header_bits(c)
         assert metrics.pipeline_macs("split", cfg) == M.mac_count(cfg, k)
 
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_triple_tensor_boundary_is_rejected(self, monkeypatch, k):
+        # stages 3-4 output the (p, i, d) branches: no one tensor to send
+        cfg = tiny_config()
+        weights = M.build(cfg)
+        features = M._forward(random_image(cfg, 4), weights, 0, M.SPLIT_BOUNDARY + 1)
+        monkeypatch.setattr(M, "SPLIT_BOUNDARY", k)
+        match = f"SPLIT_BOUNDARY {k} .* 0, 1, 2, 5, 6"
+        with pytest.raises(ValueError, match=match):
+            M.forward_transmitter(random_image(cfg, 4), weights)
+        with pytest.raises(ValueError, match=match):
+            M.forward_receiver(features, weights)
+        with pytest.raises(ValueError, match=match):
+            metrics.bits_per_image("split", cfg)
+
 
 class TestMacCount:
     def test_single_conv_formula(self):

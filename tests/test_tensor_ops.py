@@ -1052,21 +1052,32 @@ class TestResizeArgmax:
         ((3, 5, 7), 13, 11),  # one step
     ])
     @pytest.mark.parametrize("share", [1, 8])  # 8: a row source's read of part of the rows
-    def test_blocks_hand_fn_steps_within_a_quarter_block_at_any_thread_count(
-            self, monkeypatch, shape, out_h, out_w, share):
+    def test_steps_stay_within_a_quarter_block_at_any_thread_count(self, monkeypatch, shape, out_h, out_w, share):
         rs = T._ResizeRows(np.zeros(shape, dtype=np.float32), out_h, out_w)
         n_rows, seen = -(-out_h // share), []
         for n in (1, 2, 3):
             monkeypatch.setattr(T, "threads", n)
-            steps, room = [], rs.buffer(n_rows)
-            rs.blocks(n_rows, lambda r0, r1, at: steps.append((r0, r1, at)))
-            for r0, r1, at in steps:
+            steps = []
+            rs.steps(n_rows, 0, 1, lambda r0, r1, rows, scratch: steps.append((r0, r1, rows, scratch)))
+            for r0, r1, rows, scratch in steps:
                 assert 0 < 4 * shape[0] * (r1 - r0) * out_w <= T._BLOCK_BYTES // 4
-                assert room(at, r1 - r0).shape == (shape[0], r1 - r0, out_w)  # the buffer holds the step
-            rows = sorted(steps)
-            assert [r0 for r0, _, _ in rows] == [0] + [r1 for _, r1, _ in rows[:-1]] and rows[-1][1] == n_rows
-            seen.append(rows)
+                for a in (rows, scratch):
+                    assert a.shape == (shape[0], r1 - r0, out_w) and a.flags.c_contiguous
+            bounds = sorted((r0, r1) for r0, r1, _, _ in steps)
+            assert [r0 for r0, _ in bounds] == [0] + [r1 for _, r1 in bounds[:-1]] and bounds[-1][1] == n_rows
+            seen.append(bounds)
         assert seen[0] == seen[1] == seen[2]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_steps_of_a_strided_read_match_gather_oracle(self, monkeypatch, n):
+        # blocks of 249 rows, each cut into 2 parts, steps of 62 rows: every
+        # other output row from row 3 on, as a stride-2 conv's row source reads
+        monkeypatch.setattr(T, "threads", n)
+        x = np.random.default_rng(1038).normal(size=(7, 90, 11)).astype(np.float32)
+        want = gather4_resize(x, 700, 300)[:, 3::2]
+        got = np.full(want.shape, np.nan, dtype=np.float32)
+        T._ResizeRows(x, 700, 300).steps(want.shape[1], 3, 2, lambda r0, r1, rows, _: np.copyto(got[:, r0:r1], rows))
+        assert_bitwise_equal(got, want)
 
     def test_desk_head_starts_no_thread(self, monkeypatch, thread_parts):
         (c, h, w), (out_h, out_w) = model_resize_shapes(model.ModelConfig())[-1]
