@@ -180,7 +180,8 @@ def demodulate(block: SymbolBlock, modulation: str) -> BitStream:
     threshold than _SLICER_MARGIN * (1 + 2 * max|v|^2), one bound for the
     block over its real and imaginary parts v. Rounding is monotone, so the
     bound is at least every symbol's own margin, and a symbol outside it is
-    clear. A block with a non-finite part runs the test on every symbol.
+    clear. In a block with a non-finite part the bound is infinite or NaN,
+    which no symbol is clear of, so every symbol is a candidate.
     """
     points, bps = constellation(modulation)
     y = np.ascontiguousarray(block.symbols)
@@ -200,12 +201,9 @@ def demodulate(block: SymbolBlock, modulation: str) -> BitStream:
     near = np.minimum(a[0::2], a[1::2])  # distance to the nearest threshold, per symbol
     del a  # the search below then holds only symbol-sized arrays besides `bits`
     pairs = v.reshape(-1, 2)
-    if math.isfinite(peak):
-        square = peak * peak  # at least every part's rounded square; inf past 1.3e154
-        candidates = np.flatnonzero(near <= (square + square + 1.0) * _SLICER_MARGIN)
-        suspect = candidates[_not_clear(pairs[candidates], near[candidates])]
-    else:
-        suspect = _not_clear(pairs, near)
+    square = peak * peak  # at least every part's rounded square; inf past 1.3e154, NaN at a NaN part
+    candidates = np.flatnonzero(np.logical_not(near > (square + square + 1.0) * _SLICER_MARGIN))
+    suspect = candidates[_not_clear(pairs[candidates], near[candidates])]
     if suspect.size:
         with np.errstate(over="ignore"):
             codes = _min_distance_codes(y[suspect], points)

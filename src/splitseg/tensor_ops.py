@@ -14,13 +14,14 @@ calls only numpy and BLAS, which release the GIL, and writes disjoint rows
 of buffers that the calling thread allocated, so memory is that of the
 one-thread form. All threads are joined before the call returns, so every
 function stays pure. The bits depend on the shape and on the sgemm kernel
-that OpenBLAS picks for the CPU, never on the thread count: chunk bounds,
-row parts, block steps, tap order and accumulation, and so every sgemm
-call, are the same at any thread count. Work within one block, which is
-every desk-scale layer, starts no thread. Every resize, the row source a
-conv reads included, is one _ResizeRows run through its one step loop, in
-which each thread takes the same row parts of every block, in steps of at
-most _BLOCK_BYTES // 4 bytes that stay in a core's L2.
+that OpenBLAS picks for the CPU (openblas_core names it), never on the
+thread count: chunk bounds, row parts, block steps, tap order and
+accumulation, and so every sgemm call, are the same at any thread count.
+Work within one block, which is every desk-scale layer, starts no thread.
+Every resize, the row source a conv reads included, is one _ResizeRows run
+through its one step loop, in which each thread takes the same row parts of
+every block, in steps of at most _BLOCK_BYTES // 4 bytes that stay in a
+core's L2.
 
 What a call derives from shapes alone is derived once per shape: a conv2d
 call takes its checks, chunks, slab layout and slab fill from one cached
@@ -30,9 +31,11 @@ _ConvPlan, and a resize its index and weight tables from _resize_tables.
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import functools
 import os
 import threading
+from pathlib import Path
 
 import numpy as np
 
@@ -40,6 +43,18 @@ import numpy as np
 # may run on. It changes no bit. A process-pool worker sets it to 1, so that a
 # pool uses one core per worker.
 threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def openblas_core() -> str | None:
+    """The name of the kernel set that numpy's bundled OpenBLAS picked for
+    this CPU (OPENBLAS_CORETYPE overrides it), or None where it is not found."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*.so*")) if libs.is_dir() else []:
+        fn = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_char_p
+            return fn().decode()
+    return None
 
 
 def as_tensor(data) -> np.ndarray:

@@ -2,11 +2,9 @@
 
 import dataclasses
 import hashlib
-import importlib.util
 import json
 import math
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -694,16 +692,6 @@ def test_split_equivalence_across_configs():
         assert a_map.same_as(b_map)
 
 
-def openblas_core():
-    """tools/pass_ms.py's openblas_core(): the sgemm kernel set of numpy's
-    OpenBLAS, or None."""
-    path = Path(__file__).resolve().parent.parent / "tools" / "pass_ms.py"
-    spec = importlib.util.spec_from_file_location("pass_ms", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool.openblas_core()
-
-
 # sha256 of forward_transmitter's features, and of forward_receiver's logits
 # and labels, for the inputs of test_forward_tensors_match_the_pins, per
 # OpenBLAS sgemm kernel and scale. The kernels round some sums differently,
@@ -733,7 +721,7 @@ TENSOR_PINS = {
 def test_forward_tensors_match_the_pins(monkeypatch, full_scale_weights, scale, threads):
     # the exact bytes of both halves, which a CSV digest of labels and mIoU
     # may miss; the same at any thread count
-    core = openblas_core()
+    core = T.openblas_core()
     if core not in TENSOR_PINS:
         pytest.skip(f"no tensor pins for OpenBLAS kernel {core}")
     cfg = full_scale_weights.config if scale == "full_scale" else ModelConfig()

@@ -14,6 +14,9 @@ import pytest
 from splitseg import model
 from splitseg import tensor_ops as T
 
+# the sgemm kernel of numpy's OpenBLAS in this process, or None
+CORE = T.openblas_core()
+
 
 def conv_oracle(x, kernels, bias, stride, padding):
     """Direct quadruple-loop convolution in float64."""
@@ -224,11 +227,6 @@ def random_conv(rng, in_shape, kernel_shape):
     return x, kernels, bias
 
 
-def assert_conv_matches_tensordot(x, kernels, bias, stride, padding):
-    out = T.conv2d(x, kernels, bias, stride=stride, padding=padding)
-    assert_bitwise_equal(out, tensordot_conv2d(x, kernels, bias, stride, padding))
-
-
 def is_chunked(in_shape, out_ch, k, stride, padding):
     """Whether conv2d cuts this layer into row chunks (the larger-layer regime)."""
     _, h, w = in_shape
@@ -257,6 +255,65 @@ def slab_pad_rows(in_shape, out_ch, k, stride, padding):
         padded = [i * stride + py for i in range(r0, r1 + reach) for py in range(min(k, stride))]
         flags.append((min(padded) < padding, max(padded) >= padding + in_shape[1]))
     return flags
+
+
+def chunked_conv2d(x, kernels, bias, stride, padding):
+    """Conv2d's chunked regime, one sgemm call at a time, from np.pad and
+    strided slices. Phase image (py, px), m = min(k, stride) of each, holds
+    padded pixel (i*stride + py, j*stride + px) at row i, column j, with
+    pitch out_w + reach columns. Per chunk, per row part (T._row_parts) and
+    per tap (dy, dx) in order, one (out_ch x in_ch) @ (in_ch x rows*pitch)
+    product of a flat window of a phase image is added to a sum that starts
+    at +0.0; the bias is added last, to the out_w output columns of each
+    row. T.conv2d makes the same calls, so it must match this bit for bit
+    in that regime on every sgemm kernel."""
+    out_ch, in_ch, k, _ = kernels.shape
+    _, h, w = x.shape
+    chunks, pitch = chunk_rows(x.shape, out_ch, k, stride, padding)
+    out_h, out_w, m = chunks[-1][1], (w + 2 * padding - k) // stride + 1, min(k, stride)
+    rows = out_h + (k - 1) // stride + 1  # the last tap's window runs into one more row
+    xp = np.pad(x, ((0, 0), (padding, max(0, rows * stride - h - padding)),
+                    (padding, max(0, pitch * stride - w - padding))))
+    phase = [[np.ascontiguousarray(xp[:, py:py + rows * stride:stride, px:px + pitch * stride:stride])
+              .reshape(in_ch, rows * pitch) for px in range(m)] for py in range(m)]
+    wt = np.ascontiguousarray(kernels.transpose(2, 3, 0, 1))  # (k, k, out_ch, in_ch)
+    out = np.empty((out_ch, out_h, out_w), dtype=np.float32)
+    for r0, r1 in chunks:
+        for a, z in T._row_parts(r1 - r0, 4 * out_ch * pitch):
+            n = (z - a) * pitch
+            acc = np.zeros((out_ch, n), dtype=np.float32)
+            for dy in range(k):
+                for dx in range(k):
+                    start = (r0 + a + dy // m) * pitch + dx // m
+                    acc += np.matmul(wt[dy, dx], phase[dy % m][dx % m][:, start:start + n])
+            out[:, r0 + a:r0 + z] = acc.reshape(out_ch, z - a, pitch)[:, :, :out_w] + bias[:, None, None]
+    return out
+
+
+def conv_oracles(x, kernels, bias, stride, padding):
+    """What T.conv2d must equal bit for bit. In the one-call regime: the
+    full-width tensordot. In the chunked regime: the per-chunk oracle, and on
+    SkylakeX, the kernel whose pins the benchmark holds, the tensordot too.
+    There a part's call is past the small-matrix kernel (see T._row_parts),
+    so a column does not depend on the call width; Haswell rounds some
+    columns by call width, so the tensordot does not hold there."""
+    out_ch, _, k, _ = kernels.shape
+    if not is_chunked(x.shape, out_ch, k, stride, padding):
+        return [tensordot_conv2d(x, kernels, bias, stride, padding)]
+    wants = [chunked_conv2d(x, kernels, bias, stride, padding)]
+    if CORE == "SkylakeX":
+        wants.append(tensordot_conv2d(x, kernels, bias, stride, padding))
+    return wants
+
+
+def assert_matches_all(out, wants):
+    for want in wants:
+        assert_bitwise_equal(out, want)
+
+
+def assert_conv_matches_oracles(x, kernels, bias, stride, padding):
+    out = T.conv2d(x, kernels, bias, stride=stride, padding=padding)
+    assert_matches_all(out, conv_oracles(x, kernels, bias, stride, padding))
 
 
 # in_shape, (out_ch, k), stride, padding; every entry names what it covers
@@ -312,7 +369,7 @@ class TestConv2dExact:
         rng = np.random.default_rng(cfg.input_height + 1)
         for in_shape, kernel_shape, stride, padding in model_conv_shapes(cfg):
             x, kernels, bias = random_conv(rng, in_shape, kernel_shape)
-            assert_conv_matches_tensordot(x, kernels, bias, stride, padding)
+            assert_conv_matches_oracles(x, kernels, bias, stride, padding)
 
     def test_full_scale_model_exercises_both_regimes(self):
         flags = {is_chunked(in_shape, ks[0], ks[2], stride, padding)
@@ -343,7 +400,7 @@ class TestConv2dExact:
         out_ch, k = out
         rng = np.random.default_rng(sum(in_shape) + out_ch * k + stride + padding)
         x, kernels, bias = random_conv(rng, in_shape, (out_ch, in_shape[0], k, k))
-        assert_conv_matches_tensordot(x, kernels, bias, stride, padding)
+        assert_conv_matches_oracles(x, kernels, bias, stride, padding)
 
     def test_edge_cases_cover_the_chunked_regime(self):
         chunked = [is_chunked(in_shape, out_ch, k, stride, padding)
@@ -370,7 +427,7 @@ class TestConv2dExact:
         whole, kernels, bias = random_conv(rng, (12, 9, 22), (16, 6, k, k))
         x = whole[::2, :, ::2]
         assert not x.flags.c_contiguous and not is_chunked(x.shape, 16, k, 1, padding)
-        assert_conv_matches_tensordot(x, kernels, bias, 1, padding)
+        assert_conv_matches_oracles(x, kernels, bias, 1, padding)
 
     @pytest.mark.parametrize("in_shape,out,stride,padding", SLAB_PAD_CASES, ids=["s1", "s2", "s3"])
     def test_matches_tensordot_where_a_slab_is_padded_above_and_below(self, in_shape, out, stride, padding):
@@ -380,7 +437,7 @@ class TestConv2dExact:
         assert (True, True) in pads and (True, False) in pads and (False, True) in pads
         rng = np.random.default_rng(stride + 40)
         x, kernels, bias = random_conv(rng, in_shape, (out_ch, in_shape[0], k, k))
-        assert_conv_matches_tensordot(x, kernels, bias, stride, padding)
+        assert_conv_matches_oracles(x, kernels, bias, stride, padding)
 
     @pytest.mark.parametrize("per_tap", [False, True], ids=["q=m", "q=k"])
     @pytest.mark.parametrize("k,stride,padding", [(3, 1, 1), (5, 2, 4), (7, 3, 5)])
@@ -444,7 +501,7 @@ class TestConv2dExact:
         kernels[1, 0, 1, 1] = np.nan
         with np.errstate(invalid="ignore", over="ignore"):
             x[2] *= np.float32(1e38)  # some overflow to inf, sums of the rest may too
-            assert_conv_matches_tensordot(x, kernels, bias, stride, padding)
+            assert_conv_matches_oracles(x, kernels, bias, stride, padding)
 
     @pytest.mark.parametrize("in_shape,out,stride,padding", [
         ((16, 131, 130), (32, 3), 1, 1), ((8, 33, 29), (16, 3), 2, 1), ((8, 9, 7), (16, 1), 1, 0),
@@ -1130,6 +1187,16 @@ def gather4_resize_by_channels(x, out_h, out_w):
     return np.concatenate([gather4_resize(x[c0:c0 + 8], out_h, out_w) for c0 in range(0, x.shape[0], 8)])
 
 
+def run_on_haswell(code: str, timeout: float) -> list[str]:
+    """The words `code` prints, run in a new process on OpenBLAS's Haswell
+    sgemm kernel and one BLAS thread. OpenBLAS picks its kernel when numpy
+    loads, so the variable that picks it is set only in that process."""
+    path = os.pathsep.join([str(Path(T.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=timeout,
+                          capture_output=True, text=True).stdout.split()
+
+
 class TestThreads:
     """Results do not depend on `T.threads`; large work really runs on threads."""
 
@@ -1137,11 +1204,11 @@ class TestThreads:
         rng = np.random.default_rng(1031)
         for in_shape, kernel_shape, stride, padding in model_conv_shapes(model.ModelConfig.full_scale()):
             x, kernels, bias = random_conv(rng, in_shape, kernel_shape)
-            want = tensordot_conv2d(x, kernels, bias, stride, padding)
+            wants = conv_oracles(x, kernels, bias, stride, padding)
             for n in THREAD_COUNTS:
                 monkeypatch.setattr(T, "threads", n)
                 thread_parts.clear()
-                assert_bitwise_equal(T.conv2d(x, kernels, bias, stride=stride, padding=padding), want)
+                assert_matches_all(T.conv2d(x, kernels, bias, stride=stride, padding=padding), wants)
                 assert max(thread_parts, default=1) <= n
                 if is_chunked(in_shape, kernel_shape[0], kernel_shape[2], stride, padding) and n > 1:
                     assert max(thread_parts) > 1
@@ -1153,10 +1220,10 @@ class TestThreads:
         out_ch, k = out
         rng = np.random.default_rng(sum(in_shape) + out_ch * k + stride + padding)
         x, kernels, bias = random_conv(rng, in_shape, (out_ch, in_shape[0], k, k))
-        want = tensordot_conv2d(x, kernels, bias, stride, padding)
+        wants = conv_oracles(x, kernels, bias, stride, padding)
         for n in THREAD_COUNTS:
             monkeypatch.setattr(T, "threads", n)
-            assert_bitwise_equal(T.conv2d(x, kernels, bias, stride=stride, padding=padding), want)
+            assert_matches_all(T.conv2d(x, kernels, bias, stride=stride, padding=padding), wants)
         assert max(thread_parts) > 1
 
     def test_bilinear_resize_on_full_scale_model_shapes(self, monkeypatch, thread_parts):
@@ -1257,8 +1324,7 @@ class TestThreads:
         # full-scale layer keeps its bits only if its row parts, and so its
         # sgemm calls, do not follow the thread count; so must s0.conv2 on
         # s0.conv1's rows made on demand, which also equals s0.conv2 on the
-        # whole s0.conv1 output. OpenBLAS picks its kernel when numpy loads,
-        # so the convs run in a new process.
+        # whole s0.conv1 output.
         code = (
             "import hashlib, numpy as np\n"
             "from splitseg import model, tensor_ops as T\n"
@@ -1283,10 +1349,7 @@ class TestThreads:
             "y = T.conv2d(relu(T.conv2d(x, w1, b1, stride=2, padding=1)), w2, b2, stride=2, padding=1)\n"
             "print(hashlib.sha256(y.tobytes()).hexdigest())\n"
         )
-        path = os.pathsep.join([str(Path(T.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
-        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=300,
-                             capture_output=True, text=True).stdout.split()
+        out = run_on_haswell(code, timeout=300)
         assert len(out) == 7 and len(set(out[:3])) == 1 and len(set(out[3:])) == 1
 
     def test_more_threads_than_cores_with_frequent_switches(self, monkeypatch, thread_parts):
@@ -1295,13 +1358,13 @@ class TestThreads:
         in_shape, (out_ch, k), stride, padding = CONV_EDGE_CASES[0]
         x, kernels, bias = random_conv(np.random.default_rng(1035), in_shape, (out_ch, in_shape[0], k, k))
         y = np.random.default_rng(1036).normal(size=(19, 64, 64)).astype(np.float32)
-        want = (tensordot_conv2d(x, kernels, bias, stride, padding), argmax_oracle(gather4_resize_by_channels(y, 512, 512)))
+        want = (conv_oracles(x, kernels, bias, stride, padding), argmax_oracle(gather4_resize_by_channels(y, 512, 512)))
         monkeypatch.setattr(T, "threads", 2 * (os.cpu_count() or 1) + 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(3):
-                assert_bitwise_equal(T.conv2d(x, kernels, bias, stride=stride, padding=padding), want[0])
+                assert_matches_all(T.conv2d(x, kernels, bias, stride=stride, padding=padding), want[0])
                 assert np.array_equal(T.resize_argmax(y, 512, 512), want[1])
         finally:
             sys.setswitchinterval(interval)
@@ -1350,6 +1413,22 @@ class TestThreads:
             peaks[n] = traced_peak(lambda: getattr(T, op)(*args, **kwargs))
         for n in THREAD_COUNTS:
             assert peaks[n] <= peaks[1] + (n - 1) * (12 * np.getbufsize() + (16 << 10))
+
+
+class TestOpenblasCore:
+    @pytest.fixture(autouse=True)
+    def bundled(self):
+        if CORE is None:
+            pytest.skip("this numpy bundles no scipy-openblas")
+
+    def test_names_the_kernel(self):
+        assert isinstance(CORE, str) and CORE
+
+    def test_names_the_kernel_that_openblas_coretype_picks_in_that_process_only(self):
+        before = dict(os.environ)
+        assert run_on_haswell("from splitseg import tensor_ops as T; print(T.openblas_core())", timeout=60) == ["Haswell"]
+        assert dict(os.environ) == before and T.openblas_core() == CORE
+
 
 class TestAddConcat:
     def test_add_zeros(self):

@@ -22,29 +22,15 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse  # noqa: E402
-import ctypes  # noqa: E402
 import hashlib  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
-from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 from splitseg import model as M  # noqa: E402
 from splitseg import tensor_ops as T  # noqa: E402
-
-
-def openblas_core() -> str | None:
-    """The name of the kernel set that numpy's bundled OpenBLAS picked for
-    this CPU (OPENBLAS_CORETYPE overrides it), or None where it is not found."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("*openblas*.so*")) if libs.is_dir() else []:
-        fn = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
-        if fn is not None:
-            fn.argtypes, fn.restype = [], ctypes.c_char_p
-            return fn().decode()
-    return None
 
 
 def digest(*arrays) -> str:
@@ -83,7 +69,7 @@ def main(argv: list[str]) -> int:
     if args.n < 1:
         parser.error("-n must be at least 1")
     T.threads = 1
-    print(f"openblas core: {openblas_core() or 'unknown'}")
+    print(f"openblas core: {T.openblas_core() or 'unknown'}")
     scales = [("desk", M.ModelConfig(), args.n)]
     if args.full:
         scales.append(("full_scale", M.ModelConfig.full_scale(), min(args.n, 5)))
