@@ -179,7 +179,7 @@ def load_dataset_dir(dirpath) -> list[tuple[np.ndarray, SegmentationMap]]:
     """Load every .ppm with its .pgm sibling; report all broken files at once."""
     d = Path(dirpath)
     if not d.is_dir():
-        raise FileNotFoundError(str(d))
+        raise ValueError(f"{d}: not a directory") if d.exists() else FileNotFoundError(str(d))
     ppms = sorted(d.glob("*.ppm"))
     if not ppms:
         raise ValueError(f"no .ppm files in {d}")

@@ -5,23 +5,21 @@ row-major layout. Every operation here is a pure function: no argument is
 mutated except an explicit `out`, and repeated calls on identical inputs
 give bitwise-identical outputs.
 
-Work that already runs in more than one block (a conv2d with more than one
-row chunk, a resize with more than one block of output rows) splits each
-chunk or block into at most two balanced row parts, none smaller than
-_BLOCK_BYTES // 4. The parts are a function of the shape alone; the thread
-count in `threads` decides only how many threads run them. Every thread
-calls only numpy and BLAS, which release the GIL, and writes disjoint rows
-of buffers that the calling thread allocated, so memory is that of the
-one-thread form. All threads are joined before the call returns, so every
-function stays pure. The bits depend on the shape and on the sgemm kernel
-that OpenBLAS picks for the CPU (openblas_core names it), never on the
-thread count: chunk bounds, row parts, block steps, tap order and
-accumulation, and so every sgemm call, are the same at any thread count.
-Work within one block, which is every desk-scale layer, starts no thread.
-Every resize, the row source a conv reads included, is one _ResizeRows run
-through its one step loop, in which each thread takes the same row parts of
-every block, in steps of at most _BLOCK_BYTES // 4 bytes that stay in a
-core's L2.
+A conv2d that runs in more than one row chunk splits each chunk into at
+most two balanced row parts, none smaller than _BLOCK_BYTES // 4. The parts
+are a function of the shape alone; the thread count in `threads` decides
+only how many threads run them. Every thread calls only numpy and BLAS,
+which release the GIL, and writes disjoint rows of buffers that the
+calling thread allocated, so memory is that of the one-thread form. All
+threads are joined before the call returns, so every function stays pure.
+The bits depend on the shape and on the sgemm kernel that OpenBLAS picks
+for the CPU (openblas_core names it), never on the thread count: chunk
+bounds, row parts, tap order and accumulation, and so every sgemm call,
+are the same at any thread count. A conv2d in one chunk, which is every
+desk-scale layer, starts no thread. Every resize, the row source a conv
+reads included, is one _ResizeRows run through its one step loop on the
+calling thread, in steps of at most _BLOCK_BYTES // 4 bytes that stay in a
+core's L2; threads there measured slower.
 
 What a call derives from shapes alone is derived once per shape: a conv2d
 call takes its checks, chunks, slab layout and slab fill from one cached
@@ -39,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-# Threads that run the row parts of a chunk or block: the cores this process
+# Threads that run the row parts of a conv2d chunk: the cores this process
 # may run on. It changes no bit. A process-pool worker sets it to 1, so that a
 # pool uses one core per worker.
 threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -166,12 +164,11 @@ class _Conv:
 # (M*N*K <= 1e6 on SkylakeX) rounds some columns by call width once K >= 32;
 # there a 1 MiB product is past that size, in the packed kernel, where a
 # column's value does not depend on the call width. Every resize's second
-# pass, _ResizeRows.steps, runs blocks of at most this many bytes across all
-# channels, which a part lerps in steps of at most a quarter of it: a step's
-# rows and its lerp scratch, 1 MiB, stay in half of a 2 MiB per-core L2.
-# resize_argmax of the desk head, one 2 MiB block, took 1.7 ms in 512 KiB
-# steps and 2.8-2.9 ms in one step (medians of 400 alternating calls, one
-# thread, 2 vCPUs with AVX-512).
+# pass, _ResizeRows.steps, lerps steps of at most a quarter of this many
+# bytes across all channels: a step's rows and its lerp scratch, 1 MiB, stay
+# in half of a 2 MiB per-core L2. resize_argmax of the desk head, 2 MiB of
+# output, took 1.7 ms in 512 KiB steps and 2.8-2.9 ms in one step (medians
+# of 400 alternating calls, one thread, 2 vCPUs with AVX-512).
 _BLOCK_BYTES = 2 << 20
 
 
@@ -186,12 +183,13 @@ def _row_chunks(k: int, in_ch: int, out_ch: int, stride: int, out_h: int, out_w:
 
 
 def _row_parts(rows: int, row_bytes: int) -> list[tuple[int, int]]:
-    """Balanced parts [a, z) of `rows` rows of `row_bytes` bytes each: two,
-    or one where a part would hold under _BLOCK_BYTES // 4. They depend on the
-    shape alone, so every sgemm call does too, at any thread count. The floor
-    makes a part worth a thread's start-up and, on OpenBLAS's SkylakeX kernel,
-    keeps a conv part's sgemm call past the small-matrix kernel, whose
-    rounding depends on the call width from K >= 32 (M*N*K over 4e6)."""
+    """Balanced parts [a, z) of a conv2d chunk's `rows` rows of `row_bytes`
+    bytes each: two, or one where a part would hold under _BLOCK_BYTES // 4.
+    They depend on the shape alone, so every sgemm call does too, at any
+    thread count. The floor makes a part worth a thread's start-up and, on
+    OpenBLAS's SkylakeX kernel, keeps a part's sgemm call past the
+    small-matrix kernel, whose rounding depends on the call width from
+    K >= 32 (M*N*K over 4e6)."""
     n = 2 if rows // 2 * row_bytes >= _BLOCK_BYTES // 4 else 1
     cuts = [rows * i // n for i in range(n + 1)]
     return list(zip(cuts, cuts[1:]))
@@ -401,9 +399,9 @@ class _ResizeRows(_Rows):
     The constructor runs the first pass, the lerp along each source row,
     with index and weight tables that _resize_tables makes once per shape.
     steps() runs the second pass, the lerp between two row-lerped rows per
-    output row, in steps, and hands each step's resized rows to a sink. A
-    resized row is elementwise in the row-lerped input, so a row made on
-    its own has the whole resize's bits."""
+    output row, in steps on the calling thread, and hands each step's
+    resized rows to a sink. A resized row is elementwise in the row-lerped
+    input, so a row made in any step has the whole resize's bits."""
 
     def __init__(self, x, out_h: int, out_w: int):
         x = as_tensor(x)
@@ -426,38 +424,25 @@ class _ResizeRows(_Rows):
         fn(r0, r1, rows, scratch) on their rows r0..r1-1 of this run: `rows`
         holds them resized and `scratch`, which fn may overwrite, is of the
         same shape; both are C-contiguous (c, r1 - r0, out_w) steps of two
-        buffers of this call. The run goes by blocks of _block_rows rows. A
-        resize whose output fits in one block runs on this thread; otherwise
-        a block is cut into row parts, and one thread runs part p of every
-        block. A part's rows go in steps of at most _BLOCK_BYTES // 4 bytes
-        across all channels (at least one row), so that a step's rows and
-        its scratch stay in a core's L2. One join per call: a join after
-        each block measured slower."""
-        c, out_h, out_w = self.shape
-        block = _block_rows(c, out_w)
-        parts = [(0, block)] if block >= out_h else _row_parts(min(block, n), 4 * c * out_w)
-        step = min(_block_rows(c, out_w, 4), max(z - a for a, z in parts), n)
-        # one step per row part; per call, so a row source's are freed before its reader's taps
-        top, bot = (np.empty(c * len(parts) * step * out_w, dtype=np.float32) for _ in range(2))
-
-        def run(t: int) -> None:
-            a, z = parts[t]
-            for b0 in range(0, n - a, block):
-                for r0 in range(b0 + a, min(b0 + z, n), step):
-                    r1 = min(r0 + step, b0 + z, n)
-                    at = slice(c * t * step * out_w, c * (t * step + r1 - r0) * out_w)
-                    rows, scratch = top[at].reshape(c, -1, out_w), bot[at].reshape(c, -1, out_w)
-                    sel = slice(first + r0 * stride, first + r1 * stride, stride)
-                    # Every index is in range. With mode "clip" np.take writes straight
-                    # into a C-contiguous `out`; with "raise" it would fill a copy first.
-                    np.take(self._rows, self._y0[sel], axis=1, out=rows, mode="clip")
-                    np.take(self._rows, self._y1[sel], axis=1, out=scratch, mode="clip")
-                    scratch -= rows
-                    scratch *= self._wy[:, sel]
-                    rows += scratch  # lerp form keeps constant inputs exactly constant
-                    fn(r0, r1, rows, scratch)
-
-        _on_threads(run, len(parts))
+        buffers of this call. The run goes on this thread, in steps of
+        _block_rows rows, so that a step's rows and its scratch stay in a
+        core's L2."""
+        c, _, out_w = self.shape
+        step = min(_block_rows(c, out_w), n)
+        # per call, so a row source's are freed before its reader's taps
+        top, bot = (np.empty(c * step * out_w, dtype=np.float32) for _ in range(2))
+        for r0 in range(0, n, step):
+            r1 = min(r0 + step, n)
+            rows, scratch = (buf[:c * (r1 - r0) * out_w].reshape(c, -1, out_w) for buf in (top, bot))
+            sel = slice(first + r0 * stride, first + r1 * stride, stride)
+            # Every index is in range. With mode "clip" np.take writes straight
+            # into a C-contiguous `out`; with "raise" it would fill a copy first.
+            np.take(self._rows, self._y0[sel], axis=1, out=rows, mode="clip")
+            np.take(self._rows, self._y1[sel], axis=1, out=scratch, mode="clip")
+            scratch -= rows
+            scratch *= self._wy[:, sel]
+            rows += scratch  # lerp form keeps constant inputs exactly constant
+            fn(r0, r1, rows, scratch)
 
     def read(self, dst: np.ndarray, rows: slice, cols: slice) -> None:
         self.steps(dst.shape[1], rows.start, rows.step,
@@ -557,10 +542,10 @@ def resize_argmax(x, out_h: int, out_w: int) -> np.ndarray:
     return labels
 
 
-def _block_rows(c: int, out_w: int, share: int = 1) -> int:
-    """Output rows per block of a resize (per step, with share 4): at most
-    _BLOCK_BYTES // share bytes across all channels, and at least one."""
-    return max(1, _BLOCK_BYTES // share // (4 * c * out_w))
+def _block_rows(c: int, out_w: int) -> int:
+    """Output rows per step of a resize: at most _BLOCK_BYTES // 4 bytes
+    across all channels, and at least one."""
+    return max(1, _BLOCK_BYTES // 4 // (4 * c * out_w))
 
 
 def _argmax_into(flat: np.ndarray, lab: np.ndarray, best: np.ndarray) -> None:

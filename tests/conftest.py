@@ -9,6 +9,7 @@ any test module imports it (splitseg is imported only inside fixtures).
 
 import errno
 import os
+import tracemalloc
 
 import pytest
 
@@ -52,3 +53,25 @@ def _fail_write_number(monkeypatch, n):
 def fail_write_number():
     """`fail_write_number(monkeypatch, n)`: see _fail_write_number."""
     return _fail_write_number
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees allocated while fn runs, its result included.
+
+    numpy reports every array buffer to tracemalloc, so the figure is
+    deterministic for a fixed sequence of array allocations.
+    """
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def traced_peak():
+    """`traced_peak(fn)`: see _traced_peak."""
+    return _traced_peak

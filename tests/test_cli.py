@@ -381,6 +381,22 @@ def test_huge_image_header_is_a_dataset_error(tmp_path, capsys, name, header):
     assert name.replace("pgm", "ppm") in err and "Traceback" not in err
 
 
+def test_dataset_that_is_a_file_is_a_dataset_error(tmp_path, capsys):
+    data = tmp_path / "data.ppm"
+    data.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
+    cfg = write_config(tmp_path, dataset=str(data))
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err == f"error: {data}: not a directory\n"
+
+
+def test_dataset_that_does_not_exist_is_a_missing_file(tmp_path, capsys):
+    data = tmp_path / "absent"
+    cfg = write_config(tmp_path, dataset=str(data))
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_MISSING_FILE
+    assert capsys.readouterr().err == f"error: missing file: {data}\n"
+
+
 def test_snr_at_the_float64_noise_power_limit_runs(tmp_path, capsys):
     cfg = write_config(tmp_path, channel={"modulations": ["qpsk", "16qam"], "snr_db": [-3082.0, 10.0]})
     assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_OK

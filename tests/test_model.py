@@ -4,7 +4,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,18 +29,6 @@ def random_image(cfg, seed=0):
 @pytest.fixture(scope="module")
 def full_scale_weights():
     return M.build(ModelConfig.full_scale())
-
-
-def traced_peak(fn) -> int:
-    """Peak bytes that tracemalloc sees allocated while fn runs, its result included."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
 
 
 class TestConfig:
@@ -257,7 +244,7 @@ class TestForward:
             assert np.array_equal(seg.labels, np.argmax(logits, axis=0).astype(np.int32))
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_full_scale_transmitter_peak_memory(self, monkeypatch, full_scale_weights, n):
+    def test_full_scale_transmitter_peak_memory(self, monkeypatch, full_scale_weights, n, traced_peak):
         # s0.conv2 sets it, at 29.1 MiB, while a chunk's taps run: its 8 MiB
         # output, one 7 MiB phase slab, one product buffer and one accumulator
         # (1.7 MiB each), and what its row source holds, about 11 MiB: the
@@ -271,13 +258,14 @@ class TestForward:
         assert peak <= 30 << 20
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_full_scale_receiver_peak_memory(self, monkeypatch, full_scale_weights, n):
-        # s6.head1 sets it, at 28.3 MiB, while a chunk's input rows are
-        # resized: its 8 MiB output, one 7.4 MiB phase slab, one product
-        # buffer and its reordered kernels, and the 4 MiB row lerp of the
-        # 16x16 map with the two 2 MiB blocks of one read, which are freed
-        # before the chunk's accumulator is allocated; the final resize is
-        # reduced to labels block by block, so no full-resolution logits exist
+    def test_full_scale_receiver_peak_memory(self, monkeypatch, full_scale_weights, n, traced_peak):
+        # s6.head1 sets it, at 26.0 MiB, while a chunk's taps run: its 8 MiB
+        # output, one 7.4 MiB phase slab, its 2.25 MiB reordered kernels, one
+        # product buffer and one accumulator (1.65 MiB each), and the 4 MiB
+        # row lerp of the 16x16 map that its row source holds; the two
+        # 512 KiB step buffers of a read are freed before the accumulator is
+        # allocated; the final resize is reduced to labels step by step, so
+        # no full-resolution logits exist
         monkeypatch.setattr(T, "threads", n)
         cfg = full_scale_weights.config
         feats = np.random.default_rng(11).normal(size=(cfg.feature_channels, 16, 16)).astype(np.float32)

@@ -5,7 +5,6 @@ import subprocess
 import sys
 import threading
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -460,7 +459,7 @@ class TestConv2dExact:
             for earlier in range(total):
                 assert_bitwise_equal(filled(earlier, row0), filled(row0))
 
-    def test_full_scale_peak_memory_is_output_one_slab_one_product_and_one_accumulator(self):
+    def test_full_scale_peak_memory_is_output_one_slab_one_product_and_one_accumulator(self, traced_peak):
         # s0.conv2, the transmitter's largest conv: a whole-input set of phase
         # images would be 34 MiB; one chunk's slab is under 7 MiB, and its
         # product buffer and accumulator 1.7 MiB each
@@ -478,7 +477,7 @@ class TestConv2dExact:
         assert peak <= out_bytes + slab_bytes + product_bytes + accumulator_bytes + kernels.nbytes + (64 << 10)
 
     @pytest.mark.parametrize("name", ["s0.conv1", "s1.rb.conv1"])
-    def test_desk_peak_memory_is_output_product_shifted_copies_and_weights(self, name):
+    def test_desk_peak_memory_is_output_product_shifted_copies_and_weights(self, name, traced_peak):
         # the one-call regime trades k * min(k, stride) shifted copies of the
         # input for np.pad's padded input and a window per tap
         p = {q.name: q for q in model.layer_plan(model.ModelConfig())}[name]
@@ -885,7 +884,7 @@ class TestBilinearResizeExact:
             assert_bitwise_equal(T.bilinear_resize(x, out_h, out_w), gather4_resize(x, out_h, out_w))
 
     def test_matches_gather_oracle_at_full_scale_channel_counts(self):
-        # the row-block step depends on the channel count, so these run at the
+        # the row step depends on the channel count, so these run at the
         # real one; the oracle runs a few channels at a time to stay small
         rng = np.random.default_rng(19)
         steps = []
@@ -895,20 +894,20 @@ class TestBilinearResizeExact:
             for c0 in range(0, c, 8):
                 assert_bitwise_equal(out[c0:c0 + 8], gather4_resize(x[c0:c0 + 8], out_h, out_w))
             steps.append((out_h, T._block_rows(c, out_w)))
-        assert any(step < out_h and out_h % step for out_h, step in steps)  # a partial last block
-        assert (1024, 26) in steps  # the 19-class logits: 39 blocks of 26 rows, then 10
+        assert any(step < out_h and out_h % step for out_h, step in steps)  # a partial last step
+        assert (1024, 6) in steps  # the 19-class logits: 170 steps of 6 rows, then 4
 
     @pytest.mark.parametrize("shape,out_h,out_w,block_bytes", [
-        ((3, 5, 7), 13, 11, 4 * 3 * 11 * 4),  # blocks of 4 rows, partial last block
-        ((2, 6, 5), 9, 9, 1),  # blocks of one row
-        ((1, 3, 4), 8, 6, 4 * 1 * 6 * 8),  # one exact block
+        ((3, 5, 7), 13, 11, 4 * 4 * 3 * 11 * 4),  # steps of 4 rows, partial last step
+        ((2, 6, 5), 9, 9, 1),  # steps of one row
+        ((1, 3, 4), 8, 6, 4 * 4 * 1 * 6 * 8),  # one exact step
     ])
     def test_matches_gather_oracle_for_any_block_size(self, monkeypatch, shape, out_h, out_w, block_bytes):
         x = np.random.default_rng(20).normal(size=shape).astype(np.float32)
         monkeypatch.setattr(T, "_BLOCK_BYTES", block_bytes)
         assert_bitwise_equal(T.bilinear_resize(x, out_h, out_w), gather4_resize(x, out_h, out_w))
 
-    def test_peak_memory_is_output_row_lerp_and_one_block(self):
+    def test_peak_memory_is_output_row_lerp_and_one_block(self, traced_peak):
         # plus 64 bytes per output row and column for the index and weight vectors
         c, h, w, out_h, out_w = 19, 64, 64, 512, 512
         x = np.random.default_rng(21).normal(size=(c, h, w)).astype(np.float32)
@@ -929,22 +928,6 @@ class TestBilinearResizeExact:
         before = x.copy()
         T.bilinear_resize(x, 9, 3)
         assert np.array_equal(x, before)
-
-
-def traced_peak(fn) -> int:
-    """Peak bytes that tracemalloc sees allocated while fn runs, its result included.
-
-    numpy reports every array buffer to tracemalloc, so the figure is
-    deterministic for a fixed sequence of array allocations.
-    """
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
 
 
 def argmax_oracle(x):
@@ -1023,7 +1006,7 @@ class TestResizeArgmax:
     @pytest.mark.parametrize("cfg", [model.ModelConfig(), model.ModelConfig.full_scale()],
                              ids=["desk", "full_scale"])
     def test_matches_oracle_on_model_shapes(self, cfg):
-        # at the real channel counts, which set the block step
+        # at the real channel counts, which set the step
         rng = np.random.default_rng(cfg.input_height + 2)
         for (c, h, w), (out_h, out_w) in model_resize_shapes(cfg):
             x = rng.normal(size=(c, h, w)).astype(np.float32)
@@ -1055,9 +1038,9 @@ class TestResizeArgmax:
             assert_labels_match_resize_then_argmax(x, 17, 15, gather4_resize)
 
     @pytest.mark.parametrize("shape,out_h,out_w,block_bytes", [
-        ((3, 5, 7), 13, 11, 1),  # blocks of one row
-        ((4, 6, 5), 9, 10, 4 * 4 * 10 * 4),  # blocks of 4 rows, partial last block
-        ((2, 3, 4), 8, 6, 4 * 2 * 6 * 8),  # one exact block
+        ((3, 5, 7), 13, 11, 1),  # steps of one row
+        ((4, 6, 5), 9, 10, 4 * 4 * 4 * 10 * 4),  # steps of 4 rows, partial last step
+        ((2, 3, 4), 8, 6, 4 * 4 * 2 * 6 * 8),  # one exact step
     ])
     def test_any_block_size(self, monkeypatch, shape, out_h, out_w, block_bytes):
         x = np.random.default_rng(44).normal(size=shape).astype(np.float32)
@@ -1067,10 +1050,10 @@ class TestResizeArgmax:
             assert_labels_match_resize_then_argmax(x, out_h, out_w, gather4_resize)
 
     @pytest.mark.parametrize("shape,out_h,out_w,block_bytes", [
-        ((3, 5, 7), 13, 11, 4 * 3 * 11 * 4),  # blocks of 4 rows: 13 = 3 x 4 + 1
-        ((19, 9, 11), 23, 17, 4 * 19 * 17 * 5),  # 23 = 4 x 5 + 3
-        ((5, 3, 3), 7, 7, 1),  # blocks of one row
-        ((2, 4, 4), 16, 8, 4 * 2 * 8 * 16),  # one exact block
+        ((3, 5, 7), 13, 11, 4 * 4 * 3 * 11 * 4),  # steps of 4 rows: 13 = 3 x 4 + 1
+        ((19, 9, 11), 23, 17, 4 * 4 * 19 * 17 * 5),  # 23 = 4 x 5 + 3
+        ((5, 3, 3), 7, 7, 1),  # steps of one row
+        ((2, 4, 4), 16, 8, 4 * 4 * 2 * 8 * 16),  # one exact step
     ])
     def test_blocks_that_do_not_divide_the_rows(self, monkeypatch, shape, out_h, out_w, block_bytes):
         rng = np.random.default_rng(23)
@@ -1082,18 +1065,18 @@ class TestResizeArgmax:
             monkeypatch.undo()
             assert_labels_match_resize_then_argmax(x, out_h, out_w, gather4_resize)
 
-    def test_many_blocks_at_the_default_size(self):
-        # 19 channels, 200 columns: blocks of 137 rows; 300 = 2 x 137 + 26
-        assert T._block_rows(19, 200) == 137
+    def test_many_steps_at_the_default_size(self):
+        # 19 channels, 200 columns: steps of 34 rows; 300 = 8 x 34 + 28
+        assert T._block_rows(19, 200) == 34
         x = np.random.default_rng(24).normal(size=(19, 75, 50)).astype(np.float32)
         x[:, 7, :] = 0.5  # a row of ties
-        x[4, 37:39, 10] = np.nan  # reaches output rows of the second block
+        x[4, 37:39, 10] = np.nan  # reaches output rows of the fifth step
         x[18, 74, 49] = np.nan  # and of the last, partial one
         with np.errstate(invalid="ignore"):
             assert_labels_match_resize_then_argmax(x, 300, 200)
 
-    def test_peak_memory_is_labels_row_lerp_and_blocks(self):
-        # the row lerp and its temporary, then the labels, one block and its
+    def test_peak_memory_is_labels_row_lerp_and_blocks(self, traced_peak):
+        # the row lerp and its temporary, then the labels, one step and its
         # `bot`; never an output-sized float array
         c, h, w, out_h, out_w = 19, 64, 64, 512, 512
         x = np.random.default_rng(45).normal(size=(c, h, w)).astype(np.float32)
@@ -1103,9 +1086,9 @@ class TestResizeArgmax:
         assert peak < 4 * c * out_h * out_w
 
     @pytest.mark.parametrize("shape,out_h,out_w", [
-        ((8, 32, 32), 256, 256),  # the desk head: one block of 4 steps
-        ((19, 64, 64), 512, 512),  # 10 blocks of 53 rows, each cut into 2 parts; steps of 13 rows
-        ((7, 900, 11), 700, 300),  # blocks of 249 rows, the last of 202
+        ((8, 32, 32), 256, 256),  # the desk head: 4 steps of 64 rows
+        ((19, 64, 64), 512, 512),  # 39 steps of 13 rows, then 5
+        ((7, 900, 11), 700, 300),  # 11 steps of 62 rows, then 18
         ((3, 5, 7), 13, 11),  # one step
     ])
     @pytest.mark.parametrize("share", [1, 8])  # 8: a row source's read of part of the rows
@@ -1127,8 +1110,8 @@ class TestResizeArgmax:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_steps_of_a_strided_read_match_gather_oracle(self, monkeypatch, n):
-        # blocks of 249 rows, each cut into 2 parts, steps of 62 rows: every
-        # other output row from row 3 on, as a stride-2 conv's row source reads
+        # steps of 62 rows: every other output row from row 3 on, as a
+        # stride-2 conv's row source reads
         monkeypatch.setattr(T, "threads", n)
         x = np.random.default_rng(1038).normal(size=(7, 90, 11)).astype(np.float32)
         want = gather4_resize(x, 700, 300)[:, 3::2]
@@ -1136,14 +1119,12 @@ class TestResizeArgmax:
         T._ResizeRows(x, 700, 300).steps(want.shape[1], 3, 2, lambda r0, r1, rows, _: np.copyto(got[:, r0:r1], rows))
         assert_bitwise_equal(got, want)
 
-    def test_desk_head_starts_no_thread(self, monkeypatch, thread_parts):
+    def test_desk_head_starts_no_thread(self, monkeypatch, thread_parts, started_threads):
         (c, h, w), (out_h, out_w) = model_resize_shapes(model.ModelConfig())[-1]
         x = np.random.default_rng(1036).normal(size=(c, h, w)).astype(np.float32)
         monkeypatch.setattr(T, "threads", 4)
-        started = []
-        monkeypatch.setattr(threading.Thread, "start", lambda th: started.append(th))
         assert np.array_equal(T.resize_argmax(x, out_h, out_w), argmax_oracle(gather4_resize(x, out_h, out_w)))
-        assert thread_parts == [1] and not started
+        assert not thread_parts and not started_threads
 
     def test_rejects_empty_output(self):
         with pytest.raises(ValueError, match="output size must be positive"):
@@ -1182,6 +1163,19 @@ def thread_parts(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def started_threads(monkeypatch):
+    """Every thread started from here on; each still runs."""
+    seen, start = [], threading.Thread.start
+
+    def recording(th):
+        seen.append(th)
+        start(th)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    return seen
+
+
 def gather4_resize_by_channels(x, out_h, out_w):
     # the oracle a few channels at a time, so that its temporaries stay small
     return np.concatenate([gather4_resize(x[c0:c0 + 8], out_h, out_w) for c0 in range(0, x.shape[0], 8)])
@@ -1198,7 +1192,8 @@ def run_on_haswell(code: str, timeout: float) -> list[str]:
 
 
 class TestThreads:
-    """Results do not depend on `T.threads`; large work really runs on threads."""
+    """Results do not depend on `T.threads`; chunked convs really run on
+    threads, and resizes never do."""
 
     def test_conv2d_on_full_scale_model_shapes(self, monkeypatch, thread_parts):
         rng = np.random.default_rng(1031)
@@ -1226,7 +1221,7 @@ class TestThreads:
             assert_matches_all(T.conv2d(x, kernels, bias, stride=stride, padding=padding), wants)
         assert max(thread_parts) > 1
 
-    def test_bilinear_resize_on_full_scale_model_shapes(self, monkeypatch, thread_parts):
+    def test_bilinear_resize_on_full_scale_model_shapes(self, monkeypatch, thread_parts, started_threads):
         rng = np.random.default_rng(1032)
         for (c, h, w), (out_h, out_w) in model_resize_shapes(model.ModelConfig.full_scale())[:-1]:
             x = rng.normal(size=(c, h, w)).astype(np.float32)
@@ -1234,13 +1229,13 @@ class TestThreads:
             for n in THREAD_COUNTS:
                 monkeypatch.setattr(T, "threads", n)
                 assert_bitwise_equal(T.bilinear_resize(x, out_h, out_w), want)
-        assert max(thread_parts) > 1
+        assert not thread_parts and not started_threads
 
     @pytest.mark.parametrize("shape,out_h,out_w", [
-        ((19, 64, 64), 512, 512),  # 10 blocks of 53 rows, the last of 35
-        ((7, 900, 11), 700, 300),  # rows scaled down, so runs of one row; blocks of 249 rows, the last of 202
+        ((19, 64, 64), 512, 512),  # 39 steps of 13 rows, then 5
+        ((7, 900, 11), 700, 300),  # rows scaled down, so runs of one row; 11 steps of 62 rows, then 18
     ])
-    def test_resize_on_blocked_shapes(self, monkeypatch, thread_parts, shape, out_h, out_w):
+    def test_resize_on_blocked_shapes(self, monkeypatch, thread_parts, started_threads, shape, out_h, out_w):
         x = np.random.default_rng(out_h).normal(size=shape).astype(np.float32)
         x[0, 1, 2], x[3, 4, 5] = np.nan, np.inf
         with np.errstate(invalid="ignore"):
@@ -1251,9 +1246,9 @@ class TestThreads:
             with np.errstate(invalid="ignore"):
                 assert_bitwise_equal(T.bilinear_resize(x, out_h, out_w), resized)
                 assert np.array_equal(T.resize_argmax(x, out_h, out_w), labels)
-        assert max(thread_parts) > 1
+        assert not thread_parts and not started_threads
 
-    def test_resize_argmax_on_the_full_scale_head(self, monkeypatch, thread_parts):
+    def test_resize_argmax_on_the_full_scale_head(self, monkeypatch, thread_parts, started_threads):
         (c, h, w), (out_h, out_w) = model_resize_shapes(model.ModelConfig.full_scale())[-1]
         x = np.random.default_rng(1033).normal(size=(c, h, w)).astype(np.float32)
         monkeypatch.setattr(T, "threads", 1)
@@ -1261,21 +1256,49 @@ class TestThreads:
         for n in THREAD_COUNTS:
             monkeypatch.setattr(T, "threads", n)
             assert np.array_equal(T.resize_argmax(x, out_h, out_w), want)
-        assert max(thread_parts) > 1
+        assert not thread_parts and not started_threads
 
-    def test_row_source_within_one_block_starts_no_thread(self, monkeypatch, thread_parts):
-        # 8 channels of 256 columns: blocks of 256 rows. A 200-row read is
-        # 1.6 MiB, which row parts would cut in two, but the whole resize
-        # fits in one block; a 600-row resize has three blocks, each cut.
+    def test_row_source_within_one_block_starts_no_thread(self, monkeypatch, thread_parts, started_threads):
+        # 8 channels of 256 columns: steps of 64 rows. A 200-row read is
+        # 1.6 MiB, within 2 MiB of output; a 600-row read is 4.7 MiB. Both
+        # run on this thread.
         monkeypatch.setattr(T, "threads", 2)
         x = np.random.default_rng(1037).normal(size=(8, 50, 64)).astype(np.float32)
-        for out_h, threaded in ((200, False), (600, True)):
+        for out_h in (200, 600):
             want = gather4_resize(x, out_h, 256)
             rows, dst = T._ResizeRows(x, out_h, 256), np.empty((8, out_h, 256), dtype=np.float32)
-            thread_parts.clear()
             rows.read(dst, slice(0, out_h, 1), slice(0, 256, 1))
             assert_bitwise_equal(dst, want)
-            assert thread_parts and (max(thread_parts) > 1) == threaded
+            assert not thread_parts and not started_threads
+
+    @pytest.mark.parametrize("cfg", [model.ModelConfig(), model.ModelConfig.full_scale()],
+                             ids=["desk", "full_scale"])
+    def test_every_model_resize_runs_on_the_calling_thread(self, monkeypatch, thread_parts, started_threads, cfg):
+        # each resize, resize_argmax and s6.head1's read of its input rows
+        # for one of its chunks, as that conv's slab fill makes it
+        rng = np.random.default_rng(1040)
+        p = {q.name: q for q in model.layer_plan(cfg)}["s6.head1"]
+        shapes = model_resize_shapes(cfg)
+        assert (p.cin, p.out_h, p.out_w) in [(c, *out) for (c, _, _), out in shapes]
+        for (c, h, w), (out_h, out_w) in shapes:
+            x = rng.normal(size=(c, h, w)).astype(np.float32)
+            want = gather4_resize_by_channels(x, out_h, out_w)
+            labels = argmax_oracle(want)
+            reads = []
+            if (c, out_h, out_w) == (p.cin, p.out_h, p.out_w):
+                plan = T._conv_plan((c, out_h, out_w), (p.cout, c, p.k, p.k), p.cout, p.stride, p.k // 2,
+                                    T._BLOCK_BYTES)
+                reads = [(rows, cols) for _, rows, cols in plan.fills[plan.chunks[len(plan.chunks) // 2][0]][1]]
+                assert reads
+            for n in THREAD_COUNTS:
+                monkeypatch.setattr(T, "threads", n)
+                assert_bitwise_equal(T.bilinear_resize(x, out_h, out_w), want)
+                assert np.array_equal(T.resize_argmax(x, out_h, out_w), labels)
+                for rows, cols in reads:
+                    dst = np.empty_like(want[:, rows, cols])
+                    T._ResizeRows(x, out_h, out_w).read(dst, rows, cols)
+                    assert_bitwise_equal(dst, want[:, rows, cols])
+        assert not thread_parts and not started_threads
 
     def test_desk_scale_forward_starts_no_thread(self, monkeypatch, thread_parts):
         cfg = model.ModelConfig()
@@ -1396,7 +1419,7 @@ class TestThreads:
                 assert rows // (len(parts) + 1) * row_bytes < floor
 
     @pytest.mark.parametrize("op", ["conv2d", "bilinear_resize", "resize_argmax"])
-    def test_peak_memory_does_not_grow_with_threads(self, monkeypatch, op):
+    def test_peak_memory_does_not_grow_with_threads(self, monkeypatch, op, traced_peak):
         # the threads share the caller's buffers; each may hold no more than
         # the buffers of numpy's iterator (bufsize elements for each of three
         # float32 operands) and its own bookkeeping
