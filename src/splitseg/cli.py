@@ -39,8 +39,8 @@ def _cmd_sweep(args) -> int:
     spec = experiments.load_spec(args.config)
     if args.seed is not None:
         spec = dataclasses.replace(spec, master_seed=args.seed)
-    out = _out_dir(args)
     results = experiments.sweep(spec, workers=args.workers)
+    out = _out_dir(args)  # made only now: a failed sweep leaves no directory
     for result in results:
         csv_path = out / f"sweep_{result.modulation}.csv"
         experiments.write_csv(result, csv_path)

@@ -244,28 +244,32 @@ class _SweepContext:
     references: list
 
 
-def _build_context(spec: ExperimentSpec) -> _SweepContext:
-    cfg = spec.model
+def _load_dataset(spec: ExperimentSpec) -> list | None:
+    """The spec's dataset directory, loaded and checked against its config;
+    None for "synthetic", which reads no outside input."""
     if spec.dataset == "synthetic":
-        dataset = dataio.generate_synthetic(
-            spec.num_images, cfg.num_classes, cfg.input_height, cfg.input_width,
-            derive_seed(spec.master_seed, 0),
-        )
-    else:
-        dataset = dataio.load_dataset_dir(spec.dataset)
-        problems = []
-        for i, (raster, seg) in enumerate(dataset):
-            if raster.shape[:2] != (cfg.input_height, cfg.input_width):
-                problems.append(f"image {i}: dims {raster.shape[:2]} != config "
-                                f"({cfg.input_height}, {cfg.input_width})")
-            elif seg.labels.max() >= cfg.num_classes:
-                problems.append(f"image {i}: label {int(seg.labels.max())} >= K={cfg.num_classes}")
-        if problems:
-            raise ValueError("dataset does not match config:\n  " + "\n  ".join(problems))
-        if len(dataset) < spec.num_images:
-            raise ValueError(f"dataset has {len(dataset)} images, spec wants {spec.num_images}")
-        dataset = dataset[: spec.num_images]
+        return None
+    cfg = spec.model
+    dataset = dataio.load_dataset_dir(spec.dataset)
+    problems = []
+    for i, (raster, seg) in enumerate(dataset):
+        if raster.shape[:2] != (cfg.input_height, cfg.input_width):
+            problems.append(f"image {i}: dims {raster.shape[:2]} != config "
+                            f"({cfg.input_height}, {cfg.input_width})")
+        elif seg.labels.max() >= cfg.num_classes:
+            problems.append(f"image {i}: label {int(seg.labels.max())} >= K={cfg.num_classes}")
+    if problems:
+        raise ValueError("dataset does not match config:\n  " + "\n  ".join(problems))
+    if len(dataset) < spec.num_images:
+        raise ValueError(f"dataset has {len(dataset)} images, spec wants {spec.num_images}")
+    return dataset[: spec.num_images]
 
+
+def _build_context(spec: ExperimentSpec, dataset: list | None = None) -> _SweepContext:
+    """A sweep's context; `dataset`, where given, is _load_dataset(spec)."""
+    cfg = spec.model
+    dataset = dataset or _load_dataset(spec) or dataio.generate_synthetic(
+        spec.num_images, cfg.num_classes, cfg.input_height, cfg.input_width, derive_seed(spec.master_seed, 0))
     weights = model.build(cfg)
     if spec.reference_mode == "noiseless_output":
         references = [model.forward_full(dataio.raster_to_tensor(r), weights)[1] for r, _ in dataset]
@@ -298,11 +302,11 @@ def _run_trial(ctx: _SweepContext, mod_idx: int, snr_idx: int, image_idx: int) -
 _WORKER_CTX: _SweepContext | None = None
 
 
-def _init_worker(spec: ExperimentSpec) -> None:
+def _init_worker(spec: ExperimentSpec, dataset: list | None) -> None:
     global _WORKER_CTX
     # changes no bit: the pool already runs one worker per core, and more threads would oversubscribe them
     tensor_ops.threads = 1
-    _WORKER_CTX = _build_context(spec)
+    _WORKER_CTX = _build_context(spec, dataset)
 
 
 def _worker_trial(key: tuple[int, int, int]):
@@ -343,8 +347,11 @@ def sweep(spec: ExperimentSpec, workers: int = 1) -> list[SweepResult]:
         outcomes = {k: _run_trial(ctx, *k) for k in keys}
     else:
         chunk = max(len(keys) // (workers * 8), 1)
+        # a dataset directory is loaded and checked here, so that its errors
+        # are raised in this process and not in a worker's initializer
+        dataset = _load_dataset(spec)
         with ProcessPoolExecutor(
-            max_workers=min(workers, len(keys)), initializer=_init_worker, initargs=(spec,)
+            max_workers=min(workers, len(keys)), initializer=_init_worker, initargs=(spec, dataset)
         ) as pool:
             outcomes = dict(pool.map(_worker_trial, keys, chunksize=chunk))
 

@@ -326,12 +326,11 @@ def _unit(weights: WeightSet, name: str, x) -> np.ndarray:
     return _epilogue(weights, name, T.conv2d(x, *weights.units[name][0]))
 
 
-def _unit_rows(weights: WeightSet, name: str, x) -> T._ConvRows:
+def _unit_rows(weights: WeightSet, name: str, x) -> T._Conv:
     """_unit(weights, name, x) as rows that the next conv makes as it reads
     them: the unit's conv runs in row chunks, and _epilogue on each chunk
-    (see T._ConvRows)."""
-    conv = T._Conv(x, *weights.units[name][0])
-    return T._ConvRows(conv, functools.partial(_epilogue, weights, name))
+    (see T._Conv)."""
+    return T._Conv(x, *weights.units[name][0], functools.partial(_epilogue, weights, name))
 
 
 def _streams(weights: WeightSet, name: str) -> bool:

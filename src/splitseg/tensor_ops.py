@@ -19,7 +19,9 @@ are the same at any thread count. A conv2d in one chunk, which is every
 desk-scale layer, starts no thread. Every resize, the row source a conv
 reads included, is one _ResizeRows run through its one step loop on the
 calling thread, in steps of at most _BLOCK_BYTES // 4 bytes that stay in a
-core's L2; threads there measured slower.
+core's L2; threads there measured slower. A chunked conv2d call is a row
+source itself: a _Conv, with an elementwise epilogue, makes its chunks as
+the next conv's reads reach them, so its output never exists whole.
 
 What a call derives from shapes alone is derived once per shape: a conv2d
 call takes its checks, chunks, slab layout and slab fill from one cached
@@ -71,7 +73,8 @@ def conv2d(x, kernels, bias, stride: int = 1, padding: int = 0) -> np.ndarray:
     kernels has shape (out_ch, in_ch, k, k) with odd k; bias has one entry
     per output channel. Output spatial size follows
     floor((dim + 2*padding - k) / stride) + 1. Where the layer runs in row
-    chunks, `x` may also be a private row source (`_Rows`).
+    chunks, `x` may also be a private row source (`_Rows`): a chunked
+    `_Conv` with its epilogue, or a `_ResizeRows`.
     """
     conv = _Conv(x, kernels, bias, stride, padding)
     out = np.empty(conv.shape, dtype=np.float32)
@@ -80,7 +83,28 @@ def conv2d(x, kernels, bias, stride: int = 1, padding: int = 0) -> np.ndarray:
     return out
 
 
-class _Conv:
+class _Rows:
+    """A (c, h, w) tensor as conv2d's slab fill reads it; this one is an
+    array. Per row chunk, conv2d calls read(dst, rows, cols) once per slab
+    image, which writes rows `rows` and columns `cols` (slices with the conv's
+    stride) of the tensor into `dst`, then, before the chunk's taps,
+    drop(row), after which no read reaches a row before `row`. The
+    subclasses, _Conv and _ResizeRows, which only the chunked regime reads,
+    make their rows when a read needs them instead, so that the tensor
+    never exists whole. They run on the calling thread, which allocates
+    every buffer, as conv2d does."""
+
+    def __init__(self, x: np.ndarray):
+        self.x, self.shape = x, x.shape
+
+    def drop(self, row: int) -> None:
+        pass
+
+    def read(self, dst: np.ndarray, rows: slice, cols: slice) -> None:
+        np.copyto(dst, self.x[:, rows, cols])
+
+
+class _Conv(_Rows):
     """One conv2d call, run by output row chunks: for each (r0, r1) of
     `chunks`, add_taps(r0, r1, dst) writes output rows r0..r1-1 into `dst`,
     of shape (out_ch, r1 - r0, out_w), and returns the row parts it cut them
@@ -99,9 +123,22 @@ class _Conv:
     come from one contiguous (k, k, out_ch, in_ch) copy outside a unit
     dimension. Everything the call derives from its shapes, stride and
     padding comes from one _ConvPlan, made once per key.
+
+    As a row source, the call is the rows of epilogue(conv2d(...)), made in
+    its own row chunks by add_taps when a read first reaches them, and let
+    go once drop() passes them. A chunk's rows are its row parts' rows
+    where add_taps summed them, with no copy. `epilogue(out)` must be
+    elementwise and work in place on a part's fresh rows, which it gets
+    pitch-wide and contiguous (on the strided view without the extra
+    columns an affine map and ReLU took 1.16 ms per s0.conv1 chunk, against
+    0.44 ms on the contiguous rows); no read reaches the extra columns. A
+    chunk runs the same slab fill, sgemm calls and bias add as in the whole
+    call, then the epilogue, so its rows have the bits of the whole call
+    followed by the epilogue. conv2d's own calls are never read, and take
+    none.
     """
 
-    def __init__(self, x, kernels, bias, stride: int, padding: int):
+    def __init__(self, x, kernels, bias, stride: int, padding: int, epilogue=None):
         lazy = isinstance(x, _Rows)
         x = x if lazy else as_tensor(x)
         w, b = np.asarray(kernels, dtype=np.float32), np.asarray(bias, dtype=np.float32)
@@ -110,6 +147,25 @@ class _Conv:
             raise ValueError("a row source is read only by conv2d's chunked regime")
         self.shape, self.chunks = plan.shape, plan.chunks
         self._w, self._bias, self._buf, self._x = w, b.reshape(-1, 1, 1), None, x if lazy else _Rows(x)
+        # _made: (r0, r1, rows r0..r1-1) that read() made; _todo: the chunks it has yet to make
+        self._epilogue, self._made, self._todo = epilogue, [], iter(plan.chunks)
+
+    def drop(self, row: int) -> None:
+        self._made = [made for made in self._made if made[1] > row]
+
+    def read(self, dst: np.ndarray, rows: slice, cols: slice) -> None:
+        first, step, n = rows.start, rows.step, dst.shape[1]
+        while not self._made or self._made[-1][1] <= first + (n - 1) * step:
+            r0, r1 = next(self._todo)
+            for a, z, out in self.add_taps(r0, r1):
+                self._epilogue(out)
+                self._made.append((r0 + a, r0 + z, out))
+        for r0, r1, out in self._made:
+            # reads a..z-1 fall in this chunk: r0 <= first + i * step < r1
+            a, z = max(0, -(-(r0 - first) // step)), min(n, -(-(r1 - first) // step))
+            if a < z:
+                top = first + a * step - r0
+                np.copyto(dst[:, a:z], out[:, top:top + (z - a - 1) * step + 1:step, cols])
 
     def add_taps(self, r0: int, r1: int, dst: np.ndarray | None = None) -> list[tuple[int, int, np.ndarray]]:
         # Buffers are allocated here, after the caller's output: freed, they
@@ -333,63 +389,6 @@ def _fill_phase_slab(slab: np.ndarray, src: _Rows, fill: tuple) -> None:
         slab[at] = 0.0
     for at, rows, cols in fill[1]:
         src.read(slab[at], rows, cols)
-
-
-class _Rows:
-    """A (c, h, w) tensor as conv2d's slab fill reads it; this one is an
-    array. Per row chunk, conv2d calls read(dst, rows, cols) once per slab
-    image, which writes rows `rows` and columns `cols` (slices with the conv's
-    stride) of the tensor into `dst`, then, before the chunk's taps,
-    drop(row), after which no read reaches a row before `row`. The
-    subclasses, which only the chunked regime reads, make their rows when a
-    read needs them instead, so that the tensor never exists whole. They run on the calling thread, which
-    allocates every buffer, as conv2d does."""
-
-    def __init__(self, x: np.ndarray):
-        self.x, self.shape = x, x.shape
-
-    def drop(self, row: int) -> None:
-        pass
-
-    def read(self, dst: np.ndarray, rows: slice, cols: slice) -> None:
-        np.copyto(dst, self.x[:, rows, cols])
-
-
-class _ConvRows(_Rows):
-    """Rows of epilogue(conv2d(...)) for the conv2d call `conv`, made in that
-    call's own row chunks when a read first reaches them, and let go once
-    drop() passes them. A chunk's rows are its row parts' rows where add_taps
-    summed them, with no copy. `epilogue(out)` must be elementwise and work
-    in place on a part's fresh rows, which it gets pitch-wide and contiguous
-    (on the strided view without the extra columns an affine map and ReLU
-    took 2.5 times as long); no read reaches the extra columns. A chunk runs
-    the same slab fill, sgemm calls and bias add as in the whole call, then
-    the epilogue, so its rows have the bits of the whole call followed by
-    the epilogue."""
-
-    def __init__(self, conv: _Conv, epilogue):
-        self._conv = conv
-        self._epilogue = epilogue
-        self.shape = conv.shape
-        self._todo = iter(conv.chunks)
-        self._made: list[tuple[int, int, np.ndarray]] = []  # (r0, r1, rows r0..r1-1)
-
-    def drop(self, row: int) -> None:
-        self._made = [made for made in self._made if made[1] > row]
-
-    def read(self, dst: np.ndarray, rows: slice, cols: slice) -> None:
-        first, step, n = rows.start, rows.step, dst.shape[1]
-        while not self._made or self._made[-1][1] <= first + (n - 1) * step:
-            r0, r1 = next(self._todo)
-            for a, z, out in self._conv.add_taps(r0, r1):
-                self._epilogue(out)
-                self._made.append((r0 + a, r0 + z, out))
-        for r0, r1, out in self._made:
-            # reads a..z-1 fall in this chunk: r0 <= first + i * step < r1
-            a, z = max(0, -(-(r0 - first) // step)), min(n, -(-(r1 - first) // step))
-            if a < z:
-                top = first + a * step - r0
-                np.copyto(dst[:, a:z], out[:, top:top + (z - a - 1) * step + 1:step, cols])
 
 
 class _ResizeRows(_Rows):

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -395,6 +397,75 @@ def test_dataset_that_does_not_exist_is_a_missing_file(tmp_path, capsys):
     cfg = write_config(tmp_path, dataset=str(data))
     assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_MISSING_FILE
     assert capsys.readouterr().err == f"error: missing file: {data}\n"
+
+
+def run_cli(*argv) -> tuple[int, str]:
+    """`splitseg *argv` in a new process: its exit code and stderr. A pool
+    worker writes to the process's stderr, which capsys does not see."""
+    path = os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-m", "splitseg.cli", *argv], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+    return proc.returncode, proc.stderr
+
+
+def absent_dataset(tmp_path):
+    return tmp_path / "absent"
+
+
+def file_dataset(tmp_path):
+    data = tmp_path / "data.ppm"
+    data.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
+    return data
+
+
+def mismatched_dataset(tmp_path):
+    data = tmp_path / "data"
+    dataio.write_dataset(data, dataio.generate_synthetic(2, 4, 64, 64, seed=3))  # the config is 128x128
+    return data
+
+
+BAD_DATASETS = [
+    (absent_dataset, cli.EXIT_MISSING_FILE, "error: missing file: "),
+    (file_dataset, cli.EXIT_RUNTIME, ": not a directory"),
+    (mismatched_dataset, cli.EXIT_RUNTIME, "dataset does not match config"),
+]
+
+
+@pytest.mark.parametrize("make,code,message", BAD_DATASETS, ids=["absent", "file", "dims"])
+def test_dataset_error_at_two_workers_exits_as_at_one(tmp_path, make, code, message):
+    # the dataset is loaded and checked before the pool starts, not in each
+    # worker's initializer, which would break the pool
+    cfg = write_config(tmp_path, dataset=str(make(tmp_path)))
+    rc, err = run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "o"), "--workers", "2")
+    assert (rc, err.count(message)) == (code, 1), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("make,code,message", BAD_DATASETS[:2], ids=["absent", "file"])
+def test_failed_sweep_leaves_no_out_dir(tmp_path, capsys, monkeypatch, make, code, message):
+    cfg = write_config(tmp_path, dataset=str(make(tmp_path)))
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o" / "nested")]) == code
+    monkeypatch.setenv("SPLITSEG_OUT_DIR", str(tmp_path / "env"))
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o" / "nested")]) == code
+    assert capsys.readouterr().err.count(message) == 2
+    assert not (tmp_path / "o").exists() and not (tmp_path / "env").exists()
+
+
+def test_sweep_makes_a_nested_out_dir(tmp_path, capsys):
+    out = tmp_path / "a" / "b"
+    cfg = write_config(tmp_path, num_images=1, channel={"modulations": ["qpsk"], "snr_db": [10.0]})
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == ["sweep_qpsk.csv", "sweep_qpsk.meta.json", "sweep_qpsk_ext.csv"]
+
+
+def test_dataset_dir_sweep_bytes_do_not_depend_on_workers(tmp_path, capsys):
+    # at two workers the dataset loaded before the pool starts is the workers'
+    data = tmp_path / "data"
+    dataio.write_dataset(data, dataio.generate_synthetic(2, 4, 128, 128, seed=3))
+    cfg = write_config(tmp_path, dataset=str(data), reference_mode="ground_truth")
+    for workers in ("1", "2"):
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / workers), "--workers", workers]) == 0
+    assert (tmp_path / "1" / "sweep_qpsk.csv").read_bytes() == (tmp_path / "2" / "sweep_qpsk.csv").read_bytes()
 
 
 def test_snr_at_the_float64_noise_power_limit_runs(tmp_path, capsys):

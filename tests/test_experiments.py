@@ -361,10 +361,10 @@ class TestSweep:
         log = tmp_path / "builds.txt"
         build = E._build_context
 
-        def recording(spec):
+        def recording(spec, dataset=None):
             with open(log, "a") as f:
                 f.write(f"{os.getpid()} {tensor_ops.threads}\n")
-            return build(spec)
+            return build(spec, dataset)
 
         monkeypatch.setattr(E, "_build_context", recording)
         monkeypatch.setattr(tensor_ops, "threads", 4)

@@ -612,7 +612,7 @@ def conv_rows(rng, in_shape):
     def epilogue(out):
         T.relu(T.affine_norm(out, scale, shift, out=out), out=out)
 
-    return T._ConvRows(T._Conv(x, kernels, bias, 2, 1), epilogue), whole
+    return T._Conv(x, kernels, bias, 2, 1, epilogue), whole
 
 
 def resize_rows(rng, in_shape):
@@ -666,7 +666,7 @@ class TestRowSources:
         rng = np.random.default_rng(1041)
         x, k1, b1 = random_conv(rng, (p1.cin, p1.out_h * p1.stride, p1.out_w * p1.stride), (p1.cout, p1.cin, 3, 3))
         _, k2, b2 = random_conv(rng, (1, 1, 1), (p2.cout, p2.cin, 3, 3))
-        rows = T._ConvRows(T._Conv(x, k1, b1, p1.stride, 1), lambda out: out)
+        rows = T._Conv(x, k1, b1, p1.stride, 1, lambda out: out)
         conv = T._Conv(rows, k2, b2, p2.stride, 1)
         held, run = [], T._on_threads
 
@@ -1367,7 +1367,7 @@ class TestThreads:
             "b1, b2 = (rng.normal(size=p.cout).astype(np.float32) for p in (p1, p2))\n"
             "relu = lambda out: T.relu(out, out=out)\n"
             "for T.threads in (1, 2, 3):\n"
-            "    y = T.conv2d(T._ConvRows(T._Conv(x, w1, b1, 2, 1), relu), w2, b2, stride=2, padding=1)\n"
+            "    y = T.conv2d(T._Conv(x, w1, b1, 2, 1, relu), w2, b2, stride=2, padding=1)\n"
             "    print(hashlib.sha256(y.tobytes()).hexdigest())\n"
             "y = T.conv2d(relu(T.conv2d(x, w1, b1, stride=2, padding=1)), w2, b2, stride=2, padding=1)\n"
             "print(hashlib.sha256(y.tobytes()).hexdigest())\n"
